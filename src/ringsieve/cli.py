@@ -494,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ringsieve", description=__doc__, allow_abbrev=False)
     top.add_argument("--json", action="store_true", help="structured output")
     top.add_argument("--digits", type=int, default=12, help="decimal digits for intervals")
-    top.add_argument("--threads", type=int, default=1, help="worker cap (kernels are deterministic)")
     groups = top.add_subparsers(dest="group", required=True)
 
     def sub(group, name, handler, **kw):
@@ -503,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--selftest", action="store_true", help="run the module's built-in examples")
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         p.add_argument("--digits", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        p.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         return p
 
     g = groups.add_parser("sieve").add_subparsers(dest="sub", required=True)

@@ -56,3 +56,7 @@ class RegionTooSmall(RingsieveError):
 
 class UnitSearchExceeded(RingsieveError):
     """The fundamental-unit search exceeded its internal bound."""
+
+
+class VerificationFailed(RingsieveError):
+    """An independent re-check rejected a witness the library produced."""

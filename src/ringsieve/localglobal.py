@@ -4,11 +4,13 @@
 the CRT base point plus multiples of the combined modulus lattice in a fixed
 radial order.  `check_local_surjectivity` exhibits a k-free preimage for
 every k-free residue class modulo p^k, using a vectorized strip sieve for
-large quadratic grids.
+quadratic grids.  The sieve walks the p^k x p^k class grid in row bands of
+about 2^21 classes, so its memory is bounded by the band, not by the grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -19,6 +21,7 @@ from .errors import (
     NotFoundWithinBound,
     PreconditionFailed,
     TailNotBoundable,
+    VerificationFailed,
 )
 from .lattices import Hnf, crt_pair, gen_multipliers, lat_contains
 from .primes import primes_upto
@@ -220,10 +223,12 @@ def _surjectivity_scalar(
         y = solve(sieve, cons, bound=bound)
         for q in primes:
             mod = ideal_power(q, k)
-            assert mod.reduce_coords(y.coords[q.component]) == mod.reduce_coords(
+            if mod.reduce_coords(y.coords[q.component]) != mod.reduce_coords(
                 x.coords[q.component]
-            )
-        assert membership(sieve, y).member
+            ):
+                raise VerificationFailed(f"witness {y} is not congruent to {x} mod {mod}")
+        if not membership(sieve, y).member:
+            raise VerificationFailed(f"witness {y} is not {k}-free")
         reps.append(flat)
         wits.append(y)
         maxh = max(maxh, y.height)
@@ -242,18 +247,28 @@ def _surjectivity_scalar(
     )
 
 
+# Classes per row band of the strip sieve: the kernel's working set is a few
+# bytes per class of one band, whatever p^k is.
+_SEGMENT_CLASSES = 1 << 21
+
+
 def _mark_lattice_strip(mask: np.ndarray, hnf: Hnf, a0: int, H: int, W: int) -> None:
-    """Mark lattice points with first coordinate in [a0, a0+H), second in [0, W)."""
+    """Mark lattice points with first coordinate in [a0, a0+H), second in [0, W).
+
+    (a, b) lies on the lattice iff b = j*gamma with j*beta = a (mod alpha).  With
+    g = gcd(beta, alpha), row a has points iff g | a, at j = (a/g)(beta/g)^-1
+    mod alpha/g.  Walking rows costs O(H + points), however large alpha is.
+    """
     (alpha, _), (beta, gamma) = hnf
-    nj = (W + gamma - 1) // gamma
-    j = np.arange(nj, dtype=np.int64)
-    b = j * gamma
-    a_start = (j * beta - a0) % alpha
-    na = (H - 1) // alpha + 1
-    a_mat = a_start[:, None] + np.arange(na, dtype=np.int64)[None, :] * alpha
-    valid = a_mat < H
-    flat = a_mat * W + b[:, None]
-    mask.flat[flat[valid]] = True
+    g = math.gcd(beta, alpha)
+    m = alpha // g
+    inv = pow(beta // g, -1, m)
+    rows = np.arange((-a0) % g, H, g, dtype=np.int64)
+    j0 = ((a0 + rows) // g * inv) % m
+    nb = (W - 1) // (m * gamma) + 1
+    b = j0[:, None] * gamma + np.arange(nb, dtype=np.int64)[None, :] * (m * gamma)
+    flat = rows[:, None] * W + b
+    mask.flat[flat[b < W]] = True
 
 
 def _quad_prime_lattices(
@@ -277,110 +292,124 @@ def _surjectivity_quadratic(
     verify: str,
     sample_cap: int,
 ) -> SurjectivityReport:
+    """Strip sieve over the P x P class grid (P = p^k), one row band at a time.
+
+    The class (a, b) gets the witness (a + s*P, b) for the first strip s whose
+    box [s*P, (s+1)*P) x [0, P) leaves that point unmarked by every q^k.  Each
+    band holds about _SEGMENT_CLASSES classes and shares one mask buffer, so no
+    array is sized by P^2.  Classes are ranked in row-major order across bands;
+    sampled re-verification picks every stride-th rank.
+    """
     spec = algebra.components[0]
     s_coef, t_coef = spec.omega_poly
     P = p**k
     primes = split_prime(algebra, p)
-    n_classes = P * P
+    zero_lattices = [ideal_power(q, k).hnf for q in primes]
+    rows = max(1, _SEGMENT_CLASSES // P)
+    bands = [(r0, min(rows, P - r0)) for r0 in range(0, P, rows)]
+    buf = np.empty(rows * P, dtype=bool)
 
-    in_v = np.ones(P * P, dtype=bool)
-    chunk = 1 << 22
-    for lo in range(0, P * P, chunk):
-        idx = np.arange(lo, min(lo + chunk, P * P), dtype=np.int64)
-        a = idx // P
-        b = idx % P
-        keep = np.ones(idx.size, dtype=bool)
-        for q in primes:
-            (alpha, _), (beta, gamma) = ideal_power(q, k).hnf
-            keep &= ~((b % gamma == 0) & ((a - (b // gamma) * beta) % alpha == 0))
-        in_v[lo : lo + idx.size] = keep
-    v_idx = np.flatnonzero(in_v).astype(np.uint32)
-    del in_v
-
-    strips = np.full(v_idx.size, -1, dtype=np.int8)
-    pending = np.arange(v_idx.size, dtype=np.uint32)
-    for s in range(max_strips):
-        if pending.size == 0:
-            break
-        amax = (s + 1) * P
-        max_norm = amax * amax + abs(s_coef) * amax * P + abs(t_coef) * P * P
-        lattices = _quad_prime_lattices(algebra, k, p, max_norm)
-        marked = np.zeros(P * P, dtype=bool)
+    def band_mask(lattices: list[Hnf], a0: int, h: int) -> np.ndarray:
+        mask = buf[: h * P]
+        mask.fill(False)
         for hnf in lattices:
-            _mark_lattice_strip(marked, hnf, s * P, P, P)
-        ok = ~marked[v_idx[pending]]
-        strips[pending[ok]] = s
-        pending = pending[~ok]
-        del marked
+            _mark_lattice_strip(mask, hnf, a0, h, P)
+        return mask
+
+    lattices_by_strip: dict[int, list[Hnf]] = {}
+
+    def strip_lattices(s: int) -> list[Hnf]:
+        if s not in lattices_by_strip:
+            amax = (s + 1) * P
+            max_norm = amax * amax + abs(s_coef) * amax * P + abs(t_coef) * P * P
+            lattices_by_strip[s] = _quad_prime_lattices(algebra, k, p, max_norm)
+        return lattices_by_strip[s]
+
+    v_classes = sum(h * P - int(np.count_nonzero(band_mask(zero_lattices, r0, h))) for r0, h in bands)
+    if verify == "full" or (verify == "auto" and v_classes <= 4_000_000):
+        stride = 1
+    else:
+        stride = max(1, v_classes // sample_cap)
+    # about 50 membership spot checks, spread evenly over the sampled ranks
+    spot_stride = stride * max(1, -(-v_classes // stride) // 50)
 
     sieve = kfree_sieve(algebra, k)
-    fallback: list[tuple[int, AlgebraicInt]] = []
-    for pos in pending.tolist():
-        a, b = divmod(int(v_idx[pos]), P)
-        x = algebra.element([(a, b)])
-        cons = [
-            CongruenceConstraint(q, k, reduce_mod(x, ideal_power(q, k))) for q in primes
-        ]
-        y = solve(sieve, cons, bound=64 * P)
-        fallback.append((pos, y))
-
-    # witness heights: strip witnesses have coordinates (a + s*P, b)
-    have = strips >= 0
     max_h = 0
-    if np.any(have):
-        idx = v_idx[have].astype(np.int64)
-        aa = idx // P + strips[have].astype(np.int64) * P
-        max_h = int(max(aa.max(), (idx % P).max()))
-    for _, y in fallback:
-        max_h = max(max_h, y.height)
-
-    # independent re-verification: direct divisibility per prime ideal on the
-    # witness coordinates (the finder marked boxes; this tests each witness).
-    if verify == "full" or (verify == "auto" and v_idx.size <= 4_000_000):
-        sel = np.arange(v_idx.size)
-    else:
-        stride = max(1, v_idx.size // sample_cap)
-        sel = np.arange(0, v_idx.size, stride)
-    sel = sel[strips[sel] >= 0]
-    sel_idx = v_idx[sel].astype(np.int64)
-    wa = sel_idx // P + strips[sel].astype(np.int64) * P
-    wb = sel_idx % P
-    if sel.size:
-        nrm = np.abs(wa * wa + s_coef * wa * wb - t_coef * wb * wb)
-        bound = int(nrm.max())
-        good = np.ones(sel.size, dtype=bool)
-        for hnf in _quad_prime_lattices(algebra, k, p, bound):
-            (alpha, _), (beta, gamma) = hnf
-            div = (wb % gamma == 0) & ((wa - (wb // gamma) * beta) % alpha == 0)
-            good &= ~div
-        # witnesses congruent to their class by construction: a = class + s*P
-        if not bool(good.all()):
-            raise AssertionError("strip sieve produced a non-k-free witness")
-    # scalar spot check through the standard membership path
-    for j in range(0, int(sel.size), max(1, int(sel.size) // 50)):
-        y = algebra.element([(int(wa[j]), int(wb[j]))])
-        assert membership(sieve, y).member
-    for _, y in fallback:
-        assert membership(sieve, y).member
-
+    reverified = 0
+    fallback: list[AlgebraicInt] = []
     reps: list[Coords] = []
     wits: list[AlgebraicInt] = []
-    keep = min(int(v_idx.size), 4096)
-    for i in range(keep):
-        a, b = divmod(int(v_idx[i]), P)
-        s = int(strips[i])
-        if s >= 0:
-            reps.append((a, b))
-            wits.append(algebra.element([(a + s * P, b)]))
+    rank0 = 0
+    for r0, h in bands:
+        in_v = ~band_mask(zero_lattices, r0, h)
+        pos = np.flatnonzero(in_v)  # the band's classes in rank order
+        # pending classes; strips counts the strips each class failed, which
+        # is the strip of its witness once it leaves todo
+        todo = in_v.copy()
+        strips = np.zeros(h * P, dtype=np.int8)
+        for s in range(max_strips):
+            if not todo.any():
+                break
+            todo &= band_mask(strip_lattices(s), s * P + r0, h)
+            strips += todo
+
+        for i in np.flatnonzero(todo).tolist():
+            x = algebra.element([(r0 + i // P, i % P)])
+            cons = [
+                CongruenceConstraint(q, k, reduce_mod(x, ideal_power(q, k))) for q in primes
+            ]
+            fallback.append(solve(sieve, cons, bound=64 * P))
+
+        # witness (a + s*P, b) heights: the top strip's last row, the last column
+        have = in_v & ~todo
+        if have.any():
+            top = int(np.max(strips, where=have, initial=0))
+            last_row = np.flatnonzero(((strips == top) & have).reshape(h, P).any(axis=1))[-1]
+            last_col = np.flatnonzero(have.reshape(h, P).any(axis=0))[-1]
+            max_h = max(max_h, r0 + int(last_row) + top * P, int(last_col))
+
+        # independent re-verification: direct divisibility per prime ideal on
+        # the witness coordinates (the finder marked boxes; this tests each one)
+        ranks = np.arange((-rank0) % stride, pos.size, stride)
+        ranks = ranks[have[pos[ranks]]]
+        sel = pos[ranks]
+        sa = r0 + sel // P + strips[sel].astype(np.int64) * P
+        sb = sel % P
+        if sel.size:
+            nrm = np.abs(sa * sa + s_coef * sa * sb - t_coef * sb * sb)
+            good = np.ones(sel.size, dtype=bool)
+            for (alpha, _), (beta, gamma) in _quad_prime_lattices(algebra, k, p, int(nrm.max())):
+                good &= ~((sb % gamma == 0) & ((sa - (sb // gamma) * beta) % alpha == 0))
+            # witnesses are congruent to their class by construction: a = class + s*P
+            if not bool(good.all()):
+                raise VerificationFailed("strip sieve produced a non-k-free witness")
+        reverified += int(sel.size)
+        # scalar spot check through the standard membership path
+        for j in np.flatnonzero((rank0 + ranks) % spot_stride == 0).tolist():
+            y = algebra.element([(int(sa[j]), int(sb[j]))])
+            if not membership(sieve, y).member:
+                raise VerificationFailed(f"strip witness {y} is not {k}-free")
+
+        for i in pos[: max(0, 4096 - rank0)].tolist():
+            if have[i]:
+                a, b = r0 + i // P, i % P
+                reps.append((a, b))
+                wits.append(algebra.element([(a + int(strips[i]) * P, b)]))
+        rank0 += int(pos.size)
+
+    for y in fallback:
+        max_h = max(max_h, y.height)
+        if not membership(sieve, y).member:
+            raise VerificationFailed(f"fallback witness {y} is not {k}-free")
     return SurjectivityReport(
         algebra,
         k,
         p,
-        n_classes,
-        int(v_idx.size),
+        P * P,
+        v_classes,
         True,
         max_h,
-        reverified=int(sel.size) + len(fallback),
+        reverified=reverified + len(fallback),
         fallback_classes=len(fallback),
         _class_reps=reps,
         _witnesses=wits,
@@ -397,8 +426,11 @@ def check_local_surjectivity(
     """Exhibit a k-free preimage for every class of V_{K,k,p}.
 
     Every class modulo p^k not killed by a prime power above p receives a
-    witness; witnesses are re-verified by direct divisibility tests (fully up
-    to 4e6 classes, sampled beyond).  Requires k >= 2.
+    witness; witnesses are re-verified by direct divisibility tests (all of
+    them up to 4e6 classes, about 200k evenly spaced samples beyond) and a
+    failed re-check raises VerificationFailed.  Over a quadratic field the
+    strip sieve works in row bands of a fixed number of classes, so its peak
+    memory does not grow with p^k.  Requires k >= 2.
     """
     if k < 2:
         raise TailNotBoundable("local-global surjectivity requires k >= 2")

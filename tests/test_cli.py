@@ -1,9 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import ringsieve
+from ringsieve import localglobal
 from ringsieve.cli import main
 
 
@@ -138,17 +145,37 @@ def test_surjectivity_command():
     assert code == 0 and "target_classes: 3" in out
 
 
-@pytest.mark.parametrize(
-    "group,sub",
-    [
-        ("sieve", "enumerate"),
-        ("lg", "solve"),
-        ("linmap", "check"),
-        ("shift", "admissible"),
-        ("entropy", "product"),
-    ],
-)
+def test_surjectivity_verification_failure_exit_4(monkeypatch):
+    # a rejected witness raises VerificationFailed (not AssertionError), which maps to exit 4
+    monkeypatch.setattr(localglobal, "membership", lambda sieve, y: SimpleNamespace(member=False))
+    code, out = run(["lg", "surjectivity", "--field", "Q(sqrt 13)", "--k", "2", "--p", "3"])
+    assert code == 4 and "VerificationFailed" in out
+
+
+SELFTESTS = [
+    ("sieve", "enumerate"),
+    ("lg", "solve"),
+    ("linmap", "check"),
+    ("shift", "admissible"),
+    ("entropy", "product"),
+]
+
+
+@pytest.mark.parametrize("group,sub", SELFTESTS)
 def test_selftests(group, sub):
     code, out = run([group, sub, "--selftest"])
     assert code == 0
     assert "selftest_result: pass" in out
+
+
+@pytest.mark.parametrize("group,sub", SELFTESTS)
+def test_selftests_optimized(group, sub):
+    # python -O strips assert statements; the verification checks must not rely on them
+    src = str(Path(ringsieve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ringsieve.cli", group, sub, "--selftest"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest_result: pass" in proc.stdout

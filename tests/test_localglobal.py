@@ -1,7 +1,12 @@
 import pytest
 
-from ringsieve import QQ, ideal_power, make_algebra, reduce_mod, split_prime
-from ringsieve.errors import InvalidConstraint, NotFoundWithinBound, TailNotBoundable
+from ringsieve import QQ, ideal_power, localglobal, make_algebra, reduce_mod, split_prime
+from ringsieve.errors import (
+    InvalidConstraint,
+    NotFoundWithinBound,
+    TailNotBoundable,
+    VerificationFailed,
+)
 from ringsieve.localglobal import (
     CongruenceConstraint,
     check_local_surjectivity,
@@ -117,3 +122,32 @@ def test_surjectivity_vectorized_matches_direct_membership(k2):
         assert all(v % 25 == 0 for v in diff.flat())
         count += 1
     assert count == rep.witness_count()
+
+
+def _summary(rep):
+    return rep.v_classes, rep.reverified, rep.max_witness_height, rep.fallback_classes
+
+
+def test_surjectivity_segment_boundaries(monkeypatch):
+    # the strip sieve walks row bands of _SEGMENT_CLASSES classes; reports must
+    # not depend on where the bands end (ranks, sampling, witness table)
+    k7 = make_algebra([-7])
+    default = check_local_surjectivity(k7, 3, 7)
+    assert _summary(default) == (117306, 117306, 1365, 0)
+    # one-row bands, then 10-row bands with a 3-row last band (343 = 34*10 + 3)
+    for segment in (1, 343 * 10):
+        monkeypatch.setattr(localglobal, "_SEGMENT_CLASSES", segment)
+        rep = check_local_surjectivity(k7, 3, 7)
+        assert _summary(rep) == _summary(default)
+        assert list(rep.items()) == list(default.items())
+    # sampled re-verification: 150-row bands, 97-row last band (2197 = 14*150 + 97)
+    monkeypatch.setattr(localglobal, "_SEGMENT_CLASSES", 2197 * 150)
+    rep = check_local_surjectivity(make_algebra([13]), 3, 13)
+    assert _summary(rep) == (4824612, 201026, 8761, 0)
+
+
+def test_surjectivity_wrong_class_witness_raises(monkeypatch):
+    # a typed error, not assert, so the check survives python -O
+    monkeypatch.setattr(localglobal, "solve", lambda sieve, cons, bound: QQ.from_int(100))
+    with pytest.raises(VerificationFailed):
+        check_local_surjectivity(QQ, 2, 5)
