@@ -47,12 +47,6 @@ class RationalInterval:
     def contains(self, x) -> bool:
         return self.lo <= Fraction(x) <= self.hi
 
-    def mul_scalar(self, c: Fraction) -> "RationalInterval":
-        """Multiply by a nonnegative exact scalar, with directed rounding."""
-        if c < 0:
-            raise ValueError("scalar must be nonnegative")
-        return RationalInterval(_round_down(self.lo * c), _round_up(self.hi * c))
-
     def mul(self, other: "RationalInterval") -> "RationalInterval":
         """Product of intervals with nonnegative lower ends."""
         if self.lo < 0 or other.lo < 0:
@@ -64,11 +58,6 @@ class RationalInterval:
         if other.lo <= 0:
             raise ValueError("division requires a strictly positive divisor")
         return RationalInterval(_round_down(self.lo / other.hi), _round_up(self.hi / other.lo))
-
-    def reciprocal(self) -> "RationalInterval":
-        if self.lo <= 0:
-            raise ValueError("reciprocal requires a strictly positive interval")
-        return RationalInterval(_round_down(1 / self.hi), _round_up(1 / self.lo))
 
     def overlaps(self, other: "RationalInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi

@@ -66,13 +66,6 @@ def hnf_from_rows(rows: Sequence[Sequence[int]], n: int) -> Hnf:
     return ((A, 0), (B % A, C))
 
 
-def lat_det(h: Hnf) -> int:
-    d = 1
-    for i, row in enumerate(h):
-        d *= row[i]
-    return d
-
-
 def lat_reduce(coords: Sequence[int], h: Hnf) -> Vec:
     """Canonical representative of coords modulo the lattice (HNF box)."""
     if len(h) == 1:

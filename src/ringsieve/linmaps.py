@@ -97,10 +97,6 @@ class ZLinearMap:
         return cls(algebra, algebra, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
-    def from_hom(cls, hom: AlgebraHom) -> "ZLinearMap":
-        return cls(hom.source, hom.target, tuple(tuple(r) for r in hom.matrix()))
-
-    @classmethod
     def multiplication(cls, eps: AlgebraicInt) -> "ZLinearMap":
         alg = eps.algebra
         cols = [(eps * b).flat() for b in alg.basis()]
@@ -137,10 +133,6 @@ class InducedMap:
     @property
     def modulus(self) -> int:
         return self.p**self.k
-
-    def matrix_mod(self) -> tuple[tuple[int, ...], ...]:
-        q = self.modulus
-        return tuple(tuple(v % q for v in row) for row in self.linmap.matrix)
 
     def apply_class(self, flat: Sequence[int]) -> tuple[int, ...]:
         q = self.modulus

@@ -3,13 +3,16 @@
 `solve` finds an element of V(K, R) in prescribed residue classes by walking
 the CRT base point plus multiples of the combined modulus lattice in a fixed
 radial order.  `check_local_surjectivity` exhibits a k-free preimage for
-every k-free residue class modulo p^k, using a vectorized strip sieve for
-quadratic grids.  The sieve walks the p^k x p^k class grid in row bands of
-about 2^21 classes, so its memory is bounded by the band, not by the grid.
+every k-free residue class modulo p^k with one vectorized strip sieve per
+field component: Q is a one-column grid whose strips follow the radial order
+of `solve`, a quadratic field the p^k x p^k class grid.  The sieve walks its
+grid in row bands of about 2^21 classes, so its memory is bounded by the
+band, not by the grid.  A product algebra is assembled from its components.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -17,18 +20,20 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     InvalidConstraint,
     NotFoundWithinBound,
     PreconditionFailed,
     TailNotBoundable,
     VerificationFailed,
 )
-from .lattices import Hnf, crt_pair, gen_multipliers, lat_contains
+from .lattices import Hnf, crt_pair, gen_multipliers
 from .primes import primes_upto
 from .rings import (
     AlgebraicInt,
     Coords,
     EtaleAlgebra,
+    FieldSpec,
     PrimeIdeal,
     ideal_power,
     reduce_mod,
@@ -193,60 +198,16 @@ class SurjectivityReport:
         return len(self._witnesses)
 
 
-def _surjectivity_scalar(
-    algebra: EtaleAlgebra, k: int, p: int, bound: int, budget: int = 500_000
-) -> SurjectivityReport:
-    import itertools
-
-    from .errors import BudgetExceeded
-
-    if p ** (k * algebra.degree) > budget:
-        raise BudgetExceeded(
-            f"{p ** (k * algebra.degree)} classes exceed the scalar budget {budget}"
-        )
-    sieve = kfree_sieve(algebra, k)
-    primes = split_prime(algebra, p)
-    zero_lattices = [(q.component, ideal_power(q, k).hnf) for q in primes]
-    per_comp = [list(range(p**k)) for _ in range(algebra.degree)]
-    reps: list[Coords] = []
-    wits: list[AlgebraicInt] = []
-    n_classes = 0
-    maxh = 0
-    for flat in itertools.product(*per_comp):
-        n_classes += 1
-        x = algebra.from_flat(flat)
-        if any(lat_contains(x.coords[ci], h) for ci, h in zero_lattices):
-            continue
-        cons = [
-            CongruenceConstraint(q, k, reduce_mod(x, ideal_power(q, k))) for q in primes
-        ]
-        y = solve(sieve, cons, bound=bound)
-        for q in primes:
-            mod = ideal_power(q, k)
-            if mod.reduce_coords(y.coords[q.component]) != mod.reduce_coords(
-                x.coords[q.component]
-            ):
-                raise VerificationFailed(f"witness {y} is not congruent to {x} mod {mod}")
-        if not membership(sieve, y).member:
-            raise VerificationFailed(f"witness {y} is not {k}-free")
-        reps.append(flat)
-        wits.append(y)
-        maxh = max(maxh, y.height)
-    return SurjectivityReport(
-        algebra,
-        k,
-        p,
-        n_classes,
-        len(reps),
-        True,
-        maxh,
-        reverified=len(reps),
-        fallback_classes=0,
-        _class_reps=reps,
-        _witnesses=wits,
-    )
-
-
+# Strip-sieve limits: strips walked before a class falls back to `solve`,
+# witness rows kept in a report's table, and the largest class grid
+# p^(k*degree) of one component the kernel will walk.
+_MAX_STRIPS = 10
+_TABLE_ROWS = 4096
+_MAX_GRID_CLASSES = 1 << 28
+# Re-verification checks every witness up to _FULL_VERIFY_CLASSES classes and
+# about _SAMPLE_CAP evenly spaced ones beyond.
+_FULL_VERIFY_CLASSES = 4_000_000
+_SAMPLE_CAP = 200_000
 # Classes per row band of the strip sieve: the kernel's working set is a few
 # bytes per class of one band, whatever p^k is.
 _SEGMENT_CLASSES = 1 << 21
@@ -271,72 +232,97 @@ def _mark_lattice_strip(mask: np.ndarray, hnf: Hnf, a0: int, H: int, W: int) -> 
     mask.flat[flat[b < W]] = True
 
 
-def _quad_prime_lattices(
-    algebra: EtaleAlgebra, k: int, skip_p: int, max_norm: int
-) -> list[Hnf]:
+def _grid_hnf(hnf: Hnf) -> Hnf:
+    """A Q lattice ((A,),) as the lattice A*Z x Z of the one-column grid."""
+    return ((hnf[0][0], 0), (0, 1)) if len(hnf) == 1 else hnf
+
+
+def _norms(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if spec.is_rational:
+        return np.abs(a)
+    s, t = spec.omega_poly
+    return np.abs(a * a + s * a * b - t * b * b)
+
+
+def _norm_bound(spec: FieldSpec, amax: int, bmax: int) -> int:
+    if spec.is_rational:
+        return amax
+    s, t = spec.omega_poly
+    return amax * amax + abs(s) * amax * bmax + abs(t) * bmax * bmax
+
+
+def _prime_lattices(algebra: EtaleAlgebra, k: int, skip_p: int, max_norm: int) -> list[Hnf]:
+    """Grid lattices of q^k for every prime q not above skip_p with Nm(q)^k <= max_norm."""
     out = []
     for q in primes_upto(_iroot(max_norm, k)):
         if q == skip_p:
             continue
         for prime in split_prime(algebra, q):
             if prime.norm**k <= max_norm:
-                out.append(ideal_power(prime, k).hnf)
+                out.append(_grid_hnf(ideal_power(prime, k).hnf))
     return out
 
 
-def _surjectivity_quadratic(
-    algebra: EtaleAlgebra,
-    k: int,
-    p: int,
-    max_strips: int,
-    verify: str,
-    sample_cap: int,
-) -> SurjectivityReport:
-    """Strip sieve over the P x P class grid (P = p^k), one row band at a time.
+def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityReport:
+    """Strip sieve over the class grid of a one-component algebra, one row band at a time.
 
-    The class (a, b) gets the witness (a + s*P, b) for the first strip s whose
-    box [s*P, (s+1)*P) x [0, P) leaves that point unmarked by every q^k.  Each
-    band holds about _SEGMENT_CLASSES classes and shares one mask buffer, so no
-    array is sized by P^2.  Classes are ranked in row-major order across bands;
-    sampled re-verification picks every stride-th rank.
+    With P = p^k the classes are the points (a, b) of a P x W grid: W = P over a
+    quadratic field, W = 1 over Q.  The class (a, b) gets the witness
+    (a + t*P, b) for the first strip offset t whose box [t*P, (t+1)*P) x [0, W)
+    leaves that point unmarked by every q^k, q not above p.  Offsets run
+    0, 1, -1, 2, -2, ... over Q, the radial order of `solve`, and 0, 1, 2, ...
+    over a quadratic field; a class still pending after _MAX_STRIPS strips
+    falls back to `solve`.  Each band holds about _SEGMENT_CLASSES classes and
+    shares one mask buffer.  Classes are ranked in row-major order across
+    bands; sampled re-verification picks every stride-th rank.
     """
     spec = algebra.components[0]
-    s_coef, t_coef = spec.omega_poly
     P = p**k
+    W = 1 if spec.is_rational else P
+
+    def cell(a: int, b: int) -> Coords:
+        return (a,) if spec.is_rational else (a, b)
+
     primes = split_prime(algebra, p)
-    zero_lattices = [ideal_power(q, k).hnf for q in primes]
-    rows = max(1, _SEGMENT_CLASSES // P)
+    zero_lattices = [_grid_hnf(ideal_power(q, k).hnf) for q in primes]
+    rows = max(1, _SEGMENT_CLASSES // W)
     bands = [(r0, min(rows, P - r0)) for r0 in range(0, P, rows)]
-    buf = np.empty(rows * P, dtype=bool)
+    buf = np.empty(rows * W, dtype=bool)
 
     def band_mask(lattices: list[Hnf], a0: int, h: int) -> np.ndarray:
-        mask = buf[: h * P]
+        mask = buf[: h * W]
         mask.fill(False)
         for hnf in lattices:
-            _mark_lattice_strip(mask, hnf, a0, h, P)
+            _mark_lattice_strip(mask, hnf, a0, h, W)
         return mask
 
+    if spec.is_rational:
+        offsets = [(s + 1) // 2 if s % 2 else -(s // 2) for s in range(_MAX_STRIPS)]
+    else:
+        offsets = list(range(_MAX_STRIPS))
+    offset_arr = np.array(offsets, dtype=np.int64)
     lattices_by_strip: dict[int, list[Hnf]] = {}
 
     def strip_lattices(s: int) -> list[Hnf]:
         if s not in lattices_by_strip:
-            amax = (s + 1) * P
-            max_norm = amax * amax + abs(s_coef) * amax * P + abs(t_coef) * P * P
-            lattices_by_strip[s] = _quad_prime_lattices(algebra, k, p, max_norm)
+            amax = max(offsets[s] + 1, -offsets[s]) * P
+            lattices_by_strip[s] = _prime_lattices(algebra, k, p, _norm_bound(spec, amax, W))
         return lattices_by_strip[s]
 
-    v_classes = sum(h * P - int(np.count_nonzero(band_mask(zero_lattices, r0, h))) for r0, h in bands)
-    if verify == "full" or (verify == "auto" and v_classes <= 4_000_000):
-        stride = 1
-    else:
-        stride = max(1, v_classes // sample_cap)
+    def reach(s: int, r0: int, h: int) -> int:
+        # the largest |a + offsets[s]*P| over the band's rows
+        lo = offsets[s] * P + r0
+        return lo + h - 1 if lo >= 0 else -lo
+
+    v_classes = sum(h * W - int(np.count_nonzero(band_mask(zero_lattices, r0, h))) for r0, h in bands)
+    stride = 1 if v_classes <= _FULL_VERIFY_CLASSES else max(1, v_classes // _SAMPLE_CAP)
     # about 50 membership spot checks, spread evenly over the sampled ranks
     spot_stride = stride * max(1, -(-v_classes // stride) // 50)
 
     sieve = kfree_sieve(algebra, k)
     max_h = 0
     reverified = 0
-    fallback: list[AlgebraicInt] = []
+    n_fallback = 0
     reps: list[Coords] = []
     wits: list[AlgebraicInt] = []
     rank0 = 0
@@ -346,95 +332,134 @@ def _surjectivity_quadratic(
         # pending classes; strips counts the strips each class failed, which
         # is the strip of its witness once it leaves todo
         todo = in_v.copy()
-        strips = np.zeros(h * P, dtype=np.int8)
-        for s in range(max_strips):
+        strips = np.zeros(h * W, dtype=np.int8)
+        for s in range(_MAX_STRIPS):
             if not todo.any():
                 break
-            todo &= band_mask(strip_lattices(s), s * P + r0, h)
+            todo &= band_mask(strip_lattices(s), offsets[s] * P + r0, h)
             strips += todo
 
+        fallback: dict[int, AlgebraicInt] = {}
         for i in np.flatnonzero(todo).tolist():
-            x = algebra.element([(r0 + i // P, i % P)])
+            x = algebra.element([cell(r0 + i // W, i % W)])
             cons = [
                 CongruenceConstraint(q, k, reduce_mod(x, ideal_power(q, k))) for q in primes
             ]
-            fallback.append(solve(sieve, cons, bound=64 * P))
+            y = solve(sieve, cons, bound=64 * P)
+            for c in cons:
+                if reduce_mod(y, ideal_power(c.prime, k)) != c.target:
+                    raise VerificationFailed(
+                        f"fallback witness {y} is not congruent to {x} mod {c.prime}^{k}"
+                    )
+            if not membership(sieve, y).member:
+                raise VerificationFailed(f"fallback witness {y} is not {k}-free")
+            fallback[i] = y
+            max_h = max(max_h, y.height)
+        n_fallback += len(fallback)
 
-        # witness (a + s*P, b) heights: the top strip's last row, the last column
+        # witness (a + offsets[s]*P, b) heights: strips in falling order of
+        # reach, the last column
         have = in_v & ~todo
         if have.any():
+            max_h = max(max_h, int(np.flatnonzero(have.reshape(h, W).any(axis=0))[-1]))
             top = int(np.max(strips, where=have, initial=0))
-            last_row = np.flatnonzero(((strips == top) & have).reshape(h, P).any(axis=1))[-1]
-            last_col = np.flatnonzero(have.reshape(h, P).any(axis=0))[-1]
-            max_h = max(max_h, r0 + int(last_row) + top * P, int(last_col))
+            for s in sorted(range(top + 1), key=lambda s: -reach(s, r0, h)):
+                if reach(s, r0, h) <= max_h:
+                    break
+                hit = np.flatnonzero(((strips == s) & have).reshape(h, W).any(axis=1))
+                if hit.size:
+                    lo = offsets[s] * P + r0
+                    max_h = max(max_h, lo + int(hit[-1]) if lo >= 0 else -lo - int(hit[0]))
 
         # independent re-verification: direct divisibility per prime ideal on
         # the witness coordinates (the finder marked boxes; this tests each one)
         ranks = np.arange((-rank0) % stride, pos.size, stride)
         ranks = ranks[have[pos[ranks]]]
         sel = pos[ranks]
-        sa = r0 + sel // P + strips[sel].astype(np.int64) * P
-        sb = sel % P
+        sa = r0 + sel // W + offset_arr[strips[sel]] * P
+        sb = sel % W
         if sel.size:
-            nrm = np.abs(sa * sa + s_coef * sa * sb - t_coef * sb * sb)
+            nrm = _norms(spec, sa, sb)
             good = np.ones(sel.size, dtype=bool)
-            for (alpha, _), (beta, gamma) in _quad_prime_lattices(algebra, k, p, int(nrm.max())):
+            for (alpha, _), (beta, gamma) in _prime_lattices(algebra, k, p, int(nrm.max())):
                 good &= ~((sb % gamma == 0) & ((sa - (sb // gamma) * beta) % alpha == 0))
-            # witnesses are congruent to their class by construction: a = class + s*P
+            # witnesses are congruent to their class by construction: a = class + t*P
             if not bool(good.all()):
                 raise VerificationFailed("strip sieve produced a non-k-free witness")
-        reverified += int(sel.size)
+        reverified += int(sel.size) + len(fallback)
         # scalar spot check through the standard membership path
         for j in np.flatnonzero((rank0 + ranks) % spot_stride == 0).tolist():
-            y = algebra.element([(int(sa[j]), int(sb[j]))])
+            y = algebra.element([cell(int(sa[j]), int(sb[j]))])
             if not membership(sieve, y).member:
                 raise VerificationFailed(f"strip witness {y} is not {k}-free")
 
-        for i in pos[: max(0, 4096 - rank0)].tolist():
-            if have[i]:
-                a, b = r0 + i // P, i % P
-                reps.append((a, b))
-                wits.append(algebra.element([(a + int(strips[i]) * P, b)]))
+        for i in pos[: max(0, _TABLE_ROWS - rank0)].tolist():
+            a, b = r0 + i // W, i % W
+            reps.append(cell(a, b))
+            if i in fallback:
+                wits.append(fallback[i])
+            else:
+                wits.append(algebra.element([cell(a + offsets[strips[i]] * P, b)]))
         rank0 += int(pos.size)
 
-    for y in fallback:
-        max_h = max(max_h, y.height)
-        if not membership(sieve, y).member:
-            raise VerificationFailed(f"fallback witness {y} is not {k}-free")
     return SurjectivityReport(
         algebra,
         k,
         p,
-        P * P,
+        P * W,
         v_classes,
         True,
         max_h,
-        reverified=reverified + len(fallback),
-        fallback_classes=len(fallback),
+        reverified=reverified,
+        fallback_classes=n_fallback,
         _class_reps=reps,
         _witnesses=wits,
     )
 
 
-def check_local_surjectivity(
-    algebra: EtaleAlgebra,
-    k: int,
-    p: int,
-    bound: int | None = None,
-    verify: str = "auto",
-) -> SurjectivityReport:
+def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityReport:
     """Exhibit a k-free preimage for every class of V_{K,k,p}.
 
-    Every class modulo p^k not killed by a prime power above p receives a
-    witness; witnesses are re-verified by direct divisibility tests (all of
-    them up to 4e6 classes, about 200k evenly spaced samples beyond) and a
-    failed re-check raises VerificationFailed.  Over a quadratic field the
-    strip sieve works in row bands of a fixed number of classes, so its peak
-    memory does not grow with p^k.  Requires k >= 2.
+    Every component runs the same strip sieve (`_surjectivity_field`): a Q
+    component is a one-column grid whose strips follow the radial order of
+    `solve`, a quadratic field a p^k x p^k grid walked in row bands of a fixed
+    number of classes, so peak memory does not grow with p^k.  Being k-free is
+    a componentwise condition, so a product algebra's report is assembled from
+    its components': class counts multiply, the height is the largest, and
+    the witness table is the lex product of the components' tables.  Every
+    report keeps the first 4096 rows of its table.  Witnesses are re-verified
+    by direct divisibility tests (all of them up to 4e6 classes of a
+    component, about 200k evenly spaced samples beyond) and fallback witnesses
+    by membership and congruence; a failed re-check raises VerificationFailed.
+    A component grid of more than 2^28 classes raises BudgetExceeded before
+    anything is allocated.  Requires k >= 2.
     """
     if k < 2:
         raise TailNotBoundable("local-global surjectivity requires k >= 2")
-    if len(algebra.components) == 1 and not algebra.components[0].is_rational:
-        return _surjectivity_quadratic(algebra, k, p, max_strips=10, verify=verify, sample_cap=200_000)
-    default_bound = 8 * p**k
-    return _surjectivity_scalar(algebra, k, p, bound or default_bound)
+    for spec in algebra.components:
+        if p ** (k * spec.degree) > _MAX_GRID_CLASSES:
+            raise BudgetExceeded(
+                f"{p ** (k * spec.degree)} classes of {spec} exceed the budget {_MAX_GRID_CLASSES}"
+            )
+    if len(algebra.components) == 1:
+        return _surjectivity_field(algebra, k, p)
+    parts = [_surjectivity_field(EtaleAlgebra((spec,)), k, p) for spec in algebra.components]
+    reps: list[Coords] = []
+    wits: list[AlgebraicInt] = []
+    for row in itertools.islice(itertools.product(*(list(r.items()) for r in parts)), _TABLE_ROWS):
+        reps.append(tuple(a for c, _ in row for a in c))
+        wits.append(algebra.element([w.coords[0] for _, w in row]))
+    v_classes = math.prod(r.v_classes for r in parts)
+    return SurjectivityReport(
+        algebra,
+        k,
+        p,
+        math.prod(r.n_classes for r in parts),
+        v_classes,
+        True,
+        max(r.max_witness_height for r in parts),
+        reverified=math.prod(r.reverified for r in parts),
+        fallback_classes=v_classes - math.prod(r.v_classes - r.fallback_classes for r in parts),
+        _class_reps=reps,
+        _witnesses=wits,
+    )

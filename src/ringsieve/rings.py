@@ -239,9 +239,6 @@ class AlgebraicInt:
     def height(self) -> int:
         return max(abs(a) for u in self.coords for a in u)
 
-    def sort_key(self) -> Coords:
-        return self.flat()
-
     def __str__(self) -> str:
         return format_element(self)
 

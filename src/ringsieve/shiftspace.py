@@ -116,12 +116,6 @@ class AdmissibilityResult:
     def __bool__(self) -> bool:
         return self.admissible
 
-    def witness_at(self, prime: PrimeIdeal) -> Coords | None:
-        for pr, delta in self.witnesses:
-            if pr == prime:
-                return delta
-        return None
-
 
 def _free_translate(ls: LocalSet, pattern: Pattern) -> Coords | None:
     """A residue delta with (delta + classes) disjoint from the pattern."""

@@ -88,6 +88,9 @@ def test_exit_code_domain_error(tmp_path):
     f.write_text("algebra Q\ntail kfree 1\n")
     code, out = run(["sieve", "density", "--spec", str(f)])
     assert code == 4 and "TailNotBoundable" in out
+    # 19^8 classes of Q(sqrt 2) exceed the strip sieve's grid budget: refused at once
+    code, out = run(["lg", "surjectivity", "--field", "Q(sqrt 2)", "--k", "4", "--p", "19"])
+    assert code == 4 and "BudgetExceeded" in out
 
 
 def test_scan_reports_violation_with_exit_1():

@@ -1,4 +1,8 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsieve import QQ, ideal_power, localglobal, make_algebra, reduce_mod, split_prime
 from ringsieve.errors import (
@@ -93,6 +97,8 @@ def test_surjectivity_rational_heights_up_to_50(squarefree_q):
         assert rep.surjective
         assert rep.v_classes == p * p - 1
         assert rep.max_witness_height <= 4 * p * p
+        # the whole table fits in 4096 rows: the height is its largest
+        assert rep.max_witness_height == max(w.height for _, w in rep.items())
         for cls, w in rep.items():
             assert w.coords[0][0] % (p * p) == cls[0]
             assert membership(squarefree_q, w).member
@@ -146,8 +152,48 @@ def test_surjectivity_segment_boundaries(monkeypatch):
     assert _summary(rep) == (4824612, 201026, 8761, 0)
 
 
+def _radial_kfree(c, P, k):
+    """The first k-free c + t*P in the radial order t = 0, 1, -1, 2, -2, ..."""
+    for i in range(64):
+        y = c + ((i + 1) // 2 if i % 2 else -(i // 2)) * P
+        if y and all(y % q**k for q in range(2, round(abs(y) ** (1 / k)) + 2)):
+            return y
+
+
+def test_surjectivity_rational_table_follows_radial_order():
+    # one-column strip sieve: the first 4096 classes of the 6858, each with
+    # the first k-free lift in solve's radial order
+    rep = check_local_surjectivity(QQ, 3, 19)
+    assert _summary(rep) == (6858, 6858, 17147, 0) and rep.n_classes == 6859
+    table = list(rep.items())
+    assert [c for c, _ in table] == [(c,) for c in range(1, 4097)]
+    assert all(w.coords[0][0] == _radial_kfree(c[0], 6859, 3) for c, w in table)
+
+
+@lru_cache(maxsize=None)
+def _rational_table(k, p):
+    return dict(check_local_surjectivity(QQ, k, p).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]),
+    k=st.sampled_from([2, 3]),
+    c=st.integers(1, 4096),
+)
+def test_surjectivity_rational_witness_is_solve_answer(p, k, c):
+    P = p**k
+    c = 1 + (c - 1) % min(P - 1, 4096)
+    y = solve(kfree_sieve(QQ, k), [con(q_prime(p), k, c)], bound=8 * P)
+    assert _rational_table(k, p)[(c,)] == y
+
+
 def test_surjectivity_wrong_class_witness_raises(monkeypatch):
-    # a typed error, not assert, so the check survives python -O
-    monkeypatch.setattr(localglobal, "solve", lambda sieve, cons, bound: QQ.from_int(100))
-    with pytest.raises(VerificationFailed):
-        check_local_surjectivity(QQ, 2, 5)
+    # no strips, so every class falls back to solve; a k-free witness of the
+    # wrong class must fail the congruence check with a typed error (not
+    # assert, so the check survives python -O)
+    monkeypatch.setattr(localglobal, "_MAX_STRIPS", 0)
+    monkeypatch.setattr(localglobal, "solve", lambda sieve, cons, bound: sieve.algebra.one)
+    for algebra, p in ((QQ, 5), (make_algebra([13]), 3)):
+        with pytest.raises(VerificationFailed, match="not congruent"):
+            check_local_surjectivity(algebra, 2, p)

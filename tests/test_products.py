@@ -1,6 +1,9 @@
 """Product algebras exercised through every layer."""
 
-from ringsieve import algebra_isomorphisms, make_algebra, split_prime
+import itertools
+import math
+
+from ringsieve import algebra_isomorphisms, ideal_power, make_algebra, split_prime
 from ringsieve.localglobal import check_local_surjectivity
 from ringsieve.shiftspace import conjugacy_search
 from ringsieve.sieve import enumerate_V, kfree_sieve, membership
@@ -40,3 +43,23 @@ def test_product_surjectivity():
     # inclusion-exclusion: 9^3 - (81 + 9 - 1)
     assert rep.n_classes == 729 and rep.v_classes == 640
     assert rep.surjective
+    # k-free is componentwise: the report is built from the components' reports
+    for spec, v in (([None, 2], 640), ([-1, 2], 6400)):
+        algebra = make_algebra(spec)
+        rep = check_local_surjectivity(algebra, 2, 3)
+        parts = [check_local_surjectivity(make_algebra([d]), 2, 3) for d in spec]
+        assert rep.v_classes == v == math.prod(r.v_classes for r in parts)
+        assert rep.n_classes == math.prod(r.n_classes for r in parts)
+        assert rep.max_witness_height == max(r.max_witness_height for r in parts)
+        assert rep.reverified == math.prod(r.reverified for r in parts)
+        assert rep.fallback_classes == v - math.prod(r.v_classes - r.fallback_classes for r in parts)
+        rows = list(itertools.islice(itertools.product(*(list(r.items()) for r in parts)), 4096))
+        table = list(rep.items())
+        assert len(table) == min(v, 4096)
+        assert [c for c, _ in table] == [c1 + c2 for (c1, _), (c2, _) in rows]
+        assert [w.coords for _, w in table] == [(w1.coords[0], w2.coords[0]) for (_, w1), (_, w2) in rows]
+        sieve = kfree_sieve(algebra, 2)
+        primes = split_prime(algebra, 3)
+        for cls, w in table:
+            assert membership(sieve, w).member
+            assert all(ideal_power(q, 2).contains(w - algebra.from_flat(cls)) for q in primes)
