@@ -7,6 +7,12 @@ generator rows in lower-triangular Hermite normal form:
     ((A, 0), (B, C))    for n = 2, A > 0, C > 0, 0 <= B < A
 
 Rows generate the lattice over Z.  The determinant A*C is the index in Z^n.
+
+`coset_points` is the package's one box-marking primitive: sieve box counts,
+tail counts and the local-global strip sieve mark cosets c + L in H x W boxes
+walked in row bands (`row_bands`).  A Q component is the one-column grid b = 0
+(`grid_hnf`, `grid_point`, `grid_coords`, `grid_columns` embed its lattices,
+points and boxes).  The marker's index temporaries come in bounded chunks.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 from typing import Iterator, Sequence
+
+import numpy as np
 
 Hnf = tuple[tuple[int, ...], ...]
 Vec = tuple[int, ...]
@@ -253,6 +261,70 @@ def preimage_lattice(a_mat: list[list[int]], h_target: Hnf) -> Hnf:
     kern = integer_kernel(mat)
     rows = [tuple(w[:n]) for w in kern]
     return hnf_from_rows(rows, n)
+
+
+# Points per row band of a box walk, and per index chunk of `coset_points`.
+_SEGMENT_CLASSES = 1 << 21
+_CHUNK_POINTS = 1 << 14
+
+
+def grid_hnf(h: Hnf) -> Hnf:
+    """A Q lattice ((A,),) as the lattice A*Z x Z of the one-column grid."""
+    return ((h[0][0], 0), (0, 1)) if len(h) == 1 else h
+
+
+def grid_point(c: Vec) -> Vec:
+    """Coordinates as a grid point: a Q point (a,) is (a, 0)."""
+    return (c[0], 0) if len(c) == 1 else c
+
+
+def grid_coords(a: int, b: int, n: int) -> Vec:
+    """The degree-n coordinates of the grid point (a, b), inverse to `grid_point`."""
+    return (a,) if n == 1 else (a, b)
+
+
+def grid_columns(n: int, b0: int, W: int) -> tuple[int, int]:
+    """(first column, width) of the grid box whose degree-n coordinates start at b0, W wide."""
+    return (0, 1) if n == 1 else (b0, W)
+
+
+def row_bands(a0: int, H: int, W: int) -> list[tuple[int, int]]:
+    """(first row, rows) of bands of max(1, _SEGMENT_CLASSES // W) rows covering [a0, a0+H)."""
+    rows = max(1, _SEGMENT_CLASSES // W)
+    return [(r, min(rows, a0 + H - r)) for r in range(a0, a0 + H, rows)]
+
+
+def coset_points(h: Hnf, c: Vec, a0: int, b0: int, H: int, W: int) -> Iterator[np.ndarray | slice]:
+    """Indexers of the points of c + L in the flat row-major box [a0, a0+H) x [b0, b0+W).
+
+    With (a, b) = (x, y) - c, the point lies on L = ((alpha, 0), (beta, gamma))
+    iff b = j*gamma with j*beta = a (mod alpha).  With g = gcd(beta, alpha) and
+    m = alpha/g, row a has points iff g | a, in the columns b = j0*gamma modulo
+    the period m*gamma, where j0 = (a/g)(beta/g)^-1 mod m.  Walking rows costs
+    O(H/g + points), however large alpha is; chunks hold at most _CHUNK_POINTS
+    points (or one row), which bounds the temporaries.  When every marked row
+    holds one point in a fixed column, the one indexer is a strided slice.
+    """
+    (alpha, _), (beta, gamma) = h
+    a0 -= c[0]
+    g = gcd(beta, alpha)
+    m = alpha // g
+    inv = pow(beta // g, -1, m)
+    period = m * gamma
+    b0 = (b0 - c[1]) % period
+    nb = (W - 1) // period + 1
+    if m == 1 and nb == 1:  # one fixed column (every Q lattice): a strided slice
+        if (-b0) % period < W:
+            yield slice((-a0) % g * W + (-b0) % period, H * W, g * W)
+        return
+    step = g * max(1, _CHUNK_POINTS // nb)
+    cols = np.arange(nb, dtype=np.int64) * period
+    for r in range((-a0) % g, H, step):
+        rows = np.arange(r, min(H, r + step), g, dtype=np.int64)
+        b = ((a0 + rows) // g * inv % m * gamma - b0) % period
+        b = b[:, None] + cols
+        flat = rows[:, None] * W + b
+        yield flat[b < W]
 
 
 def _layer_values(h: int) -> list[int]:

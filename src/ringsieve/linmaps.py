@@ -37,6 +37,27 @@ from .sieve import SieveSpec, local_set
 DEFAULT_CLASS_BUDGET = 2_000_000
 
 
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (Leibniz formula)."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        prod = sign
+        for i in range(n):
+            prod *= m[i][perm[i]]
+        total += prod
+    return total
+
+
 @dataclass(frozen=True)
 class ZLinearMap:
     """Integer matrix acting on flat coordinates over the integral bases."""
@@ -72,24 +93,7 @@ class ZLinearMap:
     def det(self) -> int:
         if not self.is_square:
             raise PreconditionFailed("determinant of a non-square map")
-        m = self.matrix
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        if n == 2:
-            return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        total = 0
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = sign
-            for i in range(n):
-                prod *= m[i][perm[i]]
-            total += prod
-        return total
+        return _det(self.matrix)
 
     @classmethod
     def identity(cls, algebra: EtaleAlgebra) -> "ZLinearMap":
@@ -220,7 +224,8 @@ def _check_local_condition_kfree(
     The condition holds iff for every target prime q | p the preimage of the
     zero class of q^l inside O_K/p^m stays inside the union of the zero
     classes of the source primes; preimages are lattices, so the enumeration
-    is |preimage| = p^{nm} / Nm(q)^l points instead of p^{nm}.
+    is |preimage| = p^{nm} / Nm(q)^l points instead of p^{nm}.  The source has
+    degree <= 2 (`scan_primes` only routes such maps here).
     """
     k = r_sieve.tail.exponent
     l = s_sieve.tail.exponent
@@ -230,8 +235,6 @@ def _check_local_condition_kfree(
     src_lattices = [(pr.component, ideal_power(pr, k).hnf) for pr in src_primes]
 
     n_src = a.source.degree
-    if n_src > 2:
-        return check_local_condition(a, r_sieve, s_sieve, p)
     fine: Hnf = hnf_from_rows(
         [[p**m if i == j else 0 for j in range(n_src)] for i in range(n_src)], n_src
     )
@@ -307,26 +310,6 @@ def decompose_monomial(a: ZLinearMap) -> MonomialDecomposition | None:
 # preserver scan over prime fields
 
 
-def _det_mod(m: Sequence[Sequence[int]], q: int) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0] % q
-    if n == 2:
-        return (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q
-    total = 0
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = sign
-        for i in range(n):
-            prod *= m[i][perm[i]]
-        total += prod
-    return total % q
-
-
 def is_monomial_matrix(m: Sequence[Sequence[int]]) -> bool:
     """Exactly one nonzero entry per row."""
     return all(sum(1 for v in row if v) == 1 for row in m)
@@ -367,7 +350,7 @@ def preserver_scan(q: int, n: int, m: int, budget: int = 20_000_000) -> Preserve
     for entries in itertools.product(range(q), repeat=n * m):
         mat = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(m))
         if n == m:
-            if _det_mod(mat, q) == 0:
+            if _det(mat) % q == 0:
                 continue
             invertible += 1
         ok = True

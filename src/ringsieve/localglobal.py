@@ -5,9 +5,11 @@ the CRT base point plus multiples of the combined modulus lattice in a fixed
 radial order.  `check_local_surjectivity` exhibits a k-free preimage for
 every k-free residue class modulo p^k with one vectorized strip sieve per
 field component: Q is a one-column grid whose strips follow the radial order
-of `solve`, a quadratic field the p^k x p^k class grid.  The sieve walks its
-grid in row bands of about 2^21 classes, so its memory is bounded by the
-band, not by the grid.  A product algebra is assembled from its components.
+of `solve`, a quadratic field the p^k x p^k class grid.  The strips are
+marked by `lattices.coset_points`, the package's one box-marking primitive,
+and the grid is walked in row bands of about 2^21 classes
+(`lattices.row_bands`), so memory is bounded by the band, not by the grid.
+A product algebra is assembled from its components.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from .errors import (
     TailNotBoundable,
     VerificationFailed,
 )
-from .lattices import Hnf, crt_pair, gen_multipliers
-from .primes import primes_upto
+from .lattices import Hnf, coset_points, crt_pair, gen_multipliers, grid_columns, grid_coords, grid_hnf, row_bands
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -39,7 +40,7 @@ from .rings import (
     reduce_mod,
     split_prime,
 )
-from .sieve import SieveSpec, kfree_sieve, local_set, membership, _iroot
+from .sieve import SieveSpec, kfree_sieve, local_set, membership, _norm_bound, _tail_primes
 
 
 @dataclass(frozen=True)
@@ -208,33 +209,6 @@ _MAX_GRID_CLASSES = 1 << 28
 # about _SAMPLE_CAP evenly spaced ones beyond.
 _FULL_VERIFY_CLASSES = 4_000_000
 _SAMPLE_CAP = 200_000
-# Classes per row band of the strip sieve: the kernel's working set is a few
-# bytes per class of one band, whatever p^k is.
-_SEGMENT_CLASSES = 1 << 21
-
-
-def _mark_lattice_strip(mask: np.ndarray, hnf: Hnf, a0: int, H: int, W: int) -> None:
-    """Mark lattice points with first coordinate in [a0, a0+H), second in [0, W).
-
-    (a, b) lies on the lattice iff b = j*gamma with j*beta = a (mod alpha).  With
-    g = gcd(beta, alpha), row a has points iff g | a, at j = (a/g)(beta/g)^-1
-    mod alpha/g.  Walking rows costs O(H + points), however large alpha is.
-    """
-    (alpha, _), (beta, gamma) = hnf
-    g = math.gcd(beta, alpha)
-    m = alpha // g
-    inv = pow(beta // g, -1, m)
-    rows = np.arange((-a0) % g, H, g, dtype=np.int64)
-    j0 = ((a0 + rows) // g * inv) % m
-    nb = (W - 1) // (m * gamma) + 1
-    b = j0[:, None] * gamma + np.arange(nb, dtype=np.int64)[None, :] * (m * gamma)
-    flat = rows[:, None] * W + b
-    mask.flat[flat[b < W]] = True
-
-
-def _grid_hnf(hnf: Hnf) -> Hnf:
-    """A Q lattice ((A,),) as the lattice A*Z x Z of the one-column grid."""
-    return ((hnf[0][0], 0), (0, 1)) if len(hnf) == 1 else hnf
 
 
 def _norms(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -244,23 +218,10 @@ def _norms(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a * a + s * a * b - t * b * b)
 
 
-def _norm_bound(spec: FieldSpec, amax: int, bmax: int) -> int:
-    if spec.is_rational:
-        return amax
-    s, t = spec.omega_poly
-    return amax * amax + abs(s) * amax * bmax + abs(t) * bmax * bmax
-
-
-def _prime_lattices(algebra: EtaleAlgebra, k: int, skip_p: int, max_norm: int) -> list[Hnf]:
+def _prime_lattices(sieve: SieveSpec, skip_p: int, max_norm: int) -> list[Hnf]:
     """Grid lattices of q^k for every prime q not above skip_p with Nm(q)^k <= max_norm."""
-    out = []
-    for q in primes_upto(_iroot(max_norm, k)):
-        if q == skip_p:
-            continue
-        for prime in split_prime(algebra, q):
-            if prime.norm**k <= max_norm:
-                out.append(_grid_hnf(ideal_power(prime, k).hnf))
-    return out
+    k = sieve.tail.exponent
+    return [grid_hnf(ideal_power(q, k).hnf) for q in _tail_primes(sieve, max_norm) if q.p != skip_p]
 
 
 def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityReport:
@@ -272,28 +233,26 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     leaves that point unmarked by every q^k, q not above p.  Offsets run
     0, 1, -1, 2, -2, ... over Q, the radial order of `solve`, and 0, 1, 2, ...
     over a quadratic field; a class still pending after _MAX_STRIPS strips
-    falls back to `solve`.  Each band holds about _SEGMENT_CLASSES classes and
+    falls back to `solve`.  Each band (`row_bands`) holds about 2^21 classes and
     shares one mask buffer.  Classes are ranked in row-major order across
     bands; sampled re-verification picks every stride-th rank.
     """
     spec = algebra.components[0]
     P = p**k
-    W = 1 if spec.is_rational else P
-
-    def cell(a: int, b: int) -> Coords:
-        return (a,) if spec.is_rational else (a, b)
-
+    n = spec.degree
+    _, W = grid_columns(n, 0, P)
+    sieve = kfree_sieve(algebra, k)
     primes = split_prime(algebra, p)
-    zero_lattices = [_grid_hnf(ideal_power(q, k).hnf) for q in primes]
-    rows = max(1, _SEGMENT_CLASSES // W)
-    bands = [(r0, min(rows, P - r0)) for r0 in range(0, P, rows)]
-    buf = np.empty(rows * W, dtype=bool)
+    zero_lattices = [grid_hnf(ideal_power(q, k).hnf) for q in primes]
+    bands = row_bands(0, P, W)
+    buf = np.empty(bands[0][1] * W, dtype=bool)
 
     def band_mask(lattices: list[Hnf], a0: int, h: int) -> np.ndarray:
         mask = buf[: h * W]
         mask.fill(False)
         for hnf in lattices:
-            _mark_lattice_strip(mask, hnf, a0, h, W)
+            for idx in coset_points(hnf, (0, 0), a0, 0, h, W):
+                mask[idx] = True
         return mask
 
     if spec.is_rational:
@@ -306,7 +265,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     def strip_lattices(s: int) -> list[Hnf]:
         if s not in lattices_by_strip:
             amax = max(offsets[s] + 1, -offsets[s]) * P
-            lattices_by_strip[s] = _prime_lattices(algebra, k, p, _norm_bound(spec, amax, W))
+            lattices_by_strip[s] = _prime_lattices(sieve, p, _norm_bound(spec, amax, W))
         return lattices_by_strip[s]
 
     def reach(s: int, r0: int, h: int) -> int:
@@ -319,7 +278,6 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     # about 50 membership spot checks, spread evenly over the sampled ranks
     spot_stride = stride * max(1, -(-v_classes // stride) // 50)
 
-    sieve = kfree_sieve(algebra, k)
     max_h = 0
     reverified = 0
     n_fallback = 0
@@ -341,7 +299,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
 
         fallback: dict[int, AlgebraicInt] = {}
         for i in np.flatnonzero(todo).tolist():
-            x = algebra.element([cell(r0 + i // W, i % W)])
+            x = algebra.element([grid_coords(r0 + i // W, i % W, n)])
             cons = [
                 CongruenceConstraint(q, k, reduce_mod(x, ideal_power(q, k))) for q in primes
             ]
@@ -381,7 +339,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         if sel.size:
             nrm = _norms(spec, sa, sb)
             good = np.ones(sel.size, dtype=bool)
-            for (alpha, _), (beta, gamma) in _prime_lattices(algebra, k, p, int(nrm.max())):
+            for (alpha, _), (beta, gamma) in _prime_lattices(sieve, p, int(nrm.max())):
                 good &= ~((sb % gamma == 0) & ((sa - (sb // gamma) * beta) % alpha == 0))
             # witnesses are congruent to their class by construction: a = class + t*P
             if not bool(good.all()):
@@ -389,17 +347,17 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         reverified += int(sel.size) + len(fallback)
         # scalar spot check through the standard membership path
         for j in np.flatnonzero((rank0 + ranks) % spot_stride == 0).tolist():
-            y = algebra.element([cell(int(sa[j]), int(sb[j]))])
+            y = algebra.element([grid_coords(int(sa[j]), int(sb[j]), n)])
             if not membership(sieve, y).member:
                 raise VerificationFailed(f"strip witness {y} is not {k}-free")
 
         for i in pos[: max(0, _TABLE_ROWS - rank0)].tolist():
             a, b = r0 + i // W, i % W
-            reps.append(cell(a, b))
+            reps.append(grid_coords(a, b, n))
             if i in fallback:
                 wits.append(fallback[i])
             else:
-                wits.append(algebra.element([cell(a + offsets[strips[i]] * P, b)]))
+                wits.append(algebra.element([grid_coords(a + offsets[strips[i]] * P, b, n)]))
         rank0 += int(pos.size)
 
     return SurjectivityReport(

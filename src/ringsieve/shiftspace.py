@@ -20,7 +20,7 @@ from .errors import BudgetExceeded, PreconditionFailed, RegionTooSmall
 from .lattices import crt_pair
 from .linmaps import ZLinearMap
 from .localglobal import CongruenceConstraint, solve
-from .primes import primes_upto
+from .primes import is_prime, primes_upto
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -39,6 +39,7 @@ from .sieve import (
     SieveSpec,
     TailRule,
     _tail_local_set,
+    _tail_primes,
     build_sieve,
     kfree_sieve,
     local_set,
@@ -149,17 +150,11 @@ def is_admissible(sieve: SieveSpec, pattern: Pattern) -> AdmissibilityResult:
     threshold = 0
     if sieve.tail.kind == "classes" and len(pattern) > 0:
         threshold = len(pattern) * len(sieve.tail.labels)
-        k = sieve.tail.exponent
-        for p in primes_upto(max(threshold, 2)):
-            for prime in split_prime(sieve.algebra, p):
-                if prime.norm**k > threshold:
-                    continue
-                if sieve.exception_at(prime) is not None:
-                    continue
-                delta = _free_translate(_tail_local_set(sieve, prime), pattern)
-                if delta is None:
-                    return AdmissibilityResult(False, tuple(witnesses), threshold, prime)
-                witnesses.append((prime, delta))
+        for prime in _tail_primes(sieve, threshold):
+            delta = _free_translate(_tail_local_set(sieve, prime), pattern)
+            if delta is None:
+                return AdmissibilityResult(False, tuple(witnesses), threshold, prime)
+            witnesses.append((prime, delta))
     for ls in sieve.exceptions:
         delta = _free_translate(ls, pattern)
         if delta is None:
@@ -201,17 +196,11 @@ def count_admissible(sieve: SieveSpec, box_size: int, budget: int = 1 << 24) -> 
             fails &= (masks & dtype(translate)) != 0
         bad[:] |= fails
 
-    checked = set()
     for ls in sieve.exceptions:
-        checked.add(ls.prime.p)
         reject_with(ls)
     if sieve.tail.kind == "classes":
-        limit = box_size * len(sieve.tail.labels)
-        k = sieve.tail.exponent
-        for p in primes_upto(max(limit, 2)):
-            if p in checked or p**k > limit:
-                continue
-            reject_with(_tail_local_set(sieve, split_prime(sieve.algebra, p)[0]))
+        for prime in _tail_primes(sieve, box_size * len(sieve.tail.labels)):
+            reject_with(_tail_local_set(sieve, prime))
     return int(n_sets - int(bad.sum()))
 
 
@@ -341,12 +330,7 @@ def random_admissible(
     total = max(len(t) for t in base_patterns) * copies
     relevant: list[LocalSet] = list(sieve.exceptions)
     if sieve.tail.kind == "classes":
-        k = sieve.tail.exponent
-        limit = total * n_labels
-        for p in primes_upto(max(limit, 2)):
-            for prime in split_prime(algebra, p):
-                if prime.norm**k <= limit and sieve.exception_at(prime) is None:
-                    relevant.append(_tail_local_set(sieve, prime))
+        relevant.extend(_tail_local_set(sieve, q) for q in _tail_primes(sieve, total * n_labels))
 
     if len(algebra.components) != 1:
         raise PreconditionFailed("random pattern placement expects a single component")
@@ -713,11 +697,7 @@ def symmetry_scan(
     check_primes: list[PrimeIdeal] = [ls.prime for ls in sieve.exceptions]
     if sieve.tail.kind == "classes":
         k = sieve.tail.exponent
-        limit = (2 * radius + 1) * len(sieve.tail.labels)
-        for p in primes_upto(max(limit, 2)):
-            prime = split_prime(algebra, p)[0]
-            if prime.norm**k <= limit and sieve.exception_at(prime) is None:
-                check_primes.append(prime)
+        check_primes.extend(_tail_primes(sieve, (2 * radius + 1) * len(sieve.tail.labels)))
         p = 2
         while True:
             prime = split_prime(algebra, p)[0]
@@ -725,8 +705,6 @@ def symmetry_scan(
                 check_primes.append(prime)
                 break
             p += 1
-            from .primes import is_prime
-
             while not is_prime(p):
                 p += 1
 
@@ -821,8 +799,6 @@ def orbit_approximation(
     for y in excluded:
         found = None
         p = 2
-        from .primes import is_prime
-
         while found is None:
             if is_prime(p):
                 for prime in split_prime(algebra, p):

@@ -8,19 +8,23 @@ avoiding every forbidden class.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable
 from .intervals import RationalInterval, _round_down, _round_up
-from .primes import primes_upto
+from .lattices import coset_points, grid_columns, grid_hnf, grid_point, row_bands
+from .primes import is_prime, primes_upto
 from .rings import (
     AlgebraicInt,
     Coords,
     EtaleAlgebra,
+    FieldSpec,
     Modulus,
     PrimeIdeal,
     _parse_component,
@@ -28,7 +32,6 @@ from .rings import (
     ideal_power,
     parse_algebra,
     split_prime,
-    valuation,
 )
 
 
@@ -156,9 +159,6 @@ class SieveSpec:
                 return ls
         return None
 
-    def exception_primes(self) -> tuple[PrimeIdeal, ...]:
-        return tuple(ls.prime for ls in self.exceptions)
-
     def __str__(self) -> str:
         parts = [f"sieve[{self.algebra}; tail {self.tail}"]
         if self.exceptions:
@@ -234,14 +234,9 @@ def build_sieve(
         # a classes tail can only cover everything at tiny primes
         limit = len(tail.labels)
         probe = SieveSpec(algebra, tail, tuple(locs), True, True)
-        for p in primes_upto(max(limit, 2)):
-            for prime in split_prime(algebra, p):
-                if prime.norm ** tail.exponent > limit:
-                    continue
-                if any(ls.prime == prime for ls in locs):
-                    continue
-                if _tail_local_set(probe, prime).is_everything():
-                    non_large = False
+        for prime in _tail_primes(probe, limit):
+            if _tail_local_set(probe, prime).is_everything():
+                non_large = False
     cofinite = tail.kind != "empty"
     return SieveSpec(algebra, tail, tuple(locs), non_large, cofinite)
 
@@ -265,16 +260,24 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
-def _first_tail_prime(sieve: SieveSpec, component: int) -> PrimeIdeal:
-    from .primes import is_prime
+def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
+    """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending."""
+    k = sieve.tail.exponent
+    for p in primes_upto(_iroot(max_norm, k)):
+        for prime in split_prime(sieve.algebra, p):
+            if prime.norm**k <= max_norm and component in (None, prime.component):
+                if sieve.exception_at(prime) is None:
+                    yield prime
 
-    p = 2
-    while True:
-        if is_prime(p):
-            for prime in split_prime(sieve.algebra, p):
-                if prime.component == component and sieve.exception_at(prime) is None:
-                    return prime
-        p += 1
+
+def _first_tail_prime(sieve: SieveSpec, component: int) -> PrimeIdeal:
+    return next(
+        prime
+        for p in itertools.count(2)
+        if is_prime(p)
+        for prime in split_prime(sieve.algebra, p)
+        if prime.component == component and sieve.exception_at(prime) is None
+    )
 
 
 def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
@@ -309,76 +312,90 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
                 assert hit is not None
                 return Verdict(False, prime, hit, tuple(checked))
             bound = max(bound, nm)
-        if bound < 2**k:
-            continue
-        for p in primes_upto(_iroot(bound, k)):
-            for prime in split_prime(sieve.algebra, p):
-                if prime.component != i or prime.norm**k > bound:
-                    continue
-                if sieve.exception_at(prime) is not None:
-                    continue
-                ls = _tail_local_set(sieve, prime)
-                checked.append(prime)
-                hit = ls.hits(x)
-                if hit is not None:
-                    return Verdict(False, prime, hit, tuple(checked))
+        for prime in _tail_primes(sieve, bound, i):
+            checked.append(prime)
+            hit = _tail_local_set(sieve, prime).hits(x)
+            if hit is not None:
+                return Verdict(False, prime, hit, tuple(checked))
     return Verdict(True, checked=tuple(checked))
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 0:
+        raise PreconditionFailed(f"coordinate bound must be >= 0, got {bound}")
 
 
 def enumerate_V(sieve: SieveSpec, bound: int) -> list[AlgebraicInt]:
     """All members with max |coordinate| <= bound, in lex coordinate order."""
     if not sieve.non_large:
         raise PreconditionFailed("enumerate_V requires a non-large sieve")
+    _check_bound(bound)
     return [x for x in sieve.algebra.box(bound) if membership(sieve, x).member]
+
+
+def _norm_bound(spec: FieldSpec, amax: int, bmax: int) -> int:
+    """An upper bound for |N(a + b*w)| over |a| <= amax, |b| <= bmax."""
+    if spec.is_rational:
+        return amax
+    s, t = spec.omega_poly
+    return amax * amax + abs(s) * amax * bmax + abs(t) * bmax * bmax
+
+
+def _component_bands(spec: FieldSpec, bound: int, factors: list, dtype) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Row bands (a0, b0, band) of one component's box [-bound, bound]^degree.
+
+    band[i, j] is the product of f over the (L, c, f) in factors with (a0+i, b0+j)
+    in c + L; a Q component is the one-column grid b = 0.  Bands share a buffer.
+    """
+    b0, W = grid_columns(spec.degree, -bound, 2 * bound + 1)
+    bands = row_bands(-bound, 2 * bound + 1, W)
+    buf = np.empty(bands[0][1] * W, dtype=dtype)
+    for a0, h in bands:
+        band = buf[: h * W]
+        band.fill(1)
+        for hnf, c, f in factors:
+            for idx in coset_points(hnf, c, a0, b0, h, W):
+                band[idx] *= f
+        yield a0, b0, band.reshape(h, W)
 
 
 def count_members(sieve: SieveSpec, bound: int) -> int:
     """Number of members of V(K, R) with max |coordinate| <= bound.
 
-    Over Q this runs as a vectorized residue-marking sieve; other algebras
-    fall back to elementwise membership.
+    Every prime lives on one component, so the count is the product of
+    per-component counts.  In each row band of a component box the marker
+    (`lattices.coset_points`) zeroes every exception class, every tail label's
+    class mod q^k for the non-exception tail primes q with Nm(q)^k up to the
+    box's norm bound, and the label points, which every tail prime catches.
     """
     if not sieve.non_large:
         raise PreconditionFailed("count_members requires a non-large sieve")
-    if len(sieve.algebra.components) == 1 and sieve.algebra.components[0].is_rational:
-        return _count_members_rational(sieve, bound)
-    return len(enumerate_V(sieve, bound))
-
-
-def _count_members_rational(sieve: SieveSpec, bound: int) -> int:
-    size = 2 * bound + 1
-    excluded = np.zeros(size, dtype=bool)
-
-    def mark(cls: int, step: int):
-        start = (cls + bound) % step
-        excluded[start::step] = True
-
-    for ls in sieve.exceptions:
-        step = ls.modulus.norm
-        for c in ls.classes:
-            mark(c[0], step)
-    if sieve.tail.kind == "classes":
-        k = sieve.tail.exponent
-        labels = [
-            c if isinstance(c, int) else _label_element(sieve.algebra, c).coords[0][0]
-            for c in sieve.tail.labels
+    _check_bound(bound)
+    algebra = sieve.algebra
+    total = 1
+    for i, spec in enumerate(algebra.components):
+        factors = [
+            (grid_hnf(ls.modulus.hnf), grid_point(c), 0)
+            for ls in sieve.exceptions
+            if ls.modulus.component == i
+            for c in ls.classes
         ]
-        exc_ps = {ls.prime.p for ls in sieve.exceptions}
-        maxc = max(abs(c) for c in labels)
-        pmax = _iroot(bound + maxc, k) + 1
-        for p in primes_upto(pmax):
-            if p in exc_ps:
-                continue
-            step = p**k
-            if step > 2 * bound + maxc:
-                break
-            for c in labels:
-                mark(c % step, step)
-        for c in labels:
-            # x = c is caught by every large tail prime
-            if abs(c) <= bound:
-                excluded[c + bound] = True
-    return int(size - int(excluded.sum()))
+        labels: list[Coords] = []
+        if sieve.tail.kind == "classes":
+            k = sieve.tail.exponent
+            labels = sorted({grid_point(_label_element(algebra, c).coords[i]) for c in sieve.tail.labels})
+            reach = bound + max(abs(v) for c in labels for v in c)
+            for prime in _tail_primes(sieve, _norm_bound(spec, reach, reach), i):
+                h = grid_hnf(ideal_power(prime, k).hnf)
+                factors.extend((h, c, 0) for c in labels)
+        count = 0
+        for a0, b0, band in _component_bands(spec, bound, factors, np.uint8):
+            for a, b in labels:
+                if 0 <= a - a0 < band.shape[0] and 0 <= b - b0 < band.shape[1]:
+                    band[a - a0, b - b0] = 0
+            count += int(np.count_nonzero(band))
+        total *= count
+    return total
 
 
 def empirical_density(sieve: SieveSpec, bound: int) -> Fraction:
@@ -436,62 +453,46 @@ def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
 def tail_count(algebra: EtaleAlgebra, k: int, coord_bound: int, norm_cutoff: int) -> int:
     """Exact N'(X, M): nonzero x in the box divisible by a^k, Nm(a) > M.
 
-    The zero element is excluded.  Over Q this is a direct marking sieve over
-    q^k with q > M; in general the largest k-th-power divisor is read off the
-    prime valuations of each component.
+    The largest such Nm(a) is D(x) = prod_q Nm(q)^floor(v_q(x)/k), the product
+    of per-component values D_i (a zero component divides by everything).  Per
+    component and row band, Nm(q) is multiplied into the points of q^(jk) for
+    j = 1, 2, ... (`lattices.coset_points`); only the counts of min(D_i, M+1)
+    are kept, so memory does not grow with M.  A product's count comes from
+    the products of those value classes; the zero element is excluded.
     """
     if k < 2:
         raise PreconditionFailed("tail_count requires k >= 2")
-    if len(algebra.components) == 1 and algebra.components[0].is_rational:
-        size = 2 * coord_bound + 1
-        marked = np.zeros(size, dtype=bool)
-        q = norm_cutoff + 1
-        while q**k <= coord_bound:
-            step = q**k
-            marked[(coord_bound) % step :: step] = True
-            q += 1
-        marked[coord_bound] = False  # x = 0 excluded
-        return int(marked.sum())
-    count = 0
-    for x in algebra.box(coord_bound):
-        if x.is_zero():
-            continue
-        if _max_power_divisor_norm(x, k) > norm_cutoff:
-            count += 1
-    return count
-
-
-def _max_power_divisor_norm(x: AlgebraicInt, k: int) -> int:
-    """Norm of the largest ideal a with a^k | x (x nonzero)."""
-    total = 1
-    for i, spec in enumerate(x.algebra.components):
-        nm = abs(spec.norm(x.coords[i]))
-        if nm == 0:
-            return 1 << 62  # zero component: arbitrarily large divisors
-        rest = nm
-        for p in primes_upto(_isqrt(rest) + 1):
-            if rest % p:
-                continue
-            while rest % p == 0:
-                rest //= p
-            for prime in split_prime(x.algebra, p):
-                if prime.component != i:
-                    continue
-                v = valuation(x, prime)
-                total *= prime.norm ** (v // k)
-        if rest > 1:
-            for prime in split_prime(x.algebra, rest):
-                if prime.component != i:
-                    continue
-                v = valuation(x, prime)
-                total *= prime.norm ** (v // k)
-    return total
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
+    _check_bound(coord_bound)
+    if norm_cutoff < 0:
+        raise PreconditionFailed(f"norm cutoff must be >= 0, got {norm_cutoff}")
+    cap = norm_cutoff + 1
+    acc = Counter({1: 1})  # capped product of the D_i so far -> element count
+    for i, spec in enumerate(algebra.components):
+        max_norm = _norm_bound(spec, coord_bound, coord_bound)
+        factors = [
+            (grid_hnf(ideal_power(q, j * k).hnf), (0, 0), q.norm)
+            for q in _tail_primes(kfree_sieve(algebra, k), max_norm, i)
+            for j in range(1, max_norm.bit_length())
+            if q.norm ** (j * k) <= max_norm
+        ]
+        # a nonzero point has D_i <= max_norm, so clipping there is exact too
+        clip = min(cap, max_norm + 1)
+        hist: Counter[int] = Counter()
+        for a0, b0, band in _component_bands(spec, coord_bound, factors, np.int64):
+            if a0 <= 0 < a0 + band.shape[0]:
+                band[-a0, -b0] = 0  # the zero point: D_i is unbounded
+            np.minimum(band, clip, out=band)
+            if clip <= band.size:  # a histogram array no larger than the band, else a sort
+                values = np.flatnonzero(counts := np.bincount(band.ravel()))
+                counts = counts[values]
+            else:
+                values, counts = np.unique(band, return_counts=True)
+            for v, n in zip(values.tolist(), counts.tolist()):
+                hist[v or cap] += n
+        prev, acc = acc, Counter()
+        for (u, m), (v, n) in itertools.product(prev.items(), hist.items()):
+            acc[min(u * v, cap)] += m * n
+    return acc[cap] - 1
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,22 @@ def test_exit_code_usage(sq_file):
     assert code == 2
 
 
+def test_negative_bounds_are_usage_errors(sq_file, tmp_path, capsys):
+    sq2 = tmp_path / "sq2.sv"
+    sq2.write_text("algebra Q(sqrt 2)\ntail kfree 2\n")
+    for spec in (sq_file, str(sq2)):
+        for argv in (
+            ["sieve", "enumerate", "--spec", spec, "--bound", "-1"],
+            ["sieve", "density", "--spec", spec, "--bound", "-3"],
+            ["sieve", "tail", "--spec", spec, "--bound", "-5"],
+            ["sieve", "tail", "--spec", spec, "--norm-cutoff", "-2"],
+        ):
+            with pytest.raises(SystemExit) as e:
+                run(argv)
+            assert e.value.code == 2
+            assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_exit_code_domain_error(tmp_path):
     f = tmp_path / "onefree.sv"
     f.write_text("algebra Q\ntail kfree 1\n")

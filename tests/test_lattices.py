@@ -1,9 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ringsieve import lattices
 from ringsieve.lattices import (
+    coset_points,
     crt_pair,
     gen_multipliers,
+    grid_hnf,
     hnf_from_rows,
     lat_contains,
     lat_intersection,
@@ -86,3 +94,39 @@ def test_multiplier_order_is_radial_positive_first():
     assert seq2[1:3] == [(0, 1), (0, -1)]
     layer1 = set(seq2[1:9])
     assert layer1 == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)} - {(0, 0)}
+
+
+@st.composite
+def grid_lattices(draw):
+    """Q lattices in their one-column embedding, and HNFs ((A, 0), (B, C))."""
+    if draw(st.booleans()):
+        return grid_hnf(((draw(st.integers(1, 50)),),))
+    a = draw(st.integers(1, 10**6))
+    return ((a, 0), (draw(st.integers(0, a - 1)), draw(st.integers(1, 30))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h=grid_lattices(),
+    c=st.tuples(st.integers(-10**6, 10**6), st.integers(-100, 100)),
+    a0=st.integers(-100, 100),
+    b0=st.integers(-100, 100),
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    chunk=st.sampled_from([1, 3, 16, lattices._CHUNK_POINTS]),
+)
+# 20,000 points of 2Z + 1 in a one-column box: one strided slice
+@example(h=((2, 0), (0, 1)), c=(1, 0), a0=-20_000, b0=0, shape=(40_000, 1), chunk=lattices._CHUNK_POINTS)
+# 20,000 points of ((2,0),(1,1)) in a one-column box: two chunks at the default size
+@example(h=((2, 0), (1, 1)), c=(1, 0), a0=-20_000, b0=0, shape=(40_000, 1), chunk=lattices._CHUNK_POINTS)
+def test_coset_points_match_lat_contains(h, c, a0, b0, shape, chunk):
+    H, W = shape
+    with mock.patch.object(lattices, "_CHUNK_POINTS", chunk):
+        chunks = list(coset_points(h, c, a0, b0, H, W))
+    # temporaries are bounded by the chunk (or one row), and no point repeats
+    assert all(isinstance(part, slice) or part.size <= max(chunk, W) for part in chunks)
+    idx = np.concatenate([np.arange(H * W)[part] for part in chunks] or [np.empty(0, dtype=np.int64)])
+    assert np.unique(idx).size == idx.size
+    mask = np.zeros(H * W, dtype=bool)
+    mask[idx] = True
+    brute = [lat_contains((a0 + i - c[0], b0 + j - c[1]), h) for i in range(H) for j in range(W)]
+    assert mask.tolist() == brute

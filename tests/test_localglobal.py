@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsieve import QQ, ideal_power, localglobal, make_algebra, reduce_mod, split_prime
+from ringsieve import QQ, ideal_power, lattices, localglobal, make_algebra, reduce_mod, split_prime
 from ringsieve.errors import (
     InvalidConstraint,
     NotFoundWithinBound,
@@ -135,19 +135,20 @@ def _summary(rep):
 
 
 def test_surjectivity_segment_boundaries(monkeypatch):
-    # the strip sieve walks row bands of _SEGMENT_CLASSES classes; reports must
-    # not depend on where the bands end (ranks, sampling, witness table)
+    # the strip sieve walks row bands of lattices._SEGMENT_CLASSES classes;
+    # reports must not depend on where the bands end (ranks, sampling, witness
+    # table)
     k7 = make_algebra([-7])
     default = check_local_surjectivity(k7, 3, 7)
     assert _summary(default) == (117306, 117306, 1365, 0)
     # one-row bands, then 10-row bands with a 3-row last band (343 = 34*10 + 3)
     for segment in (1, 343 * 10):
-        monkeypatch.setattr(localglobal, "_SEGMENT_CLASSES", segment)
+        monkeypatch.setattr(lattices, "_SEGMENT_CLASSES", segment)
         rep = check_local_surjectivity(k7, 3, 7)
         assert _summary(rep) == _summary(default)
         assert list(rep.items()) == list(default.items())
     # sampled re-verification: 150-row bands, 97-row last band (2197 = 14*150 + 97)
-    monkeypatch.setattr(localglobal, "_SEGMENT_CLASSES", 2197 * 150)
+    monkeypatch.setattr(lattices, "_SEGMENT_CLASSES", 2197 * 150)
     rep = check_local_surjectivity(make_algebra([13]), 3, 13)
     assert _summary(rep) == (4824612, 201026, 8761, 0)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ringsieve import QQ, make_algebra, reduce_mod, split_prime, ideal_power
+from ringsieve import QQ, lattices, make_algebra, reduce_mod, split_prime, ideal_power
 from ringsieve.errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable
 from ringsieve.sieve import (
     LocalSet,
@@ -156,7 +156,7 @@ def test_empirical_density_close_to_interval(squarefree_q):
     assert abs(emp - iv.midpoint) <= Fraction(2, 1000)
 
 
-def test_count_members_with_exceptions_and_class_tails():
+def test_count_members_with_exceptions_and_class_tails(monkeypatch):
     # exception: forbid 1 mod 4 as well
     sv = build_sieve(QQ, TailRule.kfree(2), {q_prime(2): (2, ((0,), (1,)))})
     got = count_members(sv, 500)
@@ -166,6 +166,37 @@ def test_count_members_with_exceptions_and_class_tails():
     got = count_members(two, 200)
     brute = len(enumerate_V(two, 200))
     assert got == brute
+    # quadratic fields and products: in Q(sqrt 2), 2 ramifies, 3 is inert and
+    # 7 splits; the shifted tails have labels inside the box
+    k2, ki = make_algebra([2]), make_algebra([-1])
+    ram, inert, split = split_prime(k2, 2)[0], split_prime(k2, 3)[0], split_prime(k2, 7)[1]
+    q_k2 = make_algebra([None, 2])
+    cases = [
+        (build_sieve(k2, TailRule.kfree(2), {ram: (3, ((0, 0), (1, 1))), inert: (1, ((1, 2),)), split: (1, ((3, 0),))}), 6),
+        (build_sieve(ki, TailRule.shifted_kfree(2, [(0, 0), (1, 1), (-3, 2)]), {split_prime(ki, 5)[0]: (1, ())}), 5),
+        (build_sieve(q_k2, TailRule.shifted_kfree(2, [0, 1]), {split_prime(q_k2, 3)[1]: (1, ((2, 1),))}), 3),
+        (build_sieve(make_algebra([-1, 2]), TailRule.kfree(2), {split_prime(make_algebra([-1, 2]), 2)[0]: (1, ())}), 2),
+    ]
+    for sv, bound in cases:
+        brute = len(enumerate_V(sv, bound))
+        assert count_members(sv, bound) == brute
+        # bands of a few rows and marker chunks of a few points count the same
+        with monkeypatch.context() as m:
+            m.setattr(lattices, "_SEGMENT_CLASSES", 20)
+            m.setattr(lattices, "_CHUNK_POINTS", 3)
+            assert count_members(sv, bound) == brute
+
+
+def test_negative_bounds_rejected(squarefree_q, k2):
+    for sv in (squarefree_q, kfree_sieve(k2, 2)):
+        for fn in (count_members, empirical_density, enumerate_V):
+            with pytest.raises(PreconditionFailed, match="bound"):
+                fn(sv, -3)
+    with pytest.raises(PreconditionFailed, match="bound"):
+        tail_count(k2, 2, -5, 2)
+    with pytest.raises(PreconditionFailed, match="cutoff"):
+        tail_count(QQ, 2, 5, -1)
+    assert count_members(squarefree_q, 0) == 0 and tail_count(k2, 2, 0, 2) == 0
 
 
 def test_tail_count_examples_and_trend():
@@ -181,9 +212,28 @@ def test_tail_count_examples_and_trend():
         tail_count(QQ, 1, 100, 10)
 
 
-def test_tail_count_quadratic_matches_oracle(k2):
+def test_tail_count_quadratic_matches_oracle(k2, monkeypatch):
     # frozen from the ideal-valuation oracle
     assert tail_count(k2, 2, 8, 2) == 28
+    cases = [
+        ([-1], 2, 40, 20, 104),
+        ([13], 3, 30, 2, 318),
+        ([5], 2, 40, 5, 312),
+        ([None, 2], 2, 5, 3, 282),
+        ([-1, 2], 2, 4, 10, 288),
+        ([None, None], 2, 30, 7, 316),
+        # cutoffs above the band size (with 50-point bands the product takes the sort path)
+        ([-1], 2, 70, 55, 72),
+        ([2], 2, 60, 60, 20),
+        ([None, -1], 2, 12, 60, 648),
+    ]
+    for spec, k, x, m, expected in cases:
+        assert tail_count(make_algebra(spec), k, x, m) == expected
+    # bands of a few rows (the zero point inside one of them) count the same
+    monkeypatch.setattr(lattices, "_SEGMENT_CLASSES", 50)
+    monkeypatch.setattr(lattices, "_CHUNK_POINTS", 4)
+    for spec, k, x, m, expected in cases:
+        assert tail_count(make_algebra(spec), k, x, m) == expected
 
 
 def test_sieve_file_roundtrip(k2):
