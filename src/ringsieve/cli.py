@@ -393,6 +393,11 @@ def _cmd_entropy_zeta(args, rep):
 # selftests: the cheap worked examples of each module
 
 
+def _on_grid(iv: RationalInterval) -> tuple[Fraction, Fraction]:
+    """The endpoints in units of the rounding grid 2^-192."""
+    return iv.lo * 2**192, iv.hi * 2**192
+
+
 def _selftest_sieve(rep):
     sq = sieve_mod.kfree_sieve(QQ, 2)
     sq2 = sieve_mod.kfree_sieve(make_algebra([2]), 2)
@@ -407,6 +412,10 @@ def _selftest_sieve(rep):
         ("tail empty range", sieve_mod.tail_count(QQ, 2, 50, 10) == 0),
         ("quadratic count", sieve_mod.count_members(sq2, 8) == len(sieve_mod.enumerate_V(sq2, 8))),
         ("quadratic tail", sieve_mod.tail_count(sq2.algebra, 2, 8, 2) == 28),
+        ("exact density", _on_grid(sieve_mod.density_interval(sq2, 10)) == (
+            3611809258130995155904847607397712258668758388957873082179,
+            4461857682240706026772073003862731091273644297605977607392,
+        )),
     ]
     return checks
 
@@ -466,6 +475,10 @@ def _selftest_entropy(rep):
         ("empty entropy", Fraction(6931471805, 10**10) < log2.lo <= log2.hi < Fraction(6931471806, 10**10)),
         ("empty empirical", abs(entropy_mod.empirical_entropy(emp, 4) - math.log(2)) < 1e-12),
         ("zeta pure tail", entropy_mod.zeta_K(QQ, 2, 1).contains(Fraction(16449, 10**4))),
+        ("exact zeta", _on_grid(entropy_mod.zeta_K(make_algebra([2]), 2, 10)) == (
+            8830852304685597957404138909250941639684622317670789178981,
+            10902286795908145626424862850927088444055089281075048369118,
+        )),
     ]
     return checks
 
@@ -519,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_nonnegative, default=10)
     p = sub(g, "density", _cmd_sieve_density)
     p.add_argument("--spec")
-    p.add_argument("--cutoff", type=int, default=10_000)
+    p.add_argument("--cutoff", type=_nonnegative, default=10_000)
     p.add_argument("--bound", type=_nonnegative, default=0, help="also report empirical density up to this bound")
     p = sub(g, "tail", _cmd_sieve_tail)
     p.add_argument("--spec")
@@ -602,14 +615,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = groups.add_parser("entropy").add_subparsers(dest="sub", required=True)
     p = sub(g, "product", _cmd_entropy_product)
     p.add_argument("--spec")
-    p.add_argument("--cutoff", type=int, default=10_000)
+    p.add_argument("--cutoff", type=_nonnegative, default=10_000)
     p = sub(g, "empirical", _cmd_entropy_empirical)
     p.add_argument("--spec")
     p.add_argument("--box", type=int, default=8)
     p = sub(g, "zeta", _cmd_entropy_zeta)
     p.add_argument("--field", default="Q")
     p.add_argument("--s", type=int, default=2)
-    p.add_argument("--cutoff", type=int, default=10_000)
+    p.add_argument("--cutoff", type=_nonnegative, default=10_000)
 
     return top
 

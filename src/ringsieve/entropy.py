@@ -1,19 +1,23 @@
 """Dedekind zeta values, the patch-counting entropy product, and exact counts.
 
 All analytic quantities are returned as rational enclosures: Euler products
-are truncated at a norm cutoff and widened by rigorous tail bounds.
+are truncated at a norm cutoff and widened by rigorous tail bounds.  The
+truncated products run in `intervals.directed_product`, integer directed
+rounding on the 2^-192 grid that is bit-identical to rounding each
+`Fraction` product, over prime norms read off without building ideals.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import TailNotBoundable
-from .intervals import RationalInterval, _round_down, _round_up, log2_interval
+from .intervals import RationalInterval, _round_up, directed_product, log2_interval
 from .primes import primes_upto
-from .rings import EtaleAlgebra, split_prime
-from .sieve import SieveSpec, density_interval
+from .rings import EtaleAlgebra, prime_norms
+from .sieve import SieveSpec, _check_cutoff, density_interval
 from .shiftspace import count_admissible
 
 
@@ -36,24 +40,27 @@ def _product_tail_upper(degree: int, s: int, cutoff: int) -> Fraction:
     return u**degree
 
 
+def _zeta_factors(algebra: EtaleAlgebra, s: int, cutoff: int) -> Iterator[tuple[int, int]]:
+    """The local factors (Nm^s, Nm^s - 1) of the primes with norm <= cutoff, ascending p."""
+    for p in primes_upto(cutoff):
+        for _, nm in prime_norms(algebra, p):
+            if nm <= cutoff:
+                q = nm**s
+                yield q, q - 1
+
+
 def zeta_K(algebra: EtaleAlgebra, s: int, cutoff: int) -> RationalInterval:
     """Enclosure of the Dedekind zeta value via the Euler product.
 
-    Multiplies the local factors of all primes with norm <= cutoff and widens
+    Multiplies the local factors Nm^s / (Nm^s - 1) of all primes with norm
+    <= cutoff (`directed_product`; norms from `rings.prime_norms`) and widens
     upward by the tail bound; the lower end needs no correction since every
     omitted factor exceeds 1.
     """
+    _check_cutoff(cutoff)
     if s < 2:
         raise TailNotBoundable("the Euler product requires s >= 2")
-    lo = Fraction(1)
-    hi = Fraction(1)
-    for p in primes_upto(cutoff):
-        for prime in split_prime(algebra, p):
-            if prime.norm > cutoff:
-                continue
-            f = 1 / (1 - Fraction(1, prime.norm**s))
-            lo = _round_down(lo * f)
-            hi = _round_up(hi * f)
+    lo, hi = directed_product(Fraction(1), _zeta_factors(algebra, s, cutoff))
     hi = _round_up(hi * _product_tail_upper(algebra.degree, s, max(cutoff, 1)))
     return RationalInterval(lo, hi)
 

@@ -1,14 +1,18 @@
 """Rational enclosures with directed rounding.
 
 Endpoints are exact fractions; every arithmetic step rounds the lower end
-down and the upper end up onto a dyadic grid, so intervals stay small while
-provably enclosing the target value.
+down and the upper end up onto the dyadic grid 2^-192, so intervals stay
+small while provably enclosing the target value.  Long products of rational
+factors (the Euler products) run in `directed_product` as integer floor and
+ceiling divisions of the endpoints' numerators on that grid, bit-identical
+to rounding each `Fraction` product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 _GRID_BITS = 192
 _GRID = 1 << _GRID_BITS
@@ -20,6 +24,24 @@ def _round_down(x: Fraction) -> Fraction:
 
 def _round_up(x: Fraction) -> Fraction:
     return Fraction(-((-x.numerator * _GRID) // x.denominator), _GRID)
+
+
+def directed_product(start: Fraction, factors: Iterable[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """(lo, hi): start times every factor num/den, lo rounded down and hi up.
+
+    Each step rounds onto the grid exactly as `_round_down(lo * f)` and
+    `_round_up(hi * f)` would, but on integers: the endpoints are held as
+    numerators over d * 2^192, where d is start's denominator until the first
+    factor and 1 after it.  With no factors, start comes back unrounded.
+    """
+    lo = hi = start.numerator * _GRID
+    d = start.denominator
+    for num, den in factors:
+        den *= d
+        lo = lo * num // den
+        hi = -((-hi * num) // den)
+        d = 1
+    return Fraction(lo, d * _GRID), Fraction(hi, d * _GRID)
 
 
 @dataclass(frozen=True)

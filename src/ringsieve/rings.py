@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ComponentMismatch, InvalidDiscriminant, UnitSearchExceeded
+from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed, UnitSearchExceeded
 from .lattices import Hnf, lat_contains, lat_reduce, lat_scale, residues
 from .primes import is_prime, legendre, sqrt_mod
 
@@ -292,11 +292,27 @@ class PrimeIdeal:
         return f"{tag}{where}[{self.kind}]"
 
 
+def _quadratic_kind(spec: FieldSpec, p: int) -> str:
+    """How the prime p decomposes in one quadratic component: the one splitting rule."""
+    d = spec.d
+    if d is None:
+        raise PreconditionFailed("a rational component has no quadratic splitting")
+    if spec.disc % p == 0:
+        return "ramified"
+    if p == 2:
+        return "split" if d % 8 == 1 else "inert"  # d odd here
+    return "split" if legendre(d, p) == 1 else "inert"
+
+
+# the residue degrees f of the primes above p, in split_prime's order
+_RESIDUE_DEGREES = {"ramified": (1,), "split": (1, 1), "inert": (2,)}
+
+
 def _quadratic_splitting(spec: FieldSpec, p: int) -> list[tuple[str, int | None, int, int]]:
     """(kind, root, e, f) tuples for the primes of one quadratic component."""
+    kind = _quadratic_kind(spec, p)
     d = spec.d
-    assert d is not None
-    if spec.disc % p == 0:
+    if kind == "ramified":
         if p == 2:
             root = 0 if d % 2 == 0 else 1  # d = 2, 3 mod 4
         elif d % 4 == 1:
@@ -304,21 +320,32 @@ def _quadratic_splitting(spec: FieldSpec, p: int) -> list[tuple[str, int | None,
         else:
             root = 0  # double root of x^2 - d
         return [("ramified", root, 2, 1)]
-    if p == 2:
-        # d odd here; split iff d = 1 mod 8
-        if d % 8 == 1:
-            return [("split", 0, 1, 1), ("split", 1, 1, 1)]
+    if kind == "inert":
         return [("inert", None, 1, 2)]
-    if legendre(d, p) == 1:
-        s_coef, _ = spec.omega_poly
-        rt = sqrt_mod(d % p, p)
-        if s_coef == 1:
-            inv2 = (p + 1) // 2
-            roots = sorted(((1 + rt) * inv2 % p, (1 - rt) * inv2 % p))
+    if p == 2:
+        return [("split", 0, 1, 1), ("split", 1, 1, 1)]
+    s_coef, _ = spec.omega_poly
+    rt = sqrt_mod(d % p, p)
+    if s_coef == 1:
+        inv2 = (p + 1) // 2
+        roots = sorted(((1 + rt) * inv2 % p, (1 - rt) * inv2 % p))
+    else:
+        roots = sorted((rt, p - rt))
+    return [("split", roots[0], 1, 1), ("split", roots[1], 1, 1)]
+
+
+def prime_norms(algebra: EtaleAlgebra, p: int) -> Iterator[tuple[int, int]]:
+    """(component, Nm(q)) for the primes q above p, in split_prime's order.
+
+    Builds no ideals and does not test p for primality: callers pass primes
+    from `primes_upto`.
+    """
+    for i, spec in enumerate(algebra.components):
+        if spec.is_rational:
+            yield i, p
         else:
-            roots = sorted((rt, p - rt))
-        return [("split", roots[0], 1, 1), ("split", roots[1], 1, 1)]
-    return [("inert", None, 1, 2)]
+            for f in _RESIDUE_DEGREES[_quadratic_kind(spec, p)]:
+                yield i, p**f
 
 
 @lru_cache(maxsize=200_000)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionFailed, RegionTooSmall
+from .errors import BudgetExceeded, PreconditionFailed, RegionTooSmall, VerificationFailed
 from .lattices import crt_pair
 from .linmaps import ZLinearMap
 from .localglobal import CongruenceConstraint, solve
@@ -361,7 +361,8 @@ def random_admissible(
                 base, lam = pick, mod.hnf
             else:
                 res = crt_pair(base, lam, pick, mod.hnf)
-                assert res is not None
+                if res is None:
+                    raise VerificationFailed(f"no common class: {mod} is not coprime to the earlier moduli")
                 base, lam = res
         if base is None:
             shift = algebra.from_int(pos)
@@ -448,7 +449,8 @@ def derived_local_set(
                     mod.reduce_coords(tuple(a - b for a, b in zip(c, e.coords[comp])))
                 )
         current = shifted if current is None else (current & shifted)
-    assert current is not None
+    if current is None:
+        raise PreconditionFailed("derived_local_set needs at least one pattern")
     return LocalSet(mod, tuple(sorted(current)))
 
 
@@ -499,7 +501,8 @@ def _prime_image(tau: AlgebraHom, prime: PrimeIdeal) -> PrimeIdeal:
         if i == prime.component:
             target_comp = j
             break
-    assert target_comp is not None
+    if target_comp is None:
+        raise PreconditionFailed(f"{tau.describe()} maps no target component from component {prime.component}")
     gens = []
     mod = ideal_power(prime, 1)
     for row in mod.hnf:

@@ -16,8 +16,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable
-from .intervals import RationalInterval, _round_down, _round_up
+from .errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable, VerificationFailed
+from .intervals import RationalInterval, _round_down, _round_up, directed_product
 from .lattices import coset_points, grid_columns, grid_hnf, grid_point, row_bands
 from .primes import is_prime, primes_upto
 from .rings import (
@@ -31,6 +31,7 @@ from .rings import (
     format_algebra,
     ideal_power,
     parse_algebra,
+    prime_norms,
     split_prime,
 )
 
@@ -309,7 +310,8 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
                 prime = _first_tail_prime(sieve, i)
                 ls = _tail_local_set(sieve, prime)
                 hit = ls.hits(x)
-                assert hit is not None
+                if hit is None:
+                    raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
                 return Verdict(False, prime, hit, tuple(checked))
             bound = max(bound, nm)
         for prime in _tail_primes(sieve, bound, i):
@@ -417,32 +419,73 @@ def _tail_sum_bound(degree: int, n_labels: int, k: int, cutoff: int) -> Fraction
     return s * n_labels * degree
 
 
+def _check_cutoff(cutoff: int) -> None:
+    if cutoff < 0:
+        raise PreconditionFailed(f"norm cutoff must be >= 0, got {cutoff}")
+
+
+def _survivors(ls: LocalSet) -> tuple[int, int]:
+    """1 - meas(ls) as (allowed classes, all classes)."""
+    n = ls.modulus.norm
+    return n - len(ls.classes), n
+
+
+def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, int]]:
+    """(Nm^k - c, Nm^k) for the non-exception primes of norm <= cutoff, ascending p.
+
+    c is the number of forbidden classes.  Distinct label projections x != y
+    on a component meet modulo q^k only if Nm(q)^k divides N(x - y), so at
+    every rational p with p^k above the largest such |N(x - y)|, c is the
+    number of distinct projections and the norms come from
+    `rings.prime_norms`.  The finitely many other primes (those up to that
+    bound and those below exceptions) go through `_tail_local_set`.
+    """
+    algebra, k = sieve.algebra, sieve.tail.exponent
+    distinct: list[int] = []
+    reach = 0
+    for i, spec in enumerate(algebra.components):
+        proj = {_label_element(algebra, c).coords[i] for c in sieve.tail.labels}
+        distinct.append(len(proj))
+        for x, y in itertools.combinations(proj, 2):
+            reach = max(reach, abs(spec.norm(tuple(a - b for a, b in zip(x, y)))))
+    special = set(primes_upto(_iroot(reach, k)))
+    special.update(ls.prime.p for ls in sieve.exceptions)
+    for p in primes_upto(cutoff):
+        if p in special:
+            for prime in split_prime(algebra, p):
+                if prime.norm <= cutoff and sieve.exception_at(prime) is None:
+                    yield _survivors(_tail_local_set(sieve, prime))
+        else:
+            for i, nm in prime_norms(algebra, p):
+                if nm <= cutoff:
+                    n = nm**k
+                    yield n - distinct[i], n
+
+
 def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
     """Enclosure of the density prod(1 - meas(R_p)) of V(K, R).
 
     Truncates the product at norm <= cutoff (exceptions always included
     exactly) and widens by the bound on the measure sum of the omitted tail
-    primes.  Raises TailNotBoundable for exponent-1 tails.
+    primes.  The tail primes' factors are multiplied in
+    `intervals.directed_product`, integer directed rounding on the 2^-192
+    grid, bit-identical to rounding each `Fraction` product.  Raises
+    TailNotBoundable for exponent-1 tails.
     """
+    _check_cutoff(cutoff)
     if not sieve.non_large:
         raise PreconditionFailed("density_interval requires a non-large sieve")
     if sieve.tail.kind == "classes" and sieve.tail.exponent < 2:
         raise TailNotBoundable("tail exponent 1: the measure sum over primes diverges")
-    partial = Fraction(1)
+    num = den = 1
     for ls in sieve.exceptions:
-        partial *= 1 - ls.measure
+        a, n = _survivors(ls)
+        num *= a
+        den *= n
+    partial = Fraction(num, den)
     if sieve.tail.kind == "empty":
         return RationalInterval(_round_down(partial), _round_up(partial))
-    exc_keys = {_prime_key(ls.prime) for ls in sieve.exceptions}
-    lo = partial
-    hi = partial
-    for p in primes_upto(cutoff):
-        for prime in split_prime(sieve.algebra, p):
-            if prime.norm > cutoff or _prime_key(prime) in exc_keys:
-                continue
-            meas = _tail_local_set(sieve, prime).measure
-            lo = _round_down(lo * (1 - meas))
-            hi = _round_up(hi * (1 - meas))
+    lo, hi = directed_product(partial, _tail_factors(sieve, cutoff))
     tail = _tail_sum_bound(
         sieve.algebra.degree, len(sieve.tail.labels), sieve.tail.exponent, cutoff
     )
@@ -463,8 +506,7 @@ def tail_count(algebra: EtaleAlgebra, k: int, coord_bound: int, norm_cutoff: int
     if k < 2:
         raise PreconditionFailed("tail_count requires k >= 2")
     _check_bound(coord_bound)
-    if norm_cutoff < 0:
-        raise PreconditionFailed(f"norm cutoff must be >= 0, got {norm_cutoff}")
+    _check_cutoff(norm_cutoff)
     cap = norm_cutoff + 1
     acc = Counter({1: 1})  # capped product of the D_i so far -> element count
     for i, spec in enumerate(algebra.components):

@@ -99,6 +99,35 @@ def test_negative_bounds_are_usage_errors(sq_file, tmp_path, capsys):
             assert "must be >= 0" in capsys.readouterr().err
 
 
+def test_negative_cutoffs_are_usage_errors(sq_file, capsys):
+    for cutoff in ("-1", "-10", "-100"):
+        for argv in (
+            ["sieve", "density", "--spec", sq_file, "--cutoff", cutoff],
+            ["entropy", "product", "--spec", sq_file, "--cutoff", cutoff],
+            ["entropy", "zeta", "--cutoff", cutoff],
+        ):
+            with pytest.raises(SystemExit) as e:
+                run(argv)
+            assert e.value.code == 2
+            assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_cutoffs_zero_and_one_keep_their_answers(sq_file):
+    expected = {
+        ("sieve", "density", "0"): ["0.000000000000", "1.000000000000"],
+        ("sieve", "density", "1"): ["0.354948196815", "1.000000000000"],
+        ("entropy", "product", "0"): ["0.000000000000", "0.693147180560"],
+        ("entropy", "product", "1"): ["0.246031341867", "0.693147180560"],
+        ("entropy", "zeta", "0"): ["1.000000000000", "2.083333333334"],
+        ("entropy", "zeta", "1"): ["1.000000000000", "2.083333333334"],
+    }
+    for (group, sub, cutoff), interval in expected.items():
+        spec = [] if sub == "zeta" else ["--spec", sq_file]
+        code, out = run(["--json", group, sub, *spec, "--cutoff", cutoff])
+        assert code == 0
+        assert json.loads(out)["interval"] == interval
+
+
 def test_exit_code_domain_error(tmp_path):
     f = tmp_path / "onefree.sv"
     f.write_text("algebra Q\ntail kfree 1\n")

@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import isprime
 
 from ringsieve import (
     QQ,
@@ -17,8 +20,8 @@ from ringsieve import (
     units_up_to,
 )
 from ringsieve.errors import InvalidDiscriminant
-from ringsieve.primes import primes_upto
-from ringsieve.rings import format_algebra, format_element, valuation
+from ringsieve.primes import is_prime, primes_upto
+from ringsieve.rings import _is_squarefree, format_algebra, format_element, prime_norms, valuation
 
 TEST_FIELDS = [2, 3, 5, 13, -1, -3, -5, 17]
 
@@ -61,6 +64,33 @@ def test_splitting_completeness_up_to_1000():
                 if q.root is not None:
                     s, t = spec.omega_poly
                     assert (q.root * q.root - s * q.root - t) % p == 0
+
+
+def test_prime_norms_match_split_prime():
+    ds = [d for d in range(-50, 51) if d != 1 and _is_squarefree(d)]
+    algebras = [QQ, make_algebra([None, 2])] + [make_algebra([d]) for d in ds]
+    for p in primes_upto(500):
+        for K in algebras:
+            assert list(prime_norms(K, p)) == [(q.component, q.norm) for q in split_prime(K, p)]
+
+
+# the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7 and 2, ..., 23:
+# each is the bound below which is_prime uses that base set
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(-5, 10**4), st.integers(0, 2**40), st.integers(0, 2**78)))
+@example(STRONG_PSEUDOPRIMES[-1] - 2)
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == isprime(n)
+
+
+def test_is_prime_around_base_set_bounds():
+    for n in STRONG_PSEUDOPRIMES:
+        assert not is_prime(n)
+        for m in range(n - 100, n + 101):
+            assert is_prime(m) == isprime(m), m
 
 
 def test_ideal_power_examples(k2):

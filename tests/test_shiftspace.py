@@ -216,6 +216,13 @@ def test_derived_local_set_examples(squarefree_q):
     assert subset_of_translate(s5, derived_local_set(r3, p5, [t1, t2])) is not None
 
 
+def test_derived_local_set_needs_a_pattern(squarefree_q):
+    from ringsieve.errors import PreconditionFailed
+
+    with pytest.raises(PreconditionFailed, match="at least one pattern"):
+        derived_local_set(squarefree_q, q_prime(5), [])
+
+
 def test_translate_equivalent_sieves_same_admissible(squarefree_q):
     # shifting every local set by a translate leaves the space unchanged
     rng = random.Random(43)

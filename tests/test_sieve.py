@@ -142,6 +142,64 @@ def test_density_interval(squarefree_q):
         density_interval(kfree_sieve(QQ, 1), 100)
 
 
+def test_negative_density_cutoff_rejected(squarefree_q):
+    for cutoff in (-1, -10, -64, -100):
+        with pytest.raises(PreconditionFailed, match="cutoff"):
+            density_interval(squarefree_q, cutoff)
+
+
+def _pinned_sieves():
+    k2 = make_algebra([2])
+    (p2,) = split_prime(k2, 2)  # ramified
+    (p3,) = split_prime(k2, 3)  # inert
+    p7 = split_prime(k2, 7)[0]  # split
+    return {
+        "kfree Q(sqrt -1) k=2": kfree_sieve(make_algebra([-1]), 2),
+        "kfree QxQ(sqrt 2) k=3": kfree_sieve(make_algebra([None, 2]), 3),
+        "exc": build_sieve(k2, TailRule.kfree(2), [
+            LocalSet(ideal_power(p2, 3), ((0, 0), (1, 0))),
+            LocalSet(ideal_power(p3, 1), ((0, 0), (1, 1), (2, 0))),
+            LocalSet(ideal_power(p7, 2), ((0, 0), (5, 0), (11, 0))),
+        ]),
+        # 0 = 4 mod 2^2: the labels meet at 2
+        "Q {0,4} k=2": build_sieve(QQ, TailRule.shifted_kfree(2, (0, 4))),
+        # (0,0) = (2,2) mod (sqrt 2)^2 = (2): the labels meet at the ramified prime
+        "K2 vec": build_sieve(k2, TailRule.shifted_kfree(2, ((0, 0), (1, 1), (3, 0), (2, 2)))),
+    }
+
+
+# (lo * 2^192, hi * 2^192) of density_interval(sieve, cutoff)
+DENSITY_PINS = {
+    ('kfree Q(sqrt -1) k=2', 1): (0, 6277101735386680763835789423207666416102355444464034512896),
+    ('kfree Q(sqrt -1) k=2', 2): (988189016945102788448752196172141942134687927106166937863, 4707826301540010572876842067405749812076766583348025884672),
+    ('kfree Q(sqrt -1) k=2', 10): (3468781611509007747731015642144762853225475556755141308125, 4285168118023974068111898912909766940059207983420780894139),
+    ('kfree Q(sqrt -1) k=2', 1000): (4158319200687673479495250963287321086253187507643282013803, 4166652505699071622740732428143608302858905318279841697364),
+    ('kfree QxQ(sqrt 2) k=3', 1): (2472072501200891910613932126638153133800694065802191592258, 6277101735386680763835789423207666416102355444464034512896),
+    ('kfree QxQ(sqrt 2) k=3', 2): (3694896428016173211174188217260631898427365233780796845882, 4805906016155427459811776277143369599828365887167776423936),
+    ('kfree QxQ(sqrt 2) k=3', 10): (4482898432327422657004121343413481160706229110824915508698, 4544607057052150930230774651779408778794943524861303252360),
+    ('kfree QxQ(sqrt 2) k=3', 1000): (4532841913202893056056800382492142829974364139113088493963, 4532848712475961769999455381675215342797378335180591265182),
+    ('exc', 10): (2336389113853487491475948296035395117326353082857124150035, 2886264188199456711068184724373704174667638655013866764781),
+    ('exc', 1000): (2824373528781680394613180506446628415014116684967204051213, 2830033595973627649913006519485599614242601888744693438254),
+    ('Q {0,4} k=2', 1): (0, 6277101735386680763835789423207666416102355444464034512896),
+    ('Q {0,4} k=2', 2): (988189016945102788448752196172141942134687927106166937863, 4707826301540010572876842067405749812076766583348025884672),
+    ('Q {0,4} k=2', 10): (2615620062807782767366927950026847547667926253384701279354, 3231212845691905669384042079279755902765069635936010146878),
+    ('Q {0,4} k=2', 1000): (3032505069187449709477407315504594038498068477456905915256, 3038582233654759227933273863231056150799667813083072059542),
+    ('K2 vec', 1): (0, 6277101735386680763835789423207666416102355444464034512896),
+    ('K2 vec', 2): (0, 1569275433846670190958947355801916604025588861116008628224),
+    ('K2 vec', 10): (299370581933874813846475338816666846627560123481606745621, 1258165435299808462139097734243519143169203897396216830210),
+    ('K2 vec', 1000): (1153382805800686929432108122159627272080742266642358963957, 1162684280041015049830754155402850072662038575244313471895),
+    # no tail prime of norm <= 2 besides the exception at 2: hi is the exact partial product
+    ("exc", 2): (618458432373805826784253075155354140655723056420186110771, Fraction(23 * 2**192, 49)),
+}
+
+
+def test_density_pinned_exactly():
+    sieves = _pinned_sieves()
+    for (name, cutoff), pin in DENSITY_PINS.items():
+        iv = density_interval(sieves[name], cutoff)
+        assert (iv.lo * 2**192, iv.hi * 2**192) == pin, (name, cutoff)
+
+
 def test_density_positive_on_grid():
     for d in (None, 2, 13):
         K = QQ if d is None else make_algebra([d])
