@@ -22,36 +22,19 @@ def primes_upto(n: int) -> tuple[int, ...]:
     return tuple(i for i in range(2, n + 1) if sieve[i])
 
 
-# (bound, bases): strong probable-prime tests to these bases decide every n
-# below the bound; the bounds are the least strong pseudoprimes to all of them
-# (Pomerance, Selfridge & Wagstaff 1980; Jaeschke 1993; Jiang & Deng 2014)
-_MR_BASES = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]),
-)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the smallest base set proven for n.
-
-    Beyond the last bound all twelve bases up to 37 are used, which is
-    proven below 3.18 * 10^23.
-    """
+    """Deterministic Miller-Rabin, valid far beyond the ranges used here."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    bases = next((b for bound, b in _MR_BASES if n < bound), _SMALL_PRIMES)
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in bases:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

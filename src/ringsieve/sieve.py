@@ -448,10 +448,9 @@ def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, int]]:
         distinct.append(len(proj))
         for x, y in itertools.combinations(proj, 2):
             reach = max(reach, abs(spec.norm(tuple(a - b for a, b in zip(x, y)))))
-    special = set(primes_upto(_iroot(reach, k)))
-    special.update(ls.prime.p for ls in sieve.exceptions)
+    exc_ps = {ls.prime.p for ls in sieve.exceptions}
     for p in primes_upto(cutoff):
-        if p in special:
+        if p**k <= reach or p in exc_ps:
             for prime in split_prime(algebra, p):
                 if prime.norm <= cutoff and sieve.exception_at(prime) is None:
                     yield _survivors(_tail_local_set(sieve, prime))

@@ -6,6 +6,8 @@ import pytest
 
 from ringsieve import QQ, lattices, make_algebra, reduce_mod, split_prime, ideal_power
 from ringsieve.errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable
+from ringsieve.intervals import _round_down, _round_up
+from ringsieve.primes import primes_upto
 from ringsieve.sieve import (
     LocalSet,
     TailRule,
@@ -21,6 +23,7 @@ from ringsieve.sieve import (
     parse_sieve_file,
     tail_count,
     _tail_local_set,
+    _tail_sum_bound,
 )
 
 
@@ -198,6 +201,39 @@ def test_density_pinned_exactly():
     for (name, cutoff), pin in DENSITY_PINS.items():
         iv = density_interval(sieves[name], cutoff)
         assert (iv.lo * 2**192, iv.hi * 2**192) == pin, (name, cutoff)
+
+
+def _density_by_local_sets(sieve, cutoff):
+    """The per-prime route: `split_prime`, `_tail_local_set`, one rounded product each."""
+    lo = hi = Fraction(1)
+    for ls in sieve.exceptions:
+        lo = hi = lo * (1 - ls.measure)
+    for p in primes_upto(cutoff):
+        for prime in split_prime(sieve.algebra, p):
+            if prime.norm <= cutoff and sieve.exception_at(prime) is None:
+                f = 1 - _tail_local_set(sieve, prime).measure
+                lo, hi = _round_down(lo * f), _round_up(hi * f)
+    tail = _tail_sum_bound(sieve.algebra.degree, len(sieve.tail.labels), sieve.tail.exponent, cutoff)
+    return _round_down(lo * max(Fraction(0), 1 - tail)), hi
+
+
+def test_density_huge_labels_match_local_sets():
+    # labels far apart meet only at the small primes of their difference
+    # (10^40 = 2^40 5^40); the work stays bounded by the cutoff
+    k2 = make_algebra([2])
+    (p3,) = split_prime(k2, 3)
+    cases = [
+        (build_sieve(QQ, TailRule.shifted_kfree(2, (0, 10**40))), 10),
+        (build_sieve(QQ, TailRule.shifted_kfree(3, (7, 10**40 + 7, -(10**45)))), 200),
+        (build_sieve(k2, TailRule.shifted_kfree(2, ((0, 0), (10**40, 10**40), (3, 10**41)))), 100),
+        (build_sieve(k2, TailRule.shifted_kfree(2, ((0, 0), (10**40, 0))), [
+            LocalSet(ideal_power(p3, 1), ((0, 0),)),
+        ]), 50),
+        (build_sieve(QQ, TailRule.shifted_kfree(2, (0, 10**400))), 30),
+    ]
+    for sieve, cutoff in cases:
+        iv = density_interval(sieve, cutoff)
+        assert (iv.lo, iv.hi) == _density_by_local_sets(sieve, cutoff), str(sieve.tail)
 
 
 def test_density_positive_on_grid():
