@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "check":
             p.add_argument("--p", type=int, default=2)
         if name == "scan":
-            p.add_argument("--cutoff", type=int, default=50)
+            p.add_argument("--cutoff", type=_nonnegative, default=50)
         if name == "units":
             p.add_argument("--height", type=int, default=10)
     p = sub(g, "preservers", _cmd_linmap_preservers)

@@ -4,7 +4,8 @@ All analytic quantities are returned as rational enclosures: Euler products
 are truncated at a norm cutoff and widened by rigorous tail bounds.  The
 truncated products run in `intervals.directed_product`, integer directed
 rounding on the 2^-192 grid that is bit-identical to rounding each
-`Fraction` product, over prime norms read off without building ideals.
+`Fraction` product, over the prime norms of `rings.norms_upto`: one table
+per algebra, each prime's splitting derived once per process.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Iterator
 
 from .errors import TailNotBoundable
 from .intervals import RationalInterval, _round_up, directed_product, log2_interval
-from .primes import primes_upto
-from .rings import EtaleAlgebra, prime_norms
+from .rings import EtaleAlgebra, norms_upto
 from .sieve import SieveSpec, _check_cutoff, density_interval
 from .shiftspace import count_admissible
 
@@ -42,20 +42,19 @@ def _product_tail_upper(degree: int, s: int, cutoff: int) -> Fraction:
 
 def _zeta_factors(algebra: EtaleAlgebra, s: int, cutoff: int) -> Iterator[tuple[int, int]]:
     """The local factors (Nm^s, Nm^s - 1) of the primes with norm <= cutoff, ascending p."""
-    for p in primes_upto(cutoff):
-        for _, nm in prime_norms(algebra, p):
-            if nm <= cutoff:
-                q = nm**s
-                yield q, q - 1
+    for _, _, nm in norms_upto(algebra, cutoff):
+        if nm <= cutoff:
+            q = nm**s
+            yield q, q - 1
 
 
 def zeta_K(algebra: EtaleAlgebra, s: int, cutoff: int) -> RationalInterval:
     """Enclosure of the Dedekind zeta value via the Euler product.
 
     Multiplies the local factors Nm^s / (Nm^s - 1) of all primes with norm
-    <= cutoff (`directed_product`; norms from `rings.prime_norms`) and widens
-    upward by the tail bound; the lower end needs no correction since every
-    omitted factor exceeds 1.
+    <= cutoff (`directed_product`; norms from the table of `rings.norms_upto`)
+    and widens upward by the tail bound; the lower end needs no correction
+    since every omitted factor exceeds 1.
     """
     _check_cutoff(cutoff)
     if s < 2:

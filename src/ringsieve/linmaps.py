@@ -281,8 +281,11 @@ def scan_primes(
     """First p <= cutoff violating the local condition, or None.
 
     Pure k-free sieves use the kernel-lattice fast path; anything else falls
-    back to exhaustive class enumeration.
+    back to exhaustive class enumeration.  A negative cutoff raises
+    PreconditionFailed rather than pass vacuously.
     """
+    if cutoff < 0:
+        raise PreconditionFailed(f"prime cutoff must be >= 0, got {cutoff}")
     for p in primes_upto(cutoff):
         if (
             _kfree_fast_applicable(r_sieve, p)

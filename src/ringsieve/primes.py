@@ -1,31 +1,55 @@
-"""Rational prime utilities: sieve cache, primality, square roots mod p."""
+"""Rational prime utilities: one growing prime table, primality, square roots mod p."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from bisect import bisect_right
+from itertools import compress
+from math import isqrt
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .errors import PreconditionFailed
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all thirteen bases above (Sorenson & Webster,
+# Math. Comp. 86, 2017): below it the strong test on those bases is exact
+_PSI13 = 3317044064679887385961981
+
+# (limit, every prime <= limit ascending), rebound as one pair so that a
+# concurrent caller never sees a limit its table lacks; empty until the first call
+_sieved: tuple[int, tuple[int, ...]] = (1, ())
 
 
-@lru_cache(maxsize=32)
 def primes_upto(n: int) -> tuple[int, ...]:
-    """All primes <= n, ascending."""
-    if n < 2:
-        return ()
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    p = 2
-    while p * p <= n:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        p += 1
-    return tuple(i for i in range(2, n + 1) if sieve[i])
+    """All primes <= n, ascending.
+
+    A slice of one module-level table.  Asked past its end, the table is
+    re-sieved with a quarter of headroom, to 5n/4: bounds within 25% of
+    each other share one sieve, and a rising run of bounds costs at most
+    about five times its last sieve.
+    """
+    global _sieved
+    limit, table = _sieved
+    if n > limit:
+        limit = n + n // 4
+        sieve = bytearray([1]) * (limit + 1)
+        sieve[0] = sieve[1] = 0
+        for p in range(2, isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+        table = tuple(compress(range(limit + 1), sieve))
+        _sieved = limit, table
+    return table[: bisect_right(table, n)]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond the ranges used here."""
+    """Deterministic Miller-Rabin on the thirteen prime bases up to 41.
+
+    Exact for n < psi_13 = 3317044064679887385961981; larger n raise
+    PreconditionFailed rather than risk a strong pseudoprime.
+    """
     if n < 2:
         return False
+    if n >= _PSI13:
+        raise PreconditionFailed(f"primality of {n} is only decided below {_PSI13}")
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

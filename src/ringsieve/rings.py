@@ -14,13 +14,17 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
+from array import array
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed, UnitSearchExceeded
 from .lattices import Hnf, lat_contains, lat_reduce, lat_scale, residues
-from .primes import is_prime, legendre, sqrt_mod
+from .primes import is_prime, legendre, primes_upto, sqrt_mod
 
 Coords = tuple[int, ...]
 
@@ -334,18 +338,55 @@ def _quadratic_splitting(spec: FieldSpec, p: int) -> list[tuple[str, int | None,
     return [("split", roots[0], 1, 1), ("split", roots[1], 1, 1)]
 
 
-def prime_norms(algebra: EtaleAlgebra, p: int) -> Iterator[tuple[int, int]]:
+def prime_norms(algebra: EtaleAlgebra, p: int) -> list[tuple[int, int]]:
     """(component, Nm(q)) for the primes q above p, in split_prime's order.
 
     Builds no ideals and does not test p for primality: callers pass primes
     from `primes_upto`.
     """
+    out = []
     for i, spec in enumerate(algebra.components):
         if spec.is_rational:
-            yield i, p
+            out.append((i, p))
         else:
             for f in _RESIDUE_DEGREES[_quadratic_kind(spec, p)]:
-                yield i, p**f
+                out.append((i, p**f))
+    return out
+
+
+class _NormTable:
+    """(p, component, Nm(q)) for the primes q above every prime p <= limit, as flat arrays."""
+
+    def __init__(self):
+        self.limit = 1
+        self.ps, self.components, self.norms = array("q"), array("q"), array("q")
+
+    def extend(self, algebra: EtaleAlgebra, n: int) -> None:
+        primes = primes_upto(n)
+        for p in primes[bisect_right(primes, self.limit) :]:
+            for i, nm in prime_norms(algebra, p):
+                self.ps.append(p)
+                self.components.append(i)
+                self.norms.append(nm)
+        self.limit = n
+
+
+_NORM_TABLES: defaultdict[EtaleAlgebra, _NormTable] = defaultdict(_NormTable)
+_NORM_TABLES_GROWING = threading.Lock()  # two threads must not extend one table twice
+
+
+def norms_upto(algebra: EtaleAlgebra, n: int) -> Iterator[tuple[int, int, int]]:
+    """(p, component, Nm(q)) for every prime q above a prime p <= n, in split_prime's order.
+
+    Read from one table per algebra, filled through `prime_norms` and
+    extended over the new primes only, and only to n, when n passes its end.
+    """
+    table = _NORM_TABLES[algebra]
+    if n > table.limit:
+        with _NORM_TABLES_GROWING:
+            if n > table.limit:
+                table.extend(algebra, n)
+    return itertools.islice(zip(table.ps, table.components, table.norms), bisect_right(table.ps, n))
 
 
 @lru_cache(maxsize=200_000)

@@ -30,8 +30,8 @@ from .rings import (
     _parse_component,
     format_algebra,
     ideal_power,
+    norms_upto,
     parse_algebra,
-    prime_norms,
     split_prime,
 )
 
@@ -436,9 +436,10 @@ def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, int]]:
     c is the number of forbidden classes.  Distinct label projections x != y
     on a component meet modulo q^k only if Nm(q)^k divides N(x - y), so at
     every rational p with p^k above the largest such |N(x - y)|, c is the
-    number of distinct projections and the norms come from
-    `rings.prime_norms`.  The finitely many other primes (those up to that
-    bound and those below exceptions) go through `_tail_local_set`.
+    number of distinct projections and the norms are read from the table of
+    `rings.norms_upto`.  The finitely many other primes (those up to that
+    bound and those below exceptions) go through `_tail_local_set`, once per
+    rational p.
     """
     algebra, k = sieve.algebra, sieve.tail.exponent
     distinct: list[int] = []
@@ -448,17 +449,19 @@ def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, int]]:
         distinct.append(len(proj))
         for x, y in itertools.combinations(proj, 2):
             reach = max(reach, abs(spec.norm(tuple(a - b for a, b in zip(x, y)))))
-    exc_ps = {ls.prime.p for ls in sieve.exceptions}
-    for p in primes_upto(cutoff):
-        if p**k <= reach or p in exc_ps:
-            for prime in split_prime(algebra, p):
-                if prime.norm <= cutoff and sieve.exception_at(prime) is None:
-                    yield _survivors(_tail_local_set(sieve, prime))
-        else:
-            for i, nm in prime_norms(algebra, p):
-                if nm <= cutoff:
-                    n = nm**k
-                    yield n - distinct[i], n
+    special = {ls.prime.p for ls in sieve.exceptions}
+    special.update(itertools.takewhile(lambda p: p**k <= reach, primes_upto(cutoff)))
+    done = 0
+    for p, i, nm in norms_upto(algebra, cutoff):
+        if p in special:
+            if p != done:
+                done = p
+                for prime in split_prime(algebra, p):
+                    if prime.norm <= cutoff and sieve.exception_at(prime) is None:
+                        yield _survivors(_tail_local_set(sieve, prime))
+        elif nm <= cutoff:
+            n = nm**k
+            yield n - distinct[i], n
 
 
 def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:

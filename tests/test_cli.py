@@ -52,6 +52,15 @@ def test_density_and_solve(sq_file):
     assert code == 0 and "witness: 3" in out
 
 
+def test_solve_refuses_composite_and_undecided_primes(sq_file):
+    # 318665857834031151167461 is the least strong pseudoprime to the bases up to 37
+    for p, error in (("15", "ValueError: 15 is not prime"),
+                     ("318665857834031151167461", "is not prime"),
+                     ("3317044064679887385961981", "PreconditionFailed")):
+        code, out = run(["lg", "solve", "--spec", sq_file, "--cong", f"{p}^2=3"])
+        assert code == 4 and error in out
+
+
 def test_enumerate(sq_file):
     code, out = run(["sieve", "enumerate", "--spec", sq_file, "--bound", "10"])
     assert code == 0
@@ -105,6 +114,7 @@ def test_negative_cutoffs_are_usage_errors(sq_file, capsys):
             ["sieve", "density", "--spec", sq_file, "--cutoff", cutoff],
             ["entropy", "product", "--spec", sq_file, "--cutoff", cutoff],
             ["entropy", "zeta", "--cutoff", cutoff],
+            ["linmap", "scan", "--cutoff", cutoff],
         ):
             with pytest.raises(SystemExit) as e:
                 run(argv)

@@ -55,6 +55,14 @@ def test_scan_primes_inclusion(k3):
     assert not res3.ok
 
 
+def test_scan_primes_rejects_negative_cutoff():
+    sq_q = kfree_sieve(QQ, 2)
+    for cutoff in (-1, -5):
+        with pytest.raises(PreconditionFailed, match="cutoff"):
+            scan_primes(ZLinearMap.identity(QQ), sq_q, sq_q, cutoff)
+    assert scan_primes(ZLinearMap.identity(QQ), sq_q, sq_q, 0) is None
+
+
 def test_scan_primes_identity_and_shear(k2):
     sq_q = kfree_sieve(QQ, 2)
     assert scan_primes(ZLinearMap.identity(QQ), sq_q, sq_q, 50) is None

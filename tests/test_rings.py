@@ -1,10 +1,14 @@
 import math
 import random
+import sys
+import threading
+from collections import defaultdict
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import isprime, primerange
 
 from ringsieve import (
     QQ,
@@ -19,9 +23,12 @@ from ringsieve import (
     split_prime,
     units_up_to,
 )
-from ringsieve.errors import InvalidDiscriminant
+from ringsieve import primes, rings
+from ringsieve.entropy import zeta_K
+from ringsieve.errors import InvalidDiscriminant, PreconditionFailed
 from ringsieve.primes import is_prime, primes_upto
-from ringsieve.rings import _is_squarefree, format_algebra, format_element, prime_norms, valuation
+from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, prime_norms, valuation
+from ringsieve.sieve import LocalSet, TailRule, build_sieve, density_interval, kfree_sieve
 
 TEST_FIELDS = [2, 3, 5, 13, -1, -3, -5, 17]
 
@@ -74,8 +81,88 @@ def test_prime_norms_match_split_prime():
             assert list(prime_norms(K, p)) == [(q.component, q.norm) for q in split_prime(K, p)]
 
 
-# the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7 and 2, ..., 23
-STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051)
+@contextmanager
+def fresh_tables():
+    """Run with an empty prime table and no norm tables, restoring both after."""
+    saved = primes._sieved, rings._NORM_TABLES
+    primes._sieved = (1, ())
+    rings._NORM_TABLES = defaultdict(rings._NormTable)
+    try:
+        yield
+    finally:
+        primes._sieved, rings._NORM_TABLES = saved
+
+
+TABLE_ALGEBRAS = [QQ, *(make_algebra([d]) for d in (2, -1, 5, -3, 13)), make_algebra([None, 2])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(3, 5000), max_size=6).flatmap(lambda xs: st.permutations([0, 1, 2, *xs])))
+def test_tables_match_sieve_and_split_prime(bounds):
+    # the tables grow and are sliced in whatever order the bounds come
+    with fresh_tables():
+        for n in bounds:
+            assert primes_upto(n) == tuple(primerange(n + 1))
+            for K in TABLE_ALGEBRAS:
+                expected = [(q.p, q.component, q.norm) for p in primes_upto(n) for q in split_prime(K, p)]
+                assert list(norms_upto(K, n)) == expected
+
+
+def test_tables_grow_safely_under_threads():
+    # every thread asks for the same rising bounds at once, so they race to extend
+    K = make_algebra([None, 2])
+    bounds = list(range(50, 4000, 50))
+    expected = {
+        n: [(q.p, q.component, q.norm) for p in primerange(n + 1) for q in split_prime(K, p)] for n in bounds
+    }
+    start = threading.Barrier(8)
+    wrong = []
+
+    def work():
+        start.wait()
+        for n in bounds:
+            if list(norms_upto(K, n)) != expected[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    with fresh_tables():
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong
+
+
+def test_enclosures_independent_of_cutoff_order():
+    K = make_algebra([None, 2])
+    (p3,) = split_prime(K, 3)[1:]  # inert in Q(sqrt 2): an exception on the special-prime route
+    sieves = [
+        kfree_sieve(K, 2),
+        build_sieve(K, TailRule.kfree(3), [LocalSet(ideal_power(p3, 1), ((0, 0), (0, 1)))]),
+    ]
+    cutoffs = [0, 1, 2, 3, 10, 99, 100, 1000, 2500, 5000]
+
+    def enclosures(order):
+        with fresh_tables():
+            out = {}
+            for c in order:
+                out["zeta", c] = zeta_K(K, 2, c)
+                for i, sv in enumerate(sieves):
+                    out[i, c] = density_interval(sv, c)
+            return {key: (iv.lo, iv.hi) for key, iv in out.items()}
+
+    assert enclosures(cutoffs) == enclosures(cutoffs[::-1])
+
+
+# the least strong pseudoprimes to the bases 2; 2, 3; 2, 3, 5; 2, 3, 5, 7; 2, ..., 23
+# and 2, ..., 37 (psi_12, which base 41 catches)
+STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051, 318665857834031151167461)
 
 
 @settings(max_examples=500, deadline=None)
@@ -87,6 +174,13 @@ def test_is_prime_matches_sympy(n):
 def test_is_prime_rejects_strong_pseudoprimes():
     for n in STRONG_PSEUDOPRIMES:
         assert not is_prime(n)
+
+
+def test_is_prime_refuses_psi13_and_above():
+    # psi_13 passes all thirteen bases up to 41, so it and everything above are refused
+    for n in (3317044064679887385961981, 3317044064679887385961981 + 2, 2**89 - 1):
+        with pytest.raises(PreconditionFailed, match="only decided below"):
+            is_prime(n)
 
 
 def test_ideal_power_examples(k2):
