@@ -1,7 +1,8 @@
 """Command-line interface: every library operation as a subcommand.
 
 Exit codes: 0 success / verified, 1 mathematical negative (counterexample,
-not found, not conjugate), 2 usage error, 3 missing file, 4 domain error.
+not found, not conjugate), 2 usage error or malformed input file (printed
+as `error: <file>:<line>: <message>`), 3 missing file, 4 domain error.
 Output is deterministic; --json emits a single structured document.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from . import entropy as entropy_mod
 from . import linmaps, localglobal, presets, shiftspace
 from . import sieve as sieve_mod
-from .errors import NotFoundWithinBound, RingsieveError
+from .errors import FormatError, NotFoundWithinBound, RingsieveError
 from .intervals import RationalInterval
 from .rings import (
     QQ,
@@ -77,8 +78,17 @@ def _read_file(path: str) -> str:
         raise SystemExit(EXIT_NOFILE)
 
 
+def _parse_file(path: str, parse, *args):
+    """parse(text of the file, *args), with the path attached to a FormatError."""
+    try:
+        return parse(_read_file(path), *args)
+    except FormatError as e:
+        e.path = path
+        raise
+
+
 def _load_sieve(path: str) -> sieve_mod.SieveSpec:
-    return sieve_mod.parse_sieve_file(_read_file(path))
+    return _parse_file(path, sieve_mod.parse_sieve_file)
 
 
 def _parse_cong(text: str, algebra):
@@ -285,7 +295,7 @@ def _cmd_linmap_units(args, rep):
 
 def _cmd_shift_admissible(args, rep):
     sv = _load_sieve(args.spec)
-    pat = shiftspace.parse_pattern_file(_read_file(args.pattern), sv.algebra)
+    pat = _parse_file(args.pattern, shiftspace.parse_pattern_file, sv.algebra)
     res = shiftspace.is_admissible(sv, pat)
     rep.add("pattern_size", len(pat))
     rep.add("admissible", res.admissible)
@@ -298,8 +308,8 @@ def _cmd_shift_admissible(args, rep):
 
 
 def _cmd_shift_apply(args, rep):
-    code = shiftspace.parse_code_file(_read_file(args.code))
-    pat = shiftspace.parse_pattern_file(_read_file(args.pattern), code.source)
+    code = _parse_file(args.code, shiftspace.parse_code_file)
+    pat = _parse_file(args.pattern, shiftspace.parse_pattern_file, code.source)
     if args.known:
         lo, hi = (int(v) for v in args.known.split(":"))
         known = shiftspace.Pattern.from_ints(code.source, range(lo, hi + 1))
@@ -311,7 +321,7 @@ def _cmd_shift_apply(args, rep):
 
 
 def _cmd_shift_verify(args, rep):
-    code = shiftspace.parse_code_file(_read_file(args.code))
+    code = _parse_file(args.code, shiftspace.parse_code_file)
     r_sv = _load_sieve(args.source_sieve)
     s_sv = _load_sieve(args.target_sieve) if args.target_sieve else r_sv
     res = shiftspace.verify_intertwiner(code, r_sv, s_sv, trials=args.trials, seed=args.seed)
@@ -350,8 +360,8 @@ def _cmd_shift_symmetries(args, rep):
 
 def _cmd_shift_orbit(args, rep):
     algebra = parse_algebra(args.field)
-    pat = shiftspace.parse_pattern_file(_read_file(args.pattern), algebra)
-    win = shiftspace.parse_pattern_file(_read_file(args.window_pattern), algebra)
+    pat = _parse_file(args.pattern, shiftspace.parse_pattern_file, algebra)
+    win = _parse_file(args.window_pattern, shiftspace.parse_pattern_file, algebra)
     try:
         delta = shiftspace.orbit_approximation(algebra, args.k, pat, win, bound=args.bound)
     except NotFoundWithinBound as e:
@@ -656,6 +666,9 @@ def main(argv: list[str] | None = None) -> int:
             code = args.handler(args, rep)
     except SystemExit as e:
         return int(e.code or 0)
+    except FormatError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (RingsieveError, ValueError) as e:
         rep.add("error", f"{type(e).__name__}: {e}")
         rep.emit()

@@ -60,3 +60,20 @@ class UnitSearchExceeded(RingsieveError):
 
 class VerificationFailed(RingsieveError):
     """An independent re-check rejected a witness the library produced."""
+
+
+class FormatError(RingsieveError):
+    """A line of an input file is malformed.
+
+    Carries the 1-based line number and, once the caller that read the file
+    attaches it, the file path.
+    """
+
+    def __init__(self, message: str, line: int, path: str | None = None):
+        self.message = message
+        self.line = line
+        self.path = path
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return f"{self.path or '<input>'}:{self.line}: {self.message}"

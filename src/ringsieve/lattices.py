@@ -18,7 +18,7 @@ points and boxes).  The marker's index temporaries come in bounded chunks.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -116,25 +116,40 @@ def residues(h: Hnf) -> Iterator[Vec]:
             yield (a, b)
 
 
-def quotient_residues(h_coarse: Hnf, h_fine: Hnf) -> list[Vec]:
+class QuotientResidues:
+    """Representatives of a coarse lattice modulo a fine sublattice, made on demand.
+
+    Sized and re-iterable; iteration yields them in a fixed order, so a caller
+    that stops at its first hit never builds the rest.
+    """
+
+    def __init__(self, h_coarse: Hnf, h_fine: Hnf):
+        self.coarse = h_coarse
+        self.fine = h_fine
+        self.counts = []
+        for i, (c, f) in enumerate(zip(h_coarse, h_fine)):
+            if f[i] % c[i]:
+                raise ValueError("not a sublattice")
+            self.counts.append(f[i] // c[i])
+
+    def __len__(self) -> int:
+        return prod(self.counts)
+
+    def __iter__(self) -> Iterator[Vec]:
+        if len(self.coarse) == 1:
+            step = self.coarse[0][0]
+            for i in range(self.counts[0]):
+                yield (i * step,)
+            return
+        (A, _), (B, C) = self.coarse
+        for i in range(self.counts[0]):
+            for j in range(self.counts[1]):
+                yield lat_reduce((i * A + j * B, j * C), self.fine)
+
+
+def quotient_residues(h_coarse: Hnf, h_fine: Hnf) -> QuotientResidues:
     """Representatives of the coarse lattice modulo the fine sublattice."""
-    n = len(h_coarse)
-    if n == 1:
-        step = h_coarse[0][0]
-        total = h_fine[0][0]
-        if total % step:
-            raise ValueError("not a sublattice")
-        return [(a,) for a in range(0, total, step)]
-    Ac, Cc = h_coarse[0][0], h_coarse[1][1]
-    Af, Cf = h_fine[0][0], h_fine[1][1]
-    if Af % Ac or Cf % Cc:
-        raise ValueError("not a sublattice")
-    out = []
-    for i in range(Af // Ac):
-        for j in range(Cf // Cc):
-            v = (i * h_coarse[0][0] + j * h_coarse[1][0], j * h_coarse[1][1])
-            out.append(lat_reduce(v, h_fine))
-    return out
+    return QuotientResidues(h_coarse, h_fine)
 
 
 def _col_hnf_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:

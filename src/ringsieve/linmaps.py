@@ -216,16 +216,27 @@ def _kfree_fast_applicable(sieve: SieveSpec, p: int) -> bool:
     return all(ls.prime.p != p for ls in sieve.exceptions)
 
 
+def _inside_one(source: EtaleAlgebra, pre: Hnf, src_lattices: Sequence[tuple[int, Hnf]]) -> bool:
+    """True iff every HNF generator of `pre` lies in one and the same source lattice."""
+    gens = [source.from_flat(row).coords for row in pre]
+    return any(all(lat_contains(g[ci], h) for g in gens) for ci, h in src_lattices)
+
+
 def _check_local_condition_kfree(
     a: ZLinearMap, r_sieve: SieveSpec, s_sieve: SieveSpec, p: int
 ) -> LocalCheck:
-    """Kernel-lattice route for k-free sieves: enumerate only A^{-1}(q^l).
+    """Kernel-lattice route for k-free sieves: test only A^{-1}(q^l).
 
-    The condition holds iff for every target prime q | p the preimage of the
-    zero class of q^l inside O_K/p^m stays inside the union of the zero
-    classes of the source primes; preimages are lattices, so the enumeration
-    is |preimage| = p^{nm} / Nm(q)^l points instead of p^{nm}.  The source has
-    degree <= 2 (`scan_primes` only routes such maps here).
+    The condition holds iff for every target prime q | p the preimage
+    P = A^{-1}(q^l), a lattice containing p^m O_K, lies inside the union of
+    the source lattices p_i^k.  The source has degree <= 2 (`scan_primes`
+    only routes such maps here), so at most two p_i lie above p, and a group
+    is never the union of two proper subgroups: P lies in the union iff it
+    lies in one p_i^k, iff all HNF generators of P lie in that one p_i^k.
+    That containment test settles a passing q.  Otherwise the residues of
+    P mod p^m are walked lazily in `quotient_residues` order, and the first
+    one outside every p_i^k is reported; at most |P / p^m O_K| =
+    p^{nm} / Nm(q)^l of them, instead of p^{nm} classes.
     """
     k = r_sieve.tail.exponent
     l = s_sieve.tail.exponent
@@ -264,6 +275,8 @@ def _check_local_condition_kfree(
                     rows.append(full)
         target_lat = hnf_from_rows(rows, a.target.degree)
         pre = preimage_lattice(mat, target_lat)
+        if _inside_one(a.source, pre, src_lattices):
+            continue
         for rep in quotient_residues(pre, fine):
             x = a.source.from_flat(rep)
             if not any(lat_contains(x.coords[ci], h) for ci, h in src_lattices):
@@ -280,9 +293,12 @@ def scan_primes(
 ) -> LocalCheck | None:
     """First p <= cutoff violating the local condition, or None.
 
-    Pure k-free sieves use the kernel-lattice fast path; anything else falls
-    back to exhaustive class enumeration.  A negative cutoff raises
-    PreconditionFailed rather than pass vacuously.
+    Pure k-free sieves from a source of degree <= 2 use the kernel-lattice
+    route: a prime passes after one containment test of the preimage
+    generators per target prime, and a failing prime walks preimage residues
+    only up to its first violation.  Anything else falls back to exhaustive
+    class enumeration.  A negative cutoff raises PreconditionFailed rather
+    than pass vacuously.
     """
     if cutoff < 0:
         raise PreconditionFailed(f"prime cutoff must be >= 0, got {cutoff}")

@@ -16,7 +16,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceeded, PreconditionFailed, RegionTooSmall, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    FormatError,
+    PreconditionFailed,
+    RegionTooSmall,
+    RingsieveError,
+    VerificationFailed,
+)
 from .lattices import crt_pair
 from .linmaps import ZLinearMap
 from .localglobal import CongruenceConstraint, solve
@@ -630,7 +637,7 @@ def _refine_local_set(ls: LocalSet, k: int) -> LocalSet:
     if ls.modulus.k == k:
         return ls
     fine = ideal_power(ls.prime, k)
-    reps = quotient_residues(ls.modulus.hnf, fine.hnf)
+    reps = list(quotient_residues(ls.modulus.hnf, fine.hnf))
     out = set()
     for c in ls.classes:
         for q in reps:
@@ -835,13 +842,24 @@ def orbit_approximation(
 
 
 def parse_pattern_file(text: str, algebra: EtaleAlgebra) -> Pattern:
-    """Comma-separated element literals; `#` comments allowed."""
-    body = " ".join(
-        line.split("#", 1)[0].strip() for line in text.splitlines()
-    ).strip()
-    if not body:
-        return Pattern.of(algebra, ())
-    return Pattern.of(algebra, (parse_element(t.strip(), algebra) for t in body.split(",") if t.strip()))
+    """Comma-separated element literals; `#` comments allowed.
+
+    A literal that does not parse raises FormatError with the 1-based
+    number of the line it starts on.
+    """
+    body = "\n".join(line.split("#", 1)[0].strip() for line in text.splitlines())
+    elements = []
+    pos = 0
+    for token in body.split(","):
+        literal = token.strip()
+        if literal:
+            try:
+                elements.append(parse_element(literal.replace("\n", " "), algebra))
+            except (ValueError, RingsieveError) as e:
+                line = body.count("\n", 0, pos + token.index(literal)) + 1
+                raise FormatError(str(e), line) from e
+        pos += len(token) + 1
+    return Pattern.of(algebra, elements)
 
 
 def format_pattern(pattern: Pattern) -> str:
@@ -849,44 +867,62 @@ def format_pattern(pattern: Pattern) -> str:
 
 
 def parse_code_file(text: str) -> WindowCode:
-    """Block-code format: `source`, `target`, `matrix`, `window`, `pattern` lines."""
+    """Block-code format: `source`, `target`, `matrix`, `window`, `pattern` lines.
+
+    A malformed line raises FormatError with its 1-based number; a missing
+    line is reported at the last line.
+    """
     from .rings import parse_algebra
 
     source = target = None
     matrix_vals: list[int] | None = None
-    window_txt = None
-    pattern_txts: list[str] = []
-    for raw in text.splitlines():
+    matrix_line = 0
+    window_txt: tuple[int, str] | None = None
+    pattern_txts: list[tuple[int, str]] = []
+    lines = text.splitlines()
+    last = max(1, len(lines))
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "source":
-            source = parse_algebra(rest)
-        elif head == "target":
-            target = parse_algebra(rest)
-        elif head == "matrix":
-            matrix_vals = [int(v) for v in rest.split(",")]
-        elif head == "window":
-            window_txt = rest
-        elif head == "pattern":
-            pattern_txts.append(rest)
-        else:
-            raise ValueError(f"unknown directive {head!r}")
+        try:
+            if head == "source":
+                source = parse_algebra(rest)
+            elif head == "target":
+                target = parse_algebra(rest)
+            elif head == "matrix":
+                matrix_vals = [int(v) for v in rest.split(",")]
+                matrix_line = lineno
+            elif head == "window":
+                window_txt = (lineno, rest)
+            elif head == "pattern":
+                pattern_txts.append((lineno, rest))
+            else:
+                raise ValueError(f"unknown directive {head!r}")
+        except (ValueError, RingsieveError) as e:
+            raise FormatError(str(e), lineno) from e
     if source is None:
-        raise ValueError("code file needs a `source` line")
+        raise FormatError("code file needs a `source` line", last)
     target = target or source
     if window_txt is None or not pattern_txts:
-        raise ValueError("code file needs `window` and `pattern` lines")
-    window = parse_pattern_file(window_txt, source)
-    pats = tuple(parse_pattern_file(t, source) for t in pattern_txts)
+        raise FormatError("code file needs `window` and `pattern` lines", last)
+
+    def pattern_at(lineno: int, txt: str) -> Pattern:
+        try:
+            return parse_pattern_file(txt, source)
+        except FormatError as e:
+            raise FormatError(e.message, lineno) from e
+
+    window = pattern_at(*window_txt)
+    pats = tuple(pattern_at(*t) for t in pattern_txts)
     if matrix_vals is None:
         lin = ZLinearMap.identity(source)
     else:
         n, m = source.degree, target.degree
         if len(matrix_vals) != n * m:
-            raise ValueError("matrix length does not match degrees")
+            raise FormatError("matrix length does not match degrees", matrix_line)
         lin = ZLinearMap(
             source, target, tuple(tuple(matrix_vals[i * n : (i + 1) * n]) for i in range(m))
         )

@@ -16,7 +16,15 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable, VerificationFailed
+from .errors import (
+    BudgetExceeded,
+    ClassOutOfRange,
+    FormatError,
+    PreconditionFailed,
+    RingsieveError,
+    TailNotBoundable,
+    VerificationFailed,
+)
 from .intervals import RationalInterval, _round_down, _round_up, directed_product
 from .lattices import coset_points, grid_columns, grid_hnf, grid_point, row_bands
 from .primes import is_prime, primes_upto
@@ -261,6 +269,11 @@ def _iroot(n: int, k: int) -> int:
     return r
 
 
+# Largest rational prime `membership` scans.  Sieving to 10^7 already takes
+# about 0.5 s and 70 MB, and the scan then visits its 664,579 primes in Python.
+_MAX_PRIME_BOUND = 10**7
+
+
 def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
     """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending."""
     k = sieve.tail.exponent
@@ -287,7 +300,8 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     Exception primes are always checked.  A tail prime can only catch x when
     Nm(p)^k divides the norm of x - c for one of the tail labels c, so the
     scan is bounded by those norms; when x equals a label on some component,
-    every tail prime of that component catches it.
+    every tail prime of that component catches it.  A scan past the prime
+    _MAX_PRIME_BOUND raises BudgetExceeded before any prime is listed.
     """
     if x.algebra != sieve.algebra:
         raise PreconditionFailed("element of a different algebra")
@@ -314,6 +328,11 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
                     raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
                 return Verdict(False, prime, hit, tuple(checked))
             bound = max(bound, nm)
+        limit = _iroot(bound, k)
+        if limit > _MAX_PRIME_BOUND:
+            raise BudgetExceeded(
+                f"membership would scan primes up to {limit}, over the limit {_MAX_PRIME_BOUND}"
+            )
         for prime in _tail_primes(sieve, bound, i):
             checked.append(prime)
             hit = _tail_local_set(sieve, prime).hits(x)
@@ -548,56 +567,65 @@ def parse_sieve_file(text: str) -> SieveSpec:
 
     Lines: `algebra <spec>`, `tail empty|kfree K|classes c1,c2,...`, and
     `exception <p> [<index>] <k> : c1,c2,...` with `-` for an empty class
-    list; `#` starts a comment.
+    list; `#` starts a comment.  A malformed line raises FormatError with
+    its 1-based number; a missing `algebra` or `tail` line is reported at
+    the last line.
     """
     algebra: EtaleAlgebra | None = None
     tail: TailRule | None = None
-    pending: list[tuple[int, int, int, str]] = []
-    for raw in text.splitlines():
+    pending: list[tuple[int, int, int, int, str]] = []
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "algebra":
-            algebra = parse_algebra(rest)
-        elif head == "tail":
-            kind, _, arg = rest.partition(" ")
-            if kind == "empty":
-                tail = TailRule.empty()
-            elif kind == "kfree":
-                tail = TailRule.kfree(int(arg))
-            elif kind == "classes":
-                tail = TailRule.classes_mod_p([int(c) for c in arg.split(",")])
+        try:
+            if head == "algebra":
+                algebra = parse_algebra(rest)
+            elif head == "tail":
+                kind, _, arg = rest.partition(" ")
+                if kind == "empty":
+                    tail = TailRule.empty()
+                elif kind == "kfree":
+                    tail = TailRule.kfree(int(arg))
+                elif kind == "classes":
+                    tail = TailRule.classes_mod_p([int(c) for c in arg.split(",")])
+                else:
+                    raise ValueError(f"unknown tail rule {rest!r}")
+            elif head == "exception":
+                spec_part, _, classes_part = rest.partition(":")
+                nums = spec_part.split()
+                if len(nums) == 2:
+                    p, idx, k = int(nums[0]), 0, int(nums[1])
+                elif len(nums) == 3:
+                    p, idx, k = int(nums[0]), int(nums[1]), int(nums[2])
+                else:
+                    raise ValueError(f"bad exception line: {raw!r}")
+                pending.append((lineno, p, idx, k, classes_part.strip()))
             else:
-                raise ValueError(f"unknown tail rule {rest!r}")
-        elif head == "exception":
-            spec_part, _, classes_part = rest.partition(":")
-            nums = spec_part.split()
-            if len(nums) == 2:
-                p, idx, k = int(nums[0]), 0, int(nums[1])
-            elif len(nums) == 3:
-                p, idx, k = int(nums[0]), int(nums[1]), int(nums[2])
-            else:
-                raise ValueError(f"bad exception line: {raw!r}")
-            pending.append((p, idx, k, classes_part.strip()))
-        else:
-            raise ValueError(f"unknown directive {head!r}")
+                raise ValueError(f"unknown directive {head!r}")
+        except (ValueError, RingsieveError) as e:
+            raise FormatError(str(e), lineno) from e
     if algebra is None or tail is None:
-        raise ValueError("sieve file needs `algebra` and `tail` lines")
+        raise FormatError("sieve file needs `algebra` and `tail` lines", max(1, len(lines)))
     locs = []
-    for p, idx, k, classes_part in pending:
-        primes = split_prime(algebra, p)
-        if idx >= len(primes):
-            raise ValueError(f"prime index {idx} out of range for p={p}")
-        prime = primes[idx]
-        mod = ideal_power(prime, k)
-        classes: list[Coords] = []
-        if classes_part not in ("", "-"):
-            spec = prime.spec
-            for lit in classes_part.split(","):
-                classes.append(_parse_component(lit.strip(), spec))
-        locs.append(LocalSet(mod, tuple(classes)))
+    for lineno, p, idx, k, classes_part in pending:
+        try:
+            primes = split_prime(algebra, p)
+            if idx >= len(primes):
+                raise ValueError(f"prime index {idx} out of range for p={p}")
+            prime = primes[idx]
+            mod = ideal_power(prime, k)
+            classes: list[Coords] = []
+            if classes_part not in ("", "-"):
+                spec = prime.spec
+                for lit in classes_part.split(","):
+                    classes.append(_parse_component(lit.strip(), spec))
+            locs.append(LocalSet(mod, tuple(classes)))
+        except (ValueError, RingsieveError) as e:
+            raise FormatError(str(e), lineno) from e
     return build_sieve(algebra, tail, locs)
 
 

@@ -138,6 +138,42 @@ def test_cutoffs_zero_and_one_keep_their_answers(sq_file):
         assert json.loads(out)["interval"] == interval
 
 
+def _usage_error(argv, capsys):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    return capsys.readouterr().err
+
+
+def test_malformed_sieve_file_names_file_and_line(tmp_path, capsys):
+    f = tmp_path / "bad.sv"
+    f.write_text("algebra Q(sqrt 2)\ntail kfree 2\n# 7 splits into two primes\nexception 7 2 2 : -\n")
+    err = _usage_error(["sieve", "density", "--spec", str(f)], capsys)
+    assert err == f"error: {f}:4: prime index 2 out of range for p=7\n"
+    f.write_text("algebra Q\ntail kfree two\n")
+    assert _usage_error(["sieve", "enumerate", "--spec", str(f)], capsys).startswith(f"error: {f}:2: ")
+    f.write_text("algebra Q\n\n")
+    err = _usage_error(["sieve", "enumerate", "--spec", str(f)], capsys)
+    assert err == f"error: {f}:2: sieve file needs `algebra` and `tail` lines\n"
+
+
+def test_malformed_pattern_file_names_file_and_line(sq_file, tmp_path, capsys):
+    f = tmp_path / "bad.pat"
+    f.write_text("1, 2,\n# a comment\n3, 4x\n")
+    err = _usage_error(["shift", "admissible", "--spec", sq_file, "--pattern", str(f)], capsys)
+    assert err == f"error: {f}:3: bad rational literal: '4x'\n"
+
+
+def test_malformed_code_file_names_file_and_line(tmp_path, capsys):
+    code, pat = tmp_path / "bad.code", tmp_path / "ok.pat"
+    pat.write_text("1,2,3\n")
+    code.write_text("source Q\nwindow 0,1\n\npattern 0, 1y\n")
+    err = _usage_error(["shift", "apply", "--code", str(code), "--pattern", str(pat)], capsys)
+    assert err == f"error: {code}:4: bad rational literal: '1y'\n"
+    code.write_text("source Q\nmatrix 1,2\nwindow 0\npattern 0\n")
+    err = _usage_error(["shift", "apply", "--code", str(code), "--pattern", str(pat)], capsys)
+    assert err == f"error: {code}:2: matrix length does not match degrees\n"
+
+
 def test_exit_code_domain_error(tmp_path):
     f = tmp_path / "onefree.sv"
     f.write_text("algebra Q\ntail kfree 1\n")

@@ -1,13 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ringsieve import QQ, algebra_homs, make_algebra, split_prime, units_up_to
+from ringsieve import QQ, algebra_homs, linmaps, make_algebra, split_prime, units_up_to
 from ringsieve.errors import NoWitness, PreconditionFailed
 from ringsieve.linmaps import (
     MonomialDecomposition,
     ZLinearMap,
+    _check_local_condition_kfree,
     check_local_condition,
     check_unit_preservation,
     cover_witness,
@@ -17,7 +21,9 @@ from ringsieve.linmaps import (
     preserver_scan,
     scan_primes,
 )
-from ringsieve.sieve import kfree_sieve
+from ringsieve.sieve import kfree_sieve, local_set
+
+QXQ = make_algebra([None, None])
 
 
 def test_induced_mod_examples(k2):
@@ -79,11 +85,71 @@ def test_fast_path_agrees_with_generic(k2, ki):
         mat = tuple(tuple(rng.randrange(-2, 3) for _ in range(2)) for _ in range(2))
         a = ZLinearMap(k2, k2, mat)
         for p in (2, 3, 5, 7):
-            from ringsieve.linmaps import _check_local_condition_kfree
-
             fast = _check_local_condition_kfree(a, sq2, sq2, p)
             slow = check_local_condition(a, sq2, sq2, p)
             assert fast.ok == slow.ok, (mat, p)
+
+
+_QUADRATIC = (2, -1, 5, -3, 13)
+
+
+@st.composite
+def _kfree_maps(draw):
+    """Nonsingular 2x2 maps over Q(sqrt d) or Q x Q, and 2x1 maps Q -> Q(sqrt d)."""
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(_QUADRATIC + ("QxQ", "Q->")))
+    if kind == "Q->":
+        col = draw(st.tuples(entry, entry).filter(any))
+        return ZLinearMap(QQ, make_algebra([draw(st.sampled_from(_QUADRATIC))]), ((col[0],), (col[1],)))
+    alg = QXQ if kind == "QxQ" else make_algebra([kind])
+    e = draw(st.tuples(entry, entry, entry, entry).filter(lambda e: e[0] * e[3] != e[1] * e[2]))
+    return ZLinearMap(alg, alg, (e[:2], e[2:]))
+
+
+def _walk_every_residue(a, r_sieve, s_sieve, p):
+    """The kernel-lattice route with its containment shortcut switched off."""
+    with mock.patch.object(linmaps, "_inside_one", lambda *args: False):
+        return _check_local_condition_kfree(a, r_sieve, s_sieve, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_kfree_maps(), st.sampled_from(((2, 2), (2, 3), (3, 2))), st.sampled_from((2, 3, 5, 7, 11, 13)))
+@example(ZLinearMap(QXQ, QXQ, ((-2, 0), (-2, -2))), (2, 2), 2)
+def test_kfree_shortcut_matches_full_walk_and_exhaustive(a, kl, p):
+    # The shortcut may only skip target primes whose whole residue walk passes,
+    # so (ok, p, x, y) equals the full walk's lex-first violation exactly.
+    k, l = kl
+    r_sieve, s_sieve = kfree_sieve(a.source, k), kfree_sieve(a.target, l)
+    res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
+    assert res == _walk_every_residue(a, r_sieve, s_sieve, p)
+    if not res.ok:
+        x, y = res.counterexample, res.image
+        assert y == a.apply(x)
+        assert all(local_set(r_sieve, q).hits(x) is None for q in split_prime(a.source, p))
+        assert any(local_set(s_sieve, q).hits(y) is not None for q in split_prime(a.target, p))
+    # The exhaustive check reports its own lex-first class, so only ok is shared.
+    if p ** (max(k, l) * a.source.degree) <= 20_000:
+        assert check_local_condition(a, r_sieve, s_sieve, p).ok == res.ok
+
+
+def test_kfree_shortcut_matches_full_walk_on_qxq_grid():
+    # Q x Q has two coordinate primes above every p, the case where "each
+    # generator lies in some p_i^k" and "all lie in one" part ways.
+    for k, l in ((2, 2), (2, 3), (3, 2)):
+        r_sieve, s_sieve = kfree_sieve(QXQ, k), kfree_sieve(QXQ, l)
+        for e in itertools.product(range(-2, 3), repeat=4):
+            if e[0] * e[3] != e[1] * e[2]:
+                a = ZLinearMap(QXQ, QXQ, (e[:2], e[2:]))
+                for p in (2, 3):
+                    res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
+                    assert res == _walk_every_residue(a, r_sieve, s_sieve, p), (e, k, l, p)
+
+
+def test_kfree_shortcut_pinned_violation():
+    # Each generator of A^{-1}((2)^2 x Z) lies in some p_i^2, but not all in one.
+    sq = kfree_sieve(QXQ, 2)
+    res = _check_local_condition_kfree(ZLinearMap(QXQ, QXQ, ((-2, 0), (-2, -2))), sq, sq, 2)
+    assert (res.ok, res.p, res.counterexample.flat(), res.image.flat()) == (False, 2, (2, 1), (-4, -6))
 
 
 def test_decompose_monomial_examples(k2, ki):

@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ringsieve import QQ, lattices, make_algebra, reduce_mod, split_prime, ideal_power
-from ringsieve.errors import ClassOutOfRange, PreconditionFailed, TailNotBoundable
+from ringsieve.errors import BudgetExceeded, ClassOutOfRange, PreconditionFailed, TailNotBoundable
 from ringsieve.intervals import _round_down, _round_up
 from ringsieve.primes import primes_upto
 from ringsieve.sieve import (
@@ -68,6 +69,18 @@ def test_membership_examples(squarefree_q, k3):
     v3 = membership(sq3, k3.from_int(3))
     assert not v3.member and v3.prime.p == 3 and v3.prime.kind == "ramified"
     assert not membership(squarefree_q, QQ.from_int(0)).member
+
+
+def test_membership_refuses_a_prime_scan_past_its_budget():
+    # Nm(x) is about 10^16, so a 2-free scan would sieve primes up to about 10^8.
+    k2 = make_algebra([2])
+    x = k2.element([(10**8 + 1, 10**8)])
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="primes up to"):
+        membership(kfree_sieve(k2, 2), x)
+    assert time.perf_counter() - t0 < 1
+    # the same element's scan for the 4-free sieve stays under the limit
+    assert membership(kfree_sieve(k2, 4), x).member
 
 
 def test_membership_translation_coherence(squarefree_q, k13):
