@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import entropy as entropy_mod
 from . import linmaps, localglobal, presets, shiftspace
@@ -637,8 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# built on the first call and reused: parse_args keeps no state between calls
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     rep = _Report(getattr(args, "json", False), getattr(args, "digits", 12))
     rep.add("command", f"{args.group} {args.sub}")
     _echo_config(rep, args)

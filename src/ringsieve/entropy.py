@@ -5,7 +5,8 @@ are truncated at a norm cutoff and widened by rigorous tail bounds.  The
 truncated products run in `intervals.directed_product`, integer directed
 rounding on the 2^-192 grid that is bit-identical to rounding each
 `Fraction` product, over the prime norms of `rings.norms_upto`: one table
-per algebra, each prime's splitting derived once per process.
+per algebra, filled in bulk, with the splitting rule run once per residue
+class of p mod |disc| in each quadratic component.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ to rounding each `Fraction` product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable
 
@@ -101,8 +102,9 @@ class RationalInterval:
         return f"[{lo}, {hi}]"
 
 
+@cache
 def log2_interval() -> RationalInterval:
-    """Rigorous enclosure of log(2) from log 2 = sum 1/(n 2^n)."""
+    """Rigorous enclosure of log(2) from log 2 = sum 1/(n 2^n), summed once per process."""
     n_terms = 220
     acc = Fraction(0)
     for n in range(1, n_terms + 1):

@@ -187,7 +187,12 @@ def check_local_condition(
     """Exhaustively test A(V_p(K, R)) inside V_p(L, S).
 
     Enumerates every class of O_K/p^m for the smallest sufficient m; on
-    failure reports a violating class of V_p(K, R).
+    failure reports the lex-first violating class of O_K/p^m (coordinates in
+    [0, p^m), flat order).  `scan_primes` on its kernel-lattice route reports
+    a different witness for the same map and prime: the first violating
+    preimage residue of the first failing target prime.  On Q x Q with
+    A = ((-2, 0), (-2, -2)), k = l = 2 and p = 2, this gives x = (1, 1) and
+    `scan_primes` gives x = (2, 1).
     """
     if a.source != r_sieve.algebra or a.target != s_sieve.algebra:
         raise PreconditionFailed("sieve algebras do not match the map")
@@ -299,6 +304,13 @@ def scan_primes(
     only up to its first violation.  Anything else falls back to exhaustive
     class enumeration.  A negative cutoff raises PreconditionFailed rather
     than pass vacuously.
+
+    The witness depends on the route.  The kernel-lattice route returns the
+    first violating preimage residue of the first failing target prime
+    (`quotient_residues` order); the exhaustive route returns the lex-first
+    violating class of O_K/p^m, as `check_local_condition` does.  On Q x Q
+    with A = ((-2, 0), (-2, -2)), k = l = 2 and p = 2, this gives x = (2, 1)
+    where `check_local_condition` gives x = (1, 1).
     """
     if cutoff < 0:
         raise PreconditionFailed(f"prime cutoff must be >= 0, got {cutoff}")

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed, UnitSearchExceeded
 from .lattices import Hnf, lat_contains, lat_reduce, lat_scale, residues
 from .primes import is_prime, legendre, primes_upto, sqrt_mod
@@ -308,8 +310,9 @@ def _quadratic_kind(spec: FieldSpec, p: int) -> str:
     return "split" if legendre(d, p) == 1 else "inert"
 
 
-# the residue degrees f of the primes above p, in split_prime's order
-_RESIDUE_DEGREES = {"ramified": (1,), "split": (1, 1), "inert": (2,)}
+# the residue degrees f of the primes above p in one component, in split_prime's
+# order, padded with 0 to two slots
+_RESIDUE_DEGREES = {"rational": (1, 0), "ramified": (1, 0), "split": (1, 1), "inert": (2, 0)}
 
 
 def _quadratic_splitting(spec: FieldSpec, p: int) -> list[tuple[str, int | None, int, int]]:
@@ -338,36 +341,53 @@ def _quadratic_splitting(spec: FieldSpec, p: int) -> list[tuple[str, int | None,
     return [("split", roots[0], 1, 1), ("split", roots[1], 1, 1)]
 
 
-def prime_norms(algebra: EtaleAlgebra, p: int) -> list[tuple[int, int]]:
-    """(component, Nm(q)) for the primes q above p, in split_prime's order.
-
-    Builds no ideals and does not test p for primality: callers pass primes
-    from `primes_upto`.
-    """
-    out = []
-    for i, spec in enumerate(algebra.components):
-        if spec.is_rational:
-            out.append((i, p))
-        else:
-            for f in _RESIDUE_DEGREES[_quadratic_kind(spec, p)]:
-                out.append((i, p**f))
-    return out
-
-
 class _NormTable:
-    """(p, component, Nm(q)) for the primes q above every prime p <= limit, as flat arrays."""
+    """(p, component, Nm(q)) for the primes q above every prime p <= limit, as flat arrays.
+
+    Filled in bulk.  In a quadratic component of discriminant D, the kind of
+    an odd prime p not dividing D depends only on p mod |D|, since the
+    Kronecker symbol (D/.) is a character mod |D|.  So `_quadratic_kind` runs
+    once on the first such prime met in each class, and once on 2 and on
+    every p | D; every other prime reads its class's entry.
+    """
 
     def __init__(self):
         self.limit = 1
         self.ps, self.components, self.norms = array("q"), array("q"), array("q")
+        # component -> {p mod |D|: residue degrees}, filled as classes are met
+        self.classes: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
+
+    def _degrees(self, i: int, spec: FieldSpec, ps: np.ndarray) -> np.ndarray:
+        """The padded residue degrees of the primes above each p in ps, one row per p."""
+        if spec.is_rational:
+            return np.array(_RESIDUE_DEGREES["rational"])
+        disc = abs(spec.disc)
+        out = np.empty((len(ps), 2), np.int8)
+        regular = (ps != 2) & (disc % ps != 0)
+        for j in np.flatnonzero(~regular).tolist():
+            out[j] = _RESIDUE_DEGREES[_quadratic_kind(spec, int(ps[j]))]
+        known = self.classes[i]
+        reps = ps[regular]
+        classes, first, which = np.unique(reps % disc, return_index=True, return_inverse=True)
+        for c, p in zip(classes.tolist(), reps[first].tolist()):
+            if c not in known:
+                known[c] = _RESIDUE_DEGREES[_quadratic_kind(spec, p)]
+        out[regular] = np.array([known[c] for c in classes.tolist()], np.int8).reshape(-1, 2)[which]
+        return out
 
     def extend(self, algebra: EtaleAlgebra, n: int) -> None:
         primes = primes_upto(n)
-        for p in primes[bisect_right(primes, self.limit) :]:
-            for i, nm in prime_norms(algebra, p):
-                self.ps.append(p)
-                self.components.append(i)
-                self.norms.append(nm)
+        ps = np.array(primes[bisect_right(primes, self.limit) :], np.int64)
+        # f[j, 2i + s]: the residue degree of the s-th prime above ps[j] in component i, 0 if none
+        f = np.empty((len(ps), 2 * len(algebra.components)), np.int8)
+        for i, spec in enumerate(algebra.components):
+            f[:, 2 * i : 2 * i + 2] = self._degrees(i, spec, ps)
+        # boolean indexing reads row-major: by p, then component, then slot, as split_prime lists them
+        rows = f > 0
+        p = np.broadcast_to(ps[:, None], f.shape)[rows]
+        components = np.broadcast_to(np.arange(f.shape[1], dtype=np.int64) // 2, f.shape)[rows]
+        for column, values in ((self.ps, p), (self.components, components), (self.norms, p ** f[rows])):
+            column.frombytes(memoryview(values).cast("B"))
         self.limit = n
 
 
@@ -378,8 +398,9 @@ _NORM_TABLES_GROWING = threading.Lock()  # two threads must not extend one table
 def norms_upto(algebra: EtaleAlgebra, n: int) -> Iterator[tuple[int, int, int]]:
     """(p, component, Nm(q)) for every prime q above a prime p <= n, in split_prime's order.
 
-    Read from one table per algebra, filled through `prime_norms` and
-    extended over the new primes only, and only to n, when n passes its end.
+    Read from one table per algebra, extended in bulk over the new primes
+    only, and only to n, when n passes its end.  A quadratic component's
+    splitting is looked up by p mod |disc| (see `_NormTable`).
     """
     table = _NORM_TABLES[algebra]
     if n > table.limit:

@@ -273,3 +273,21 @@ def test_selftests_optimized(group, sub):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest_result: pass" in proc.stdout
+
+
+def test_reused_parser_matches_fresh_process():
+    # main builds its parser once per process; a usage error and earlier calls must leave no state behind
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(ringsieve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    zeta = ["--json", "entropy", "zeta", "--field", "Q(sqrt 5)", "--cutoff", "1000"]
+    density = ["--json", "sieve", "density", "--spec", str(root / "bench" / "specs" / "sq.sv"), "--cutoff", "500"]
+    with pytest.raises(SystemExit) as usage:
+        run(["entropy", "zeta", "--cutoff", "x"])
+    assert usage.value.code == 2
+    for argv in (zeta, zeta, density):
+        code, out = run(argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "ringsieve.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)

@@ -152,6 +152,17 @@ def test_kfree_shortcut_pinned_violation():
     assert (res.ok, res.p, res.counterexample.flat(), res.image.flat()) == (False, 2, (2, 1), (-4, -6))
 
 
+def test_routes_report_their_own_witness():
+    # exhaustive: lex-first violating class of O_K/p^m; kernel route: first violating
+    # preimage residue of the first failing target prime
+    sq = kfree_sieve(QXQ, 2)
+    a = ZLinearMap(QXQ, QXQ, ((-2, 0), (-2, -2)))
+    exhaustive = check_local_condition(a, sq, sq, 2)
+    scanned = scan_primes(a, sq, sq, 2)
+    assert (exhaustive.ok, exhaustive.counterexample.flat(), exhaustive.image.flat()) == (False, (1, 1), (-2, -4))
+    assert (scanned.p, scanned.counterexample.flat(), scanned.image.flat()) == (2, (2, 1), (-4, -6))
+
+
 def test_decompose_monomial_examples(k2, ki):
     swap = ZLinearMap(ki, ki, ((0, 1), (1, 0)))
     d = decompose_monomial(swap)

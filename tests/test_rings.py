@@ -6,9 +6,10 @@ from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import isprime, primerange
+from sympy import factorint, isprime, primerange
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from ringsieve import (
     QQ,
@@ -27,7 +28,7 @@ from ringsieve import primes, rings
 from ringsieve.entropy import zeta_K
 from ringsieve.errors import InvalidDiscriminant, PreconditionFailed
 from ringsieve.primes import is_prime, primes_upto
-from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, prime_norms, valuation
+from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, valuation
 from ringsieve.sieve import LocalSet, TailRule, build_sieve, density_interval, kfree_sieve
 
 TEST_FIELDS = [2, 3, 5, 13, -1, -3, -5, 17]
@@ -73,14 +74,6 @@ def test_splitting_completeness_up_to_1000():
                     assert (q.root * q.root - s * q.root - t) % p == 0
 
 
-def test_prime_norms_match_split_prime():
-    ds = [d for d in range(-50, 51) if d != 1 and _is_squarefree(d)]
-    algebras = [QQ, make_algebra([None, 2])] + [make_algebra([d]) for d in ds]
-    for p in primes_upto(500):
-        for K in algebras:
-            assert list(prime_norms(K, p)) == [(q.component, q.norm) for q in split_prime(K, p)]
-
-
 @contextmanager
 def fresh_tables():
     """Run with an empty prime table and no norm tables, restoring both after."""
@@ -91,6 +84,55 @@ def fresh_tables():
         yield
     finally:
         primes._sieved, rings._NORM_TABLES = saved
+
+
+def split_rows(K, n):
+    return [(q.p, q.component, q.norm) for p in primes_upto(n) for q in split_prime(K, p)]
+
+
+def test_prime_norms_match_split_prime():
+    # the table reads each odd p not dividing the discriminant from its class mod |disc|;
+    # the components of Q(sqrt 5) x Q(sqrt -7) give class 2 different kinds, so they need a lookup each
+    ds = [d for d in range(-50, 51) if d != 1 and _is_squarefree(d)]
+    products = [make_algebra(spec) for spec in ([None, 2], [-1, 5], [5, -7])]
+    algebras = [QQ, *products] + [make_algebra([d]) for d in ds]
+    with fresh_tables():
+        for K in algebras:
+            assert list(norms_upto(K, 500)) == split_rows(K, 500)
+
+
+@pytest.mark.parametrize("d,kind", [(17, "split"), (-7, "split"), (5, "inert"), (-3, "inert"), (13, "inert")])
+def test_norm_table_at_two_for_odd_discriminants(d, kind):
+    # 2 splits exactly when d = 1 mod 8; it shares class 2 mod |disc| with odd primes
+    K = make_algebra([d])
+    with fresh_tables():
+        rows = list(norms_upto(K, 200))
+    assert [r for r in rows if r[0] == 2] == ([(2, 0, 2), (2, 0, 2)] if kind == "split" else [(2, 0, 4)])
+
+
+@pytest.mark.parametrize("d", [2, 3, -1, 6, -5])
+def test_norm_table_at_ramified_primes_of_even_discriminants(d):
+    K = make_algebra([d])
+    disc = K.components[0].disc
+    assert disc == 4 * d
+    with fresh_tables():
+        rows = list(norms_upto(K, 200))
+    for p in primes_upto(abs(disc)):
+        if disc % p == 0:
+            assert [r for r in rows if r[0] == p] == [(p, 0, p)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+def test_norm_table_grown_in_steps(order):
+    # a class first met in a later extension must get its own representative
+    bounds = [0, 2, 3, 50, 5000]
+    if order == "shuffled":
+        random.Random(7).shuffle(bounds)
+    algebras = [make_algebra([d]) for d in (17, -7, 5, 2, 3, -5, 41)] + [make_algebra([-1, 5]), make_algebra([5, -7])]
+    with fresh_tables():
+        for n in bounds:
+            for K in algebras:
+                assert list(norms_upto(K, n)) == split_rows(K, n)
 
 
 TABLE_ALGEBRAS = [QQ, *(make_algebra([d]) for d in (2, -1, 5, -3, 13)), make_algebra([None, 2])]
@@ -377,3 +419,53 @@ def test_parse_format_roundtrip(k2):
     mixed = make_algebra([None, 2])
     x = parse_element("7|1-1*w", mixed)
     assert x.coords == ((7,), (1, -1))
+
+
+# (d, p) with p of the given kind in Q(sqrt d); None is Q
+VALUATION_CASES = {
+    "rational": [(None, 2), (None, 5)],
+    "split": [(2, 7), (-1, 5), (-7, 2), (13, 3)],
+    "inert": [(2, 3), (5, 2), (-1, 3), (-3, 5)],
+    "ramified": [(2, 2), (-1, 2), (5, 5), (-3, 3), (3, 3)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VALUATION_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_valuation_matches_norm_factorization(kind, data):
+    # sum over q | p of f_q * v_q(x) is the exponent of p in N(x)
+    d, p = data.draw(st.sampled_from(VALUATION_CASES[kind]))
+    K = make_algebra([d])
+    scale = p ** data.draw(st.integers(0, 4))
+    coords = data.draw(st.lists(st.integers(-300, 300), min_size=K.degree, max_size=K.degree).filter(any))
+    x = K.element([[c * scale for c in coords]])
+    above = split_prime(K, p)
+    assert {q.kind for q in above} == {kind}
+    assert sum(q.f * valuation(x, q) for q in above) == factorint(abs(x.norm())).get(p, 0)
+
+
+SQUAREFREE_D = [d for d in range(-200, 201) if d != 1 and _is_squarefree(d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SQUAREFREE_D), st.sampled_from(list(primerange(400))))
+@example(17, 2)
+@example(-7, 2)
+@example(5, 2)
+@example(2, 2)
+@example(3, 2)
+@example(-3, 3)
+def test_split_prime_roots_match_sympy_sqrt_mod(d, p):
+    # the roots of w's polynomial x^2 - s x - t mod p; for s = 1 and odd p, 4(x^2 - x - t) = (2x - 1)^2 - d
+    K = make_algebra([d])
+    s, t = K.components[0].omega_poly
+    if s == 0:
+        expected = sympy_sqrt_mod(d, p, all_roots=True)
+    elif p != 2:
+        expected = [(1 + r) * (p + 1) // 2 % p for r in sympy_sqrt_mod(d, p, all_roots=True)]
+    else:
+        expected = [0, 1] if t % 2 == 0 else []  # x^2 - x vanishes on all of F_2
+    above = split_prime(K, p)
+    assert sorted(q.root for q in above if q.root is not None) == sorted(expected)
+    assert len(expected) == {"split": 2, "ramified": 1, "inert": 0}[above[0].kind]
