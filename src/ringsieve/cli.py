@@ -117,7 +117,7 @@ def _parse_matrix(text: str, source, target) -> linmaps.ZLinearMap:
     return linmaps.ZLinearMap(source, target, rows)
 
 
-_CONFIG_SKIP = {"handler", "group", "sub", "selftest", "json"}
+_CONFIG_SKIP = {"handler", "required", "group", "sub", "selftest", "json"}
 
 
 def _echo_config(rep: _Report, args):
@@ -529,29 +529,30 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--digits", type=int, default=12, help="decimal digits for intervals")
     groups = top.add_subparsers(dest="group", required=True)
 
-    def sub(group, name, handler, **kw):
+    def sub(group, name, handler, required=()):
+        """A subcommand; `required` names the flags it cannot run without (--selftest can)."""
         p = group.add_parser(name, allow_abbrev=False)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, required=required)
         p.add_argument("--selftest", action="store_true", help="run the module's built-in examples")
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         p.add_argument("--digits", type=int, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         return p
 
     g = groups.add_parser("sieve").add_subparsers(dest="sub", required=True)
-    p = sub(g, "enumerate", _cmd_sieve_enumerate)
+    p = sub(g, "enumerate", _cmd_sieve_enumerate, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--bound", type=_nonnegative, default=10)
-    p = sub(g, "density", _cmd_sieve_density)
+    p = sub(g, "density", _cmd_sieve_density, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--cutoff", type=_nonnegative, default=10_000)
     p.add_argument("--bound", type=_nonnegative, default=0, help="also report empirical density up to this bound")
-    p = sub(g, "tail", _cmd_sieve_tail)
+    p = sub(g, "tail", _cmd_sieve_tail, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--bound", type=_nonnegative, default=200)
     p.add_argument("--norm-cutoff", type=_nonnegative, default=10)
 
     g = groups.add_parser("lg").add_subparsers(dest="sub", required=True)
-    p = sub(g, "solve", _cmd_lg_solve)
+    p = sub(g, "solve", _cmd_lg_solve, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--cong", action="append", help="p[idx]^k=element, repeatable")
     p.add_argument("--bound", type=int, default=10_000)
@@ -572,10 +573,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", default="Q")
         p.add_argument("--target")
         p.add_argument("--matrix", default="1")
-        p.add_argument("--source-sieve")
-        p.add_argument("--target-sieve")
-        p.add_argument("--k", type=int, default=2)
-        p.add_argument("--l", type=int, default=2)
+        if name in ("check", "scan"):
+            p.add_argument("--source-sieve")
+            p.add_argument("--target-sieve")
+            p.add_argument("--k", type=int, default=2)
+            p.add_argument("--l", type=int, default=2)
         if name == "check":
             p.add_argument("--p", type=int, default=2)
         if name == "scan":
@@ -594,20 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default="0;0", help="per-coordinate class lists joined by ;")
 
     g = groups.add_parser("shift").add_subparsers(dest="sub", required=True)
-    p = sub(g, "admissible", _cmd_shift_admissible)
+    p = sub(g, "admissible", _cmd_shift_admissible, required=("spec", "pattern"))
     p.add_argument("--spec")
     p.add_argument("--pattern")
-    p = sub(g, "apply", _cmd_shift_apply)
+    p = sub(g, "apply", _cmd_shift_apply, required=("code", "pattern"))
     p.add_argument("--code")
     p.add_argument("--pattern")
     p.add_argument("--known", help="lo:hi box where the pattern is authoritative")
-    p = sub(g, "verify", _cmd_shift_verify)
+    p = sub(g, "verify", _cmd_shift_verify, required=("code", "source_sieve"))
     p.add_argument("--code")
     p.add_argument("--source-sieve")
     p.add_argument("--target-sieve")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p = sub(g, "conjugacy", _cmd_shift_conjugacy)
+    p = sub(g, "conjugacy", _cmd_shift_conjugacy, required=("spec", "other"))
     p.add_argument("--spec")
     p.add_argument("--other")
     p.add_argument("--height", type=int, default=8)
@@ -616,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--window", type=int, default=1)
-    p = sub(g, "orbit", _cmd_shift_orbit)
+    p = sub(g, "orbit", _cmd_shift_orbit, required=("pattern", "window_pattern"))
     p.add_argument("--field", default="Q")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--pattern")
@@ -624,10 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=200_000)
 
     g = groups.add_parser("entropy").add_subparsers(dest="sub", required=True)
-    p = sub(g, "product", _cmd_entropy_product)
+    p = sub(g, "product", _cmd_entropy_product, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--cutoff", type=_nonnegative, default=10_000)
-    p = sub(g, "empirical", _cmd_entropy_empirical)
+    p = sub(g, "empirical", _cmd_entropy_empirical, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--box", type=int, default=8)
     p = sub(g, "zeta", _cmd_entropy_zeta)
@@ -651,20 +653,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.selftest:
             code = _run_selftest(args.group, rep)
         else:
-            required = {
-                ("sieve", "enumerate"): ["spec"],
-                ("sieve", "density"): ["spec"],
-                ("sieve", "tail"): ["spec"],
-                ("lg", "solve"): ["spec"],
-                ("shift", "admissible"): ["spec", "pattern"],
-                ("shift", "apply"): ["code", "pattern"],
-                ("shift", "verify"): ["code", "source_sieve"],
-                ("shift", "conjugacy"): ["spec", "other"],
-                ("shift", "orbit"): ["pattern", "window_pattern"],
-                ("entropy", "product"): ["spec"],
-                ("entropy", "empirical"): ["spec"],
-            }
-            for key in required.get((args.group, args.sub), []):
+            for key in args.required:
                 if getattr(args, key) in (None, ""):
                     print(f"error: --{key.replace('_', '-')} is required", file=sys.stderr)
                     return EXIT_USAGE

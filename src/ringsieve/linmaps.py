@@ -255,30 +255,11 @@ def _check_local_condition_kfree(
         [[p**m if i == j else 0 for j in range(n_src)] for i in range(n_src)], n_src
     )
 
-    offsets = []
-    off = 0
-    for spec in a.target.components:
-        offsets.append(off)
-        off += spec.degree
-
     mat = [list(row) for row in a.matrix]
     for q_prime in dst_primes:
         w = ideal_power(q_prime, l).hnf
-        rows = []
-        for j, spec in enumerate(a.target.components):
-            base = offsets[j]
-            if j == q_prime.component:
-                for row in w:
-                    full = [0] * a.target.degree
-                    for jj, v in enumerate(row):
-                        full[base + jj] = v
-                    rows.append(full)
-            else:
-                for jj in range(spec.degree):
-                    full = [0] * a.target.degree
-                    full[base + jj] = 1
-                    rows.append(full)
-        target_lat = hnf_from_rows(rows, a.target.degree)
+        hnfs = [w if j == q_prime.component else None for j in range(len(a.target.components))]
+        target_lat = hnf_from_rows(a.target.lattice_rows(hnfs), a.target.degree)
         pre = preimage_lattice(mat, target_lat)
         if _inside_one(a.source, pre, src_lattices):
             continue

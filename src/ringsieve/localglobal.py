@@ -63,22 +63,23 @@ def _identity_hnf(degree: int) -> Hnf:
 
 
 def _check_constraint_compatible(sieve: SieveSpec, c: CongruenceConstraint) -> None:
-    """The class target + p^k must not be contained in R_p."""
-    ls = local_set(sieve, c.prime)
-    if not ls.classes:
-        return
-    cons_mod = ideal_power(c.prime, c.k)
-    fine_k = max(c.k, ls.modulus.k)
-    fine = ideal_power(c.prime, fine_k)
-    from .lattices import quotient_residues
+    """The class target + p^k must not be contained in R_p, a set of classes mod p^e.
 
+    For k >= e the class lies in the one class of target mod p^e.  For k < e
+    it is the union of Nm(p)^(e-k) classes mod p^e, so it lies in R_p iff
+    that many classes of R_p reduce to target mod p^k.  Either way nothing
+    is enumerated, whatever k and e are.
+    """
+    ls = local_set(sieve, c.prime)
+    cons_mod = ideal_power(c.prime, c.k)
     target = c.canonical_target()
-    for q in quotient_residues(cons_mod.hnf, fine.hnf):
-        rep = fine.reduce_coords(tuple(t + d for t, d in zip(target, q)))
-        coarse = ls.modulus.reduce_coords(rep)
-        if coarse not in ls.classes:
-            return
-    raise InvalidConstraint(f"every class in {target} + {cons_mod} lies inside R at {c.prime}")
+    if c.k >= ls.modulus.k:
+        inside = ls.modulus.reduce_coords(target) in ls.classes
+    else:
+        hits = sum(cons_mod.reduce_coords(r) == target for r in ls.classes)
+        inside = hits * cons_mod.norm == ls.modulus.norm
+    if inside:
+        raise InvalidConstraint(f"every class in {target} + {cons_mod} lies inside R at {c.prime}")
 
 
 def _gate_tail(sieve: SieveSpec) -> None:
@@ -129,22 +130,8 @@ def solve(
         bases.append(y)
         lattices.append(lam)
 
-    # flat generators of the combined lattice
-    gens: list[tuple[int, ...]] = []
-    offsets = []
-    off = 0
-    for spec, lam in zip(algebra.components, lattices):
-        offsets.append(off)
-        for row in lam:
-            g = [0] * algebra.degree
-            for j, v in enumerate(row):
-                g[off + j] = v
-            gens.append(tuple(g))
-        off += spec.degree
-    base_flat = [0] * algebra.degree
-    for i, y in enumerate(bases):
-        for j, v in enumerate(y):
-            base_flat[offsets[i] + j] = v
+    gens = algebra.lattice_rows(lattices)
+    base_flat = algebra.element(bases).flat()
 
     min_step = min(min(row[i] for i, row in enumerate(lam)) for lam in lattices)
     base_height = max(abs(v) for v in base_flat) if base_flat else 0

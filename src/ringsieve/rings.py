@@ -93,12 +93,6 @@ class FieldSpec:
         a, b = u
         return a * a + s * a * b - t * b * b
 
-    def trace(self, u: Coords) -> int:
-        if self.d is None:
-            return u[0]
-        s, _ = self.omega_poly
-        return 2 * u[0] + s * u[1]
-
     def conj(self, u: Coords) -> Coords:
         """Nontrivial automorphism coordinates: w -> s - w."""
         if self.d is None:
@@ -162,15 +156,31 @@ class EtaleAlgebra:
     def one(self) -> "AlgebraicInt":
         return self.from_int(1)
 
+    def embed(self, component: int, coords: Sequence[int]) -> "AlgebraicInt":
+        """The element with these coordinates on one component and 0 on the others."""
+        blocks = [spec.zero() for spec in self.components]
+        blocks[component] = tuple(coords)
+        return AlgebraicInt(self, tuple(blocks))
+
+    def lattice_rows(self, hnfs: Sequence[Hnf | None]) -> list[Coords]:
+        """Flat generator rows of the product of one lattice per component.
+
+        hnfs[i] is a lattice in component i's coordinates, or None for the
+        whole component.  Rows come component by component, each in its
+        lattice's row order.
+        """
+        if len(hnfs) != len(self.components):
+            raise ComponentMismatch("one lattice per component expected")
+        rows = []
+        for i, (spec, hnf) in enumerate(zip(self.components, hnfs)):
+            if hnf is None:
+                hnf = tuple(tuple(int(j == jj) for jj in range(spec.degree)) for j in range(spec.degree))
+            rows.extend(self.embed(i, row).flat() for row in hnf)
+        return rows
+
     def basis(self) -> list["AlgebraicInt"]:
         """The standard Z-basis as elements, in flat coordinate order."""
-        out = []
-        for i, c in enumerate(self.components):
-            for j in range(c.degree):
-                blocks = [spec.zero() for spec in self.components]
-                blocks[i] = tuple(1 if jj == j else 0 for jj in range(c.degree))
-                out.append(AlgebraicInt(self, tuple(blocks)))
-        return out
+        return [self.from_flat(row) for row in self.lattice_rows([None] * len(self.components))]
 
     def box(self, bound: int) -> Iterator["AlgebraicInt"]:
         """All elements with max |coordinate| <= bound, in lex coordinate order."""
@@ -425,6 +435,23 @@ def split_prime(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
     return tuple(out)
 
 
+def prime_ideals(algebra: EtaleAlgebra, upto: int | None = None) -> Iterator[PrimeIdeal]:
+    """The primes above every rational prime p <= upto: ascending p, then split_prime order.
+
+    With upto=None the walk never ends; it reads the prime table in
+    stretches that double in length.
+    """
+    bound = 64 if upto is None else upto
+    start = 0
+    while True:
+        primes = primes_upto(bound)
+        for p in primes[start:]:
+            yield from split_prime(algebra, p)
+        if upto is not None:
+            return
+        start, bound = len(primes), 2 * bound
+
+
 @lru_cache(maxsize=200_000)
 def _hensel_root(spec: FieldSpec, p: int, base_root: int, k: int) -> int:
     """Lift a simple root of the generator's minimal polynomial to mod p^k."""
@@ -509,13 +536,7 @@ def reduce_mod(x: AlgebraicInt, m: Modulus) -> AlgebraicInt:
     """
     if x.algebra != m.prime.algebra:
         raise ComponentMismatch("element of a different algebra")
-    blocks = []
-    for i, spec in enumerate(x.algebra.components):
-        if i == m.component:
-            blocks.append(m.reduce_coords(x.coords[i]))
-        else:
-            blocks.append(spec.zero())
-    return AlgebraicInt(x.algebra, tuple(blocks))
+    return x.algebra.embed(m.component, m.reduce_coords(x.coords[m.component]))
 
 
 def valuation(x: AlgebraicInt, prime: PrimeIdeal, cap: int = 64) -> int:

@@ -27,7 +27,6 @@ from .errors import (
 from .lattices import crt_pair
 from .linmaps import ZLinearMap
 from .localglobal import CongruenceConstraint, solve
-from .primes import is_prime, primes_upto
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -37,6 +36,7 @@ from .rings import (
     algebra_isomorphisms,
     ideal_power,
     parse_element,
+    prime_ideals,
     reduce_mod,
     split_prime,
     units_up_to,
@@ -271,37 +271,29 @@ def interior_points(known: Pattern, window: Pattern) -> list[AlgebraicInt]:
 def apply_block_code(
     code: WindowCode,
     x_set: Pattern,
-    region: Sequence[AlgebraicInt] | None = None,
     known: Pattern | None = None,
     complete: bool = False,
 ) -> Pattern:
     """Evaluate the block code on a finite patch.
 
     `known` declares where the contents of the pattern are authoritative;
-    evaluation happens on `region` (default: the interior of `known` under
-    the window).  With complete=True the pattern is taken as the entire
-    configuration and any region may be evaluated.
+    evaluation happens on the interior of `known` under the window.  With
+    complete=True the pattern is taken as the entire configuration and is
+    evaluated at every window position that meets it.
     """
     if complete:
-        if region is None:
-            # every output must come from a window position meeting the set
-            candidates = set()
-            for e in x_set.elements:
-                for w in code.window.elements:
-                    candidates.add((e - w).flat())
-            region = [code.source.from_flat(f) for f in sorted(candidates)]
+        # every output must come from a window position meeting the set
+        candidates = set()
+        for e in x_set.elements:
+            for w in code.window.elements:
+                candidates.add((e - w).flat())
+        region = [code.source.from_flat(f) for f in sorted(candidates)]
     else:
         if known is None:
             raise PreconditionFailed("apply_block_code needs a known region (or complete=True)")
-        if region is None:
-            region = interior_points(known, code.window)
-            if not region:
-                raise RegionTooSmall("the window does not fit inside the known region")
-        else:
-            keys = {e.flat() for e in known.elements}
-            for x in region:
-                if any((x + w).flat() not in keys for w in code.window.elements):
-                    raise RegionTooSmall(f"window at {x} leaves the known region")
+        region = interior_points(known, code.window)
+        if not region:
+            raise RegionTooSmall("the window does not fit inside the known region")
     xkeys = {e.flat() for e in x_set.elements}
     family = code.pattern_keys()
     out = []
@@ -378,9 +370,7 @@ def random_admissible(
             # first coordinate; steps of the combined modulus keep all the
             # per-prime class choices intact
             step = lam[0][0]
-            flat = list(base) + [0] * (algebra.degree - len(base))
-            flat[0] += (pos // step + 1) * step
-            shift = algebra.from_flat(flat)
+            shift = algebra.embed(0, base) + algebra.from_int((pos // step + 1) * step)
         pieces.append(t.translate(shift))
         pos = max(abs(v) for e in pieces[-1].elements for v in e.flat()) + spread
     out = pieces[0]
@@ -388,7 +378,7 @@ def random_admissible(
         out = out.union(p)
     check = is_admissible(sieve, out)
     if not check.admissible:
-        raise AssertionError("CRT placement produced a non-admissible pattern")
+        raise VerificationFailed(f"CRT placement produced a pattern that is not admissible at {check.violation}")
     return out
 
 
@@ -471,18 +461,20 @@ def translate_between(candidate: LocalSet, base: LocalSet) -> Coords | None:
 
 
 def subset_of_translate(candidate: LocalSet, base: LocalSet) -> Coords | None:
-    """delta with candidate contained in delta + base, or None (exhaustive)."""
+    """The lex-first residue delta with candidate contained in delta + base, or None.
+
+    delta + base contains c0 = candidate.classes[0] only if delta = c0 - b
+    for some b in base, so only those |base| values of delta are tried.
+    """
     if candidate.modulus.hnf != base.modulus.hnf:
         raise PreconditionFailed("local sets live modulo different lattices")
     mod = base.modulus
     cand = set(candidate.classes)
     if not cand:
         return mod.reduce_coords(mod.prime.spec.zero())
-    for delta in mod.residues():
-        shifted = {
-            mod.reduce_coords(tuple(a + d for a, d in zip(c, delta))) for c in base.classes
-        }
-        if cand <= shifted:
+    c0 = candidate.classes[0]
+    for delta in sorted({mod.reduce_coords(tuple(a - b for a, b in zip(c0, c))) for c in base.classes}):
+        if cand <= set(base.translate(delta).classes):
             return delta
     return None
 
@@ -510,19 +502,14 @@ def _prime_image(tau: AlgebraHom, prime: PrimeIdeal) -> PrimeIdeal:
             break
     if target_comp is None:
         raise PreconditionFailed(f"{tau.describe()} maps no target component from component {prime.component}")
-    gens = []
-    mod = ideal_power(prime, 1)
-    for row in mod.hnf:
-        blocks = [spec.zero() for spec in prime.algebra.components]
-        blocks[prime.component] = tuple(row)
-        gens.append(AlgebraicInt(prime.algebra, tuple(blocks)))
+    gens = [prime.algebra.embed(prime.component, row) for row in ideal_power(prime, 1).hnf]
     for q in split_prime(tau.target, prime.p):
         if q.component != target_comp:
             continue
         qmod = ideal_power(q, 1)
         if all(qmod.contains(tau.apply(g)) for g in gens):
             return q
-    raise AssertionError("no image prime found")
+    raise VerificationFailed(f"no prime of component {target_comp} above {prime.p} contains the image of {prime}")
 
 
 def _image_local_set(
@@ -531,9 +518,7 @@ def _image_local_set(
     mod = ideal_power(image_prime, ls.modulus.k)
     out = set()
     for c in ls.classes:
-        blocks = [spec.zero() for spec in tau.source.components]
-        blocks[ls.modulus.component] = c
-        x = AlgebraicInt(tau.source, tuple(blocks))
+        x = tau.source.embed(ls.modulus.component, c)
         out.add(mod.reduce_coords((eps * tau.apply(x)).coords[image_prime.component]))
     return LocalSet(mod, tuple(sorted(out)))
 
@@ -589,23 +574,20 @@ def conjugacy_search(
             for ls in s_sieve.exceptions:
                 # pull back exception primes of S along tau
                 for p in split_prime(K, ls.prime.p):
-                    if _prime_image(tau, p) == ls.prime and all(
-                        q != p for q in primes_to_check
-                    ):
+                    if _prime_image(tau, p) == ls.prime and p not in primes_to_check:
                         primes_to_check.append(p)
             if not pure_kfree:
-                for p in primes_upto(tail_cutoff):
-                    for prime in split_prime(K, p):
-                        if all(q != prime for q in primes_to_check):
-                            primes_to_check.append(prime)
+                for prime in prime_ideals(K, tail_cutoff):
+                    if prime not in primes_to_check:
+                        primes_to_check.append(prime)
             for prime in primes_to_check:
                 img_prime = _prime_image(tau, prime)
                 img = _image_local_set(local_set(r_sieve, prime), tau, eps, img_prime)
                 cand = local_set(s_sieve, img_prime)
                 if cand.modulus.k != img.modulus.k:
                     kk = max(cand.modulus.k, img.modulus.k)
-                    img = _refine_local_set(img, kk)
-                    cand = _refine_local_set(cand, kk)
+                    img = img.refine(kk)
+                    cand = cand.refine(kk)
                 delta = translate_between(cand, img)
                 if delta is None:
                     ok = False
@@ -628,21 +610,6 @@ def conjugacy_search(
     return ConjugacyResult(
         "no_witness_up_to_bound", f"no (tau, eps) with unit height <= {unit_height}"
     )
-
-
-def _refine_local_set(ls: LocalSet, k: int) -> LocalSet:
-    """Re-express the classes modulo prime^k for a larger k."""
-    from .lattices import quotient_residues
-
-    if ls.modulus.k == k:
-        return ls
-    fine = ideal_power(ls.prime, k)
-    reps = list(quotient_residues(ls.modulus.hnf, fine.hnf))
-    out = set()
-    for c in ls.classes:
-        for q in reps:
-            out.add(fine.reduce_coords(tuple(a + b for a, b in zip(c, q))))
-    return LocalSet(fine, tuple(sorted(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -708,15 +675,13 @@ def symmetry_scan(
     if sieve.tail.kind == "classes":
         k = sieve.tail.exponent
         check_primes.extend(_tail_primes(sieve, (2 * radius + 1) * len(sieve.tail.labels)))
-        p = 2
-        while True:
-            prime = split_prime(algebra, p)[0]
-            if prime.norm**k > 2 * radius + 1 and sieve.exception_at(prime) is None:
-                check_primes.append(prime)
-                break
-            p += 1
-            while not is_prime(p):
-                p += 1
+        check_primes.append(
+            next(
+                q
+                for q in prime_ideals(algebra)
+                if q.norm**k > 2 * radius + 1 and sieve.exception_at(q) is None
+            )
+        )
 
     survivors: list[SymmetryCandidate] = []
     n_checked = 0
@@ -807,19 +772,11 @@ def orbit_approximation(
     constraints = []
     used: list[PrimeIdeal] = []
     for y in excluded:
-        found = None
-        p = 2
-        while found is None:
-            if is_prime(p):
-                for prime in split_prime(algebra, p):
-                    if any(q == prime for q in used):
-                        continue
-                    mod = ideal_power(prime, k)
-                    if any(mod.contains(y - x) for x in x_in_window.elements):
-                        continue
-                    found = prime
-                    break
-            p += 1
+        found = next(
+            q
+            for q in prime_ideals(algebra)
+            if q not in used and not any(ideal_power(q, k).contains(y - x) for x in x_in_window.elements)
+        )
         used.append(found)
         constraints.append(
             CongruenceConstraint(found, k, reduce_mod(-y, ideal_power(found, k)))
@@ -833,7 +790,7 @@ def orbit_approximation(
         want = m in x_in_window
         got = membership(sieve, m + delta).member
         if want != got:
-            raise AssertionError("orbit witness failed re-verification")
+            raise VerificationFailed(f"orbit witness {delta} fails re-verification at window point {m}")
     return delta
 
 

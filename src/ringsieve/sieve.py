@@ -26,8 +26,8 @@ from .errors import (
     VerificationFailed,
 )
 from .intervals import RationalInterval, _round_down, _round_up, directed_product
-from .lattices import coset_points, grid_columns, grid_hnf, grid_point, row_bands
-from .primes import is_prime, primes_upto
+from .lattices import coset_points, grid_columns, grid_hnf, grid_point, quotient_residues, row_bands
+from .primes import primes_upto
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -40,6 +40,7 @@ from .rings import (
     ideal_power,
     norms_upto,
     parse_algebra,
+    prime_ideals,
     split_prime,
 )
 
@@ -146,6 +147,18 @@ class LocalSet:
             )
         )
         return LocalSet(self.modulus, cls)
+
+    def refine(self, k: int) -> "LocalSet":
+        """The same set as classes modulo prime^k, for k >= the current exponent."""
+        if self.modulus.k == k:
+            return self
+        fine = ideal_power(self.prime, k)
+        reps = list(quotient_residues(self.modulus.hnf, fine.hnf))
+        out = set()
+        for c in self.classes:
+            for q in reps:
+                out.add(fine.reduce_coords(tuple(a + b for a, b in zip(c, q))))
+        return LocalSet(fine, tuple(sorted(out)))
 
 
 def _prime_key(p: PrimeIdeal) -> tuple:
@@ -277,21 +290,10 @@ _MAX_PRIME_BOUND = 10**7
 def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
     """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending."""
     k = sieve.tail.exponent
-    for p in primes_upto(_iroot(max_norm, k)):
-        for prime in split_prime(sieve.algebra, p):
-            if prime.norm**k <= max_norm and component in (None, prime.component):
-                if sieve.exception_at(prime) is None:
-                    yield prime
-
-
-def _first_tail_prime(sieve: SieveSpec, component: int) -> PrimeIdeal:
-    return next(
-        prime
-        for p in itertools.count(2)
-        if is_prime(p)
-        for prime in split_prime(sieve.algebra, p)
-        if prime.component == component and sieve.exception_at(prime) is None
-    )
+    for prime in prime_ideals(sieve.algebra, _iroot(max_norm, k)):
+        if prime.norm**k <= max_norm and component in (None, prime.component):
+            if sieve.exception_at(prime) is None:
+                yield prime
 
 
 def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
@@ -321,7 +323,9 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
             diff = tuple(a - b for a, b in zip(x.coords[i], el.coords[i]))
             nm = abs(spec.norm(diff))
             if nm == 0:
-                prime = _first_tail_prime(sieve, i)
+                prime = next(
+                    q for q in prime_ideals(sieve.algebra) if q.component == i and sieve.exception_at(q) is None
+                )
                 ls = _tail_local_set(sieve, prime)
                 hit = ls.hits(x)
                 if hit is None:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import ringsieve
-from ringsieve import localglobal
+from ringsieve import localglobal, shiftspace
 from ringsieve.cli import main
 
 
@@ -244,6 +244,58 @@ def test_surjectivity_verification_failure_exit_4(monkeypatch):
     monkeypatch.setattr(localglobal, "membership", lambda sieve, y: SimpleNamespace(member=False))
     code, out = run(["lg", "surjectivity", "--field", "Q(sqrt 13)", "--k", "2", "--p", "3"])
     assert code == 4 and "VerificationFailed" in out
+
+
+def test_orbit_verification_failure_exit_4(monkeypatch, tmp_path):
+    # a rejected orbit witness raises VerificationFailed (not AssertionError), which maps to exit 4
+    monkeypatch.setattr(shiftspace, "membership", lambda sieve, y: SimpleNamespace(member=False))
+    pat = tmp_path / "p.pat"
+    pat.write_text("1,2\n")
+    win = tmp_path / "w.pat"
+    win.write_text("0,1,2\n")
+    code, out = run(["shift", "orbit", "--pattern", str(pat), "--window-pattern", str(win)])
+    assert code == 4 and "VerificationFailed" in out
+
+
+# every command that needs input files, with the flags it cannot run without
+REQUIRED_FLAGS = [
+    ("sieve", "enumerate", ["spec"]),
+    ("sieve", "density", ["spec"]),
+    ("sieve", "tail", ["spec"]),
+    ("lg", "solve", ["spec"]),
+    ("shift", "admissible", ["spec", "pattern"]),
+    ("shift", "apply", ["code", "pattern"]),
+    ("shift", "verify", ["code", "source-sieve"]),
+    ("shift", "conjugacy", ["spec", "other"]),
+    ("shift", "orbit", ["pattern", "window-pattern"]),
+    ("entropy", "product", ["spec"]),
+    ("entropy", "empirical", ["spec"]),
+]
+
+
+@pytest.mark.parametrize("group,sub,flags", REQUIRED_FLAGS)
+def test_required_flags_are_usage_errors(group, sub, flags, capsys):
+    for missing in flags:
+        given = [arg for flag in flags if flag != missing for arg in (f"--{flag}", "/nonexistent/x")]
+        code, _ = run([group, sub, *given])
+        assert code == 2 and capsys.readouterr().err == f"error: --{missing} is required\n"
+    code, out = run([group, sub, "--selftest"])
+    assert code == 0 and "selftest_result: pass" in out
+
+
+@pytest.mark.parametrize(
+    "sub,config",
+    [("decompose", "digits=12 matrix=1 source=Q"), ("units", "digits=12 height=10 matrix=1 source=Q")],
+    ids=["decompose", "units"],
+)
+@pytest.mark.parametrize("flag", ["--source-sieve", "--target-sieve", "--k", "--l"])
+def test_linmap_sieve_flags_only_where_read(sub, config, flag):
+    # decompose and units read no sieve, so they take no sieve flags
+    with pytest.raises(SystemExit) as e:
+        run(["linmap", sub, flag, "2"])
+    assert e.value.code == 2
+    code, out = run(["linmap", sub])
+    assert code == 0 and f"config: {config}\n" in out
 
 
 SELFTESTS = [

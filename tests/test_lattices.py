@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -130,3 +131,58 @@ def test_coset_points_match_lat_contains(h, c, a0, b0, shape, chunk):
     mask[idx] = True
     brute = [lat_contains((a0 + i - c[0], b0 + j - c[1]), h) for i in range(H) for j in range(W)]
     assert mask.tolist() == brute
+
+
+
+@st.composite
+def small_lattices(draw, n, max_det):
+    """HNFs ((A,),) or ((A, 0), (B, C)) of dimension n with A * C <= max_det."""
+    if n == 1:
+        return ((draw(st.integers(1, max_det)),),)
+    a = draw(st.integers(1, max_det))
+    return ((a, 0), (draw(st.integers(0, a - 1)), draw(st.integers(1, max_det // a))))
+
+
+def member(v, h):
+    """v = i * (A, 0) + j * (B, C) for integers i, j (or v = i * A in dimension 1)."""
+    if len(h) == 1:
+        return v[0] % h[0][0] == 0
+    (A, _), (B, C) = h
+    return v[1] % C == 0 and (v[0] - v[1] // C * B) % A == 0
+
+
+def residue_box(h):
+    """The box [0, A) x [0, C) that lat_reduce maps into."""
+    return list(itertools.product(*(range(row[i]) for i, row in enumerate(h))))
+
+
+def diff(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2]))
+def test_lat_reduce_matches_box_search(data, n):
+    h = data.draw(small_lattices(n, 60))
+    v = tuple(data.draw(st.integers(-10**6, 10**6)) for _ in range(n))
+    (found,) = [r for r in residue_box(h) if member(diff(v, r), h)]
+    assert lat_reduce(v, h) == found
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2]))
+def test_crt_pair_matches_box_search(data, n):
+    # M = det(h1) * det(h2) kills both quotients, so the common points repeat mod M
+    h1, h2 = data.draw(small_lattices(n, 12)), data.draw(small_lattices(n, 12))
+    x1, x2 = (tuple(data.draw(st.integers(-50, 50)) for _ in range(n)) for _ in "12")
+    M = math.prod(row[i] for i, row in enumerate(h1)) * math.prod(row[i] for i, row in enumerate(h2))
+    grid = list(itertools.product(range(M), repeat=n))
+    common = {z for z in grid if member(diff(z, x1), h1) and member(diff(z, x2), h2)}
+    res = crt_pair(x1, h1, x2, h2)
+    if not common:
+        assert res is None
+        return
+    y, inter = res
+    assert y in residue_box(inter) and member(diff(y, x1), h1) and member(diff(y, x2), h2)
+    # inter is h1 n h2: z - y lies in it exactly for the common points z
+    assert all((z in common) == member(diff(z, y), inter) for z in grid)

@@ -1,3 +1,6 @@
+import itertools
+import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -16,7 +19,7 @@ from ringsieve.localglobal import (
     check_local_surjectivity,
     solve,
 )
-from ringsieve.sieve import TailRule, build_sieve, kfree_sieve, membership
+from ringsieve.sieve import LocalSet, TailRule, build_sieve, kfree_sieve, local_set, membership
 
 
 def q_prime(p):
@@ -198,3 +201,66 @@ def test_surjectivity_wrong_class_witness_raises(monkeypatch):
     for algebra, p in ((QQ, 5), (make_algebra([13]), 3)):
         with pytest.raises(VerificationFailed, match="not congruent"):
             check_local_surjectivity(algebra, 2, p)
+
+
+def quotient_walk_compatible(sieve, c):
+    """The check _check_constraint_compatible replaced: walk target + p^k mod p^max(k, e)."""
+    ls = local_set(sieve, c.prime)
+    if not ls.classes:
+        return True
+    cons_mod = ideal_power(c.prime, c.k)
+    fine = ideal_power(c.prime, max(c.k, ls.modulus.k))
+    target = c.canonical_target()
+    for q in lattices.quotient_residues(cons_mod.hnf, fine.hnf):
+        rep = fine.reduce_coords(tuple(t + d for t, d in zip(target, q)))
+        if ls.modulus.reduce_coords(rep) not in ls.classes:
+            return True
+    return False
+
+
+def test_constraint_check_matches_quotient_walk():
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for spec in ([None], [2], [-1], [5], [13]):
+        K = make_algebra(spec)
+        for p in (2, 3):
+            for prime in split_prime(K, p):
+                for e in (1, 2, 3):
+                    if prime.norm**e > 125:
+                        continue
+                    mod = ideal_power(prime, e)
+                    residues = list(mod.residues())
+                    coarse = ideal_power(prime, 1)
+                    # R_p: random classes, and a union of the classes mod p^e above random classes mod p
+                    picks = rng.sample(list(coarse.residues()), rng.randrange(1, coarse.norm + 1))
+                    union = sorted({r for r in residues if coarse.reduce_coords(r) in picks})
+                    sieves = [
+                        kfree_sieve(K, e),
+                        build_sieve(K, TailRule.shifted_kfree(e, [0, 2, 3])),
+                        build_sieve(K, TailRule.kfree(e), [LocalSet(mod, tuple(sorted(rng.sample(residues, min(3, len(residues))))))]),
+                        build_sieve(K, TailRule.kfree(e), [LocalSet(mod, tuple(union))]),
+                    ]
+                    for sieve in sieves:
+                        for k in (1, 2, 3, 4):
+                            cons_mod = ideal_power(prime, k)
+                            targets = list(itertools.islice(cons_mod.residues(), 40))
+                            for t in targets:
+                                c = CongruenceConstraint(prime, k, K.embed(prime.component, t))
+                                ok = quotient_walk_compatible(sieve, c)
+                                outcomes[ok] += 1
+                                if ok:
+                                    localglobal._check_constraint_compatible(sieve, c)
+                                else:
+                                    with pytest.raises(InvalidConstraint):
+                                        localglobal._check_constraint_compatible(sieve, c)
+    assert min(outcomes.values()) > 100
+
+
+def test_constraint_check_enumerates_nothing():
+    # a class mod 2^40 against R_2 mod 4, and a class mod 2 against R_2 mod 2^40, each in one step
+    t0 = time.perf_counter()
+    localglobal._check_constraint_compatible(kfree_sieve(QQ, 2), con(q_prime(2), 40, 3))
+    with pytest.raises(InvalidConstraint):
+        localglobal._check_constraint_compatible(kfree_sieve(QQ, 2), con(q_prime(2), 40, 2**39))
+    localglobal._check_constraint_compatible(kfree_sieve(QQ, 40), con(q_prime(2), 1, 0))
+    assert time.perf_counter() - t0 < 0.5

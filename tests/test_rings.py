@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -26,7 +27,7 @@ from ringsieve import (
 )
 from ringsieve import primes, rings
 from ringsieve.entropy import zeta_K
-from ringsieve.errors import InvalidDiscriminant, PreconditionFailed
+from ringsieve.errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed
 from ringsieve.primes import is_prime, primes_upto
 from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, valuation
 from ringsieve.sieve import LocalSet, TailRule, build_sieve, density_interval, kfree_sieve
@@ -469,3 +470,40 @@ def test_split_prime_roots_match_sympy_sqrt_mod(d, p):
     above = split_prime(K, p)
     assert sorted(q.root for q in above if q.root is not None) == sorted(expected)
     assert len(expected) == {"split": 2, "ramified": 1, "inert": 0}[above[0].kind]
+
+
+# ---------------------------------------------------------------------------
+# the prime-ideal walk and the component embedding
+
+
+def old_prime_walk(K, upto):
+    """The walk prime_ideals replaced: split_prime over primes_upto."""
+    return [q for p in primes_upto(upto) for q in split_prime(K, p)]
+
+
+PRIME_WALK_ALGEBRAS = [[None], [2], [-1], [5], [-3], [13], [-7], [17], [None, 2]]
+
+
+@pytest.mark.parametrize("spec", PRIME_WALK_ALGEBRAS, ids=str)
+def test_prime_ideals_match_split_prime_walk(spec):
+    K = make_algebra(spec)
+    for upto in (0, 1, 2, 3, 4, 63, 64, 65, 127, 128, 129, 500):
+        assert list(rings.prime_ideals(K, upto)) == old_prime_walk(K, upto)
+    # unbounded: 400 steps reach past p = 256, so the walk grows through two stretches
+    walk = list(itertools.islice(rings.prime_ideals(K), 400))
+    assert walk[-1].p > 256
+    assert walk == old_prime_walk(K, walk[-1].p)[:400]
+
+
+def test_embed_and_lattice_rows_on_a_product():
+    K = make_algebra([None, 2])
+    assert K.embed(1, (3, -1)) == K.element([[0], [3, -1]])
+    assert K.embed(0, (5,)) == K.element([[5], [0, 0]])
+    assert [b.flat() for b in K.basis()] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    q = split_prime(K, 2)[1]  # the ramified prime of Q(sqrt 2)
+    h = ideal_power(q, 3).hnf
+    assert K.lattice_rows([None, h]) == [(1, 0, 0), (0, *h[0]), (0, *h[1])]
+    assert K.lattice_rows([((7,),), None]) == [(7, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert K.lattice_rows([((7,),), h]) == [(7, 0, 0), (0, *h[0]), (0, *h[1])]
+    with pytest.raises(ComponentMismatch):
+        K.lattice_rows([None])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ringsieve import QQ, make_algebra, split_prime
+from ringsieve import QQ, ideal_power, make_algebra, split_prime
 from ringsieve.linmaps import ZLinearMap
 from ringsieve.presets import (
     NEIGHBOR_FLIP_EXPECTED,
@@ -389,3 +389,52 @@ def test_pattern_and_code_files(k2):
     rt = parse_code_file(format_code(code))
     assert rt.window == code.window and rt.patterns == code.patterns
     assert rt.linmap.matrix == code.linmap.matrix
+
+
+def exhaustive_subset_of_translate(candidate, base):
+    """The walk subset_of_translate replaced: every residue delta in lex order."""
+    mod = base.modulus
+    if not candidate.classes:
+        return mod.reduce_coords(mod.prime.spec.zero())
+    for delta in mod.residues():
+        if set(candidate.classes) <= set(base.translate(delta).classes):
+            return delta
+    return None
+
+
+def test_subset_of_translate_matches_exhaustive_walk():
+    rng = random.Random(2024)
+    moduli = [
+        ideal_power(q, k)
+        for spec in ([None], [2], [-1], [5], [-3], [13])
+        for p in (2, 3, 5)
+        for q in split_prime(make_algebra(spec), p)
+        for k in (1, 2, 3)
+        if q.norm**k <= 125
+    ]
+    found = 0
+    for _ in range(2500):
+        mod = rng.choice(moduli)
+        residues = list(mod.residues())
+        base = LocalSet(mod, tuple(sorted(rng.sample(residues, rng.randrange(0, min(len(residues), 6) + 1)))))
+        if base.classes and rng.random() < 0.5:  # a subset of a translate of base
+            shifted = base.translate(rng.choice(residues)).classes
+            cand = rng.sample(shifted, rng.randrange(0, len(shifted) + 1))
+        else:
+            cand = rng.sample(residues, rng.randrange(0, min(len(residues), 3) + 1))
+        candidate = LocalSet(mod, tuple(sorted(cand)))
+        delta = subset_of_translate(candidate, base)
+        assert delta == exhaustive_subset_of_translate(candidate, base)
+        found += delta is not None
+    assert 1000 < found < 2400
+
+
+def test_random_admissible_rejection_is_a_verification_failure(monkeypatch, squarefree_q):
+    from ringsieve import shiftspace
+    from ringsieve.errors import VerificationFailed
+
+    monkeypatch.setattr(
+        shiftspace, "is_admissible", lambda sieve, pat: shiftspace.AdmissibilityResult(False, violation=q_prime(2))
+    )
+    with pytest.raises(VerificationFailed, match="not admissible at"):
+        random_admissible(squarefree_q, random.Random(0), [int_pattern([0, 1])], copies=2)

@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import factorint, integer_nthroot, legendre_symbol, primerange
+from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from ringsieve import QQ, lattices, make_algebra, reduce_mod, split_prime, ideal_power
 from ringsieve.errors import BudgetExceeded, ClassOutOfRange, PreconditionFailed, TailNotBoundable
@@ -351,3 +355,91 @@ def test_sieve_file_roundtrip(k2):
     text = "algebra Q\ntail classes 0,1\nexception 2 1 : -\nexception 3 1 : -\n"
     sv2 = parse_sieve_file(text)
     assert sv2.non_large and len(sv2.exceptions) == 2
+
+
+# ---------------------------------------------------------------------------
+# membership against sympy factorizations
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.integers(-10**6, 10**6),
+    scale=st.sampled_from([1, 4, 8, 9, 27, 25, 49, 16 * 9, 121 * 8]),
+    k=st.sampled_from([2, 3]),
+    labels=st.lists(st.integers(-30, 30), min_size=1, max_size=3, unique=True),
+)
+@example(x=0, scale=1, k=2, labels=[0])
+@example(x=7, scale=1, k=2, labels=[7, -2])
+def test_rational_membership_matches_factorint(x, scale, k, labels):
+    # x - c is caught at p iff p^k divides it; the verdict names the least such p over the labels,
+    # and an accepted x has checked every p with p^k <= max |x - c|
+    x *= scale
+    sieve = kfree_sieve(QQ, k) if labels == [0] else build_sieve(QQ, TailRule.shifted_kfree(k, labels))
+    v = membership(sieve, QQ.from_int(x))
+    if x in labels:
+        assert (v.member, v.prime.p, v.class_rep) == (False, 2, (x % 2**k,))
+        return
+    bad = [p for c in labels for p, e in factorint(x - c).items() if e >= k]
+    if bad:
+        p = min(bad)
+        assert (v.member, v.prime.p, v.class_rep) == (False, p, (x % p**k,))
+    else:
+        top = integer_nthroot(max(abs(x - c) for c in labels), k)[0]
+        assert v.member and [q.p for q in v.checked] == list(primerange(2, top + 1))
+
+
+QUADRATIC_ORACLE_FIELDS = [2, 3, 5, 6, -1, -2, -3, -5, -7, 13, 17, -15, 33]
+
+
+def roots_mod_prime_power(d, p, k):
+    """The roots of w's polynomial mod p^k at a split p, via sympy's sqrt_mod.
+
+    x^2 - d for d = 2, 3 mod 4; for d = 1 mod 4, x^2 - x - (d - 1)/4, where
+    4(x^2 - x - t) = (2x - 1)^2 - d, so x = (y + 1)/2 for y^2 = d mod 4p^k.
+    """
+    if d % 4 != 1:
+        return set(sympy_sqrt_mod(d, p**k, all_roots=True))
+    return {(y + 1) // 2 % p**k for y in sympy_sqrt_mod(d, 4 * p**k, all_roots=True)}
+
+
+def kfree_violation(d, k, a, b):
+    """(p, kind, root mod p or None) of the first q^k containing a + b*w, or None."""
+    disc = d if d % 4 == 1 else 4 * d
+    nm = make_algebra([d]).element([(a, b)]).norm()
+    for p, e in sorted(factorint(abs(nm)).items()):
+        if disc % p == 0:
+            if e >= k:  # ramified: v_q(x) = v_p(N(x))
+                return p, "ramified", None
+        elif (d % 8 == 1) if p == 2 else legendre_symbol(d % p, p) == 1:
+            hit = sorted(r % p for r in roots_mod_prime_power(d, p, k) if (a + b * r) % p**k == 0)
+            if hit:
+                return p, "split", hit[0]
+        elif e >= 2 * k:  # inert: v_q(x) = v_p(N(x)) / 2
+            return p, "inert", None
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from(QUADRATIC_ORACLE_FIELDS),
+    k=st.sampled_from([2, 3]),
+    y=st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+    z=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    j=st.integers(0, 4),
+)
+def test_quadratic_membership_matches_norm_factorization(d, k, y, z, j):
+    # x = y * z^j, so small-norm z give repeated prime factors at split, inert and ramified p
+    K = make_algebra([d])
+    x = K.element([y])
+    for _ in range(j):
+        x = x * K.element([z])
+    v = membership(kfree_sieve(K, k), x)
+    if x.is_zero():
+        assert not v.member and v.prime == split_prime(K, 2)[0]
+        return
+    expected = kfree_violation(d, k, *x.coords[0])
+    if expected is None:
+        assert v.member
+    else:
+        assert not v.member and v.class_rep == (0, 0)
+        assert (v.prime.p, v.prime.kind, v.prime.root if v.prime.kind == "split" else None) == expected
