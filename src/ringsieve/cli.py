@@ -451,10 +451,13 @@ def _selftest_linmap(rep):
     shear = linmaps.ZLinearMap(K2, K2, ((1, 1), (0, 1)))
     ident = linmaps.ZLinearMap.identity(QQ)
     sq = sieve_mod.kfree_sieve(QQ, 2)
+    L = make_algebra([None, 2])
+    sqL = sieve_mod.kfree_sieve(L, 2)
     checks = [
         ("det unit", linmaps.induced_mod(shear, 7, 1).bijective),
         ("det zero", not linmaps.induced_mod(linmaps.ZLinearMap(K2, K2, ((2, 0), (0, 1))), 2, 1).bijective),
         ("identity local", linmaps.check_local_condition(ident, sq, sq, 5).ok),
+        ("degree-3 identity scan", linmaps.scan_primes(linmaps.ZLinearMap.identity(L), sqL, sqL, 20) is None),
         ("identity decompose", linmaps.decompose_monomial(linmaps.ZLinearMap.identity(K2)).epsilon == K2.one),
         ("units of F3", [m[0][0] for m in linmaps.preserver_scan(3, 1, 1).matrices()] == [1, 2]),
         ("cover trivial", linmaps.cover_witness(5, 1, (1, 1), (0, 0), [(0,), (0,)]) == 1),

@@ -1,12 +1,15 @@
 """Integer lattice plumbing: row-style Hermite normal forms and congruence solving.
 
-A lattice in Z^n (n = 1 or 2 throughout the package) is stored as a tuple of
-generator rows in lower-triangular Hermite normal form:
+A full-rank lattice in Z^n, for any n, is stored as a tuple of n generator
+rows in lower-triangular Hermite normal form: row i is zero past column i,
+h[i][i] > 0, and 0 <= h[i][j] < h[j][j] for j < i.  So
 
     ((A,),)             for n = 1, A > 0
     ((A, 0), (B, C))    for n = 2, A > 0, C > 0, 0 <= B < A
 
-Rows generate the lattice over Z.  The determinant A*C is the index in Z^n.
+Rows generate the lattice over Z.  The product of the diagonal is the index
+in Z^n.  A field component has n <= 2; a product algebra's flat coordinates
+(`EtaleAlgebra.lattice_rows`, `preimage_lattice`) have n = its degree.
 
 `coset_points` is the package's one box-marking primitive: sieve box counts,
 tail counts and the local-global strip sieve mark cosets c + L in H x W boxes
@@ -18,7 +21,9 @@ points and boxes).  The marker's index temporaries come in bounded chunks.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import gcd, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,59 +35,71 @@ Vec = tuple[int, ...]
 def hnf_from_rows(rows: Sequence[Sequence[int]], n: int) -> Hnf:
     """Lower-triangular HNF of the lattice spanned by integer rows in Z^n.
 
-    Requires the span to have full rank n (always true for ideal lattices).
+    Clears the coordinates from the last to the first: the rows with a nonzero
+    coordinate c are gcd-combined (Euclid on that coordinate) into one pivot
+    row, which becomes row c, and the others go on with coordinate c zero.
+    Then each row's entries left of its pivot are reduced by the rows above
+    (Cohen, GTM 138, section 2.4.2).  Requires the span to have full rank n
+    (always true for ideal lattices).
     """
-    work = [list(r) for r in rows if any(r)]
-    if n == 1:
-        a = 0
+    work = [tuple(r) for r in rows if any(r)]
+    h: list[Vec] = [()] * n
+    for c in range(n - 1, 0, -1):
+        pivot = None
+        rest = []
         for r in work:
-            a = gcd(a, r[0])
-        if a == 0:
-            raise ValueError("rank-deficient lattice")
-        return ((abs(a),),)
-    if n != 2:
-        raise ValueError("only n in {1, 2} supported")
-    # Clear the second coordinate down to a single pivot row.
-    pivot = None
-    firsts = []
-    for r in work:
-        a, b = r
-        if b == 0:
-            firsts.append(a)
-            continue
+            if r[c]:
+                if pivot is None:
+                    pivot = r
+                    continue
+                while r[c]:
+                    q = pivot[c] // r[c]
+                    pivot, r = r, tuple([x - q * y for x, y in zip(pivot, r)])
+            rest.append(r)
         if pivot is None:
-            pivot = [a, b]
-            continue
-        # Combine pivot and r so one of them has second coordinate 0.
-        pa, pb = pivot
-        while b != 0:
-            q = pb // b
-            pa, pb, a, b = a, b, pa - q * a, pb - q * b
-        firsts.append(a)
-        pivot = [pa, pb]
-    if pivot is None:
+            raise ValueError("rank-deficient lattice")
+        h[c] = pivot if pivot[c] > 0 else tuple([-x for x in pivot])
+        work = rest
+    # what is left lies on the first axis
+    a = gcd(*[r[0] for r in work])
+    if not a:
         raise ValueError("rank-deficient lattice")
-    if pivot[1] < 0:
-        pivot = [-pivot[0], -pivot[1]]
-    A = 0
-    for a in firsts:
-        A = gcd(A, a)
-    if A == 0:
-        raise ValueError("rank-deficient lattice")
-    A = abs(A)
-    B, C = pivot
-    return ((A, 0), (B % A, C))
+    h[0] = (a,) + (0,) * (n - 1)
+    for i in range(1, n):
+        row = h[i]
+        for j in range(i - 1, -1, -1):
+            q = row[j] // h[j][j]
+            if q:
+                row = tuple([x - q * y for x, y in zip(row, h[j])])
+        h[i] = row
+    return tuple(h)
+
+
+@cache
+def identity_hnf(n: int) -> Hnf:
+    """Z^n itself."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def lat_reduce(coords: Sequence[int], h: Hnf) -> Vec:
     """Canonical representative of coords modulo the lattice (HNF box)."""
+    # Closed forms for ranks 1 and 2, which certify-stream calls about 150k times a pass:
+    # the generic loop below is about 3x slower per call there (0.5 vs 1.6 us).
     if len(h) == 1:
         return (coords[0] % h[0][0],)
-    (A, _), (B, C) = h
-    a, b = coords
-    r = b % C
-    a -= ((b - r) // C) * B
-    return (a % A, r)
+    if len(h) == 2:
+        (A, _), (B, C) = h
+        a, b = coords
+        r = b % C
+        a -= ((b - r) // C) * B
+        return (a % A, r)
+    v = list(coords)
+    for i in range(len(h) - 1, -1, -1):
+        q = v[i] // h[i][i]
+        if q:
+            for j in range(i + 1):
+                v[j] -= q * h[i][j]
+    return tuple(v)
 
 
 def lat_contains(coords: Sequence[int], h: Hnf) -> bool:
@@ -105,15 +122,7 @@ def lat_mul(h1: Hnf, h2: Hnf, mul) -> Hnf:
 
 def residues(h: Hnf) -> Iterator[Vec]:
     """All canonical representatives modulo the lattice, in lex order."""
-    if len(h) == 1:
-        for a in range(h[0][0]):
-            yield (a,)
-        return
-    A = h[0][0]
-    C = h[1][1]
-    for a in range(A):
-        for b in range(C):
-            yield (a, b)
+    return itertools.product(*(range(row[i]) for i, row in enumerate(h)))
 
 
 class QuotientResidues:
@@ -124,27 +133,21 @@ class QuotientResidues:
     """
 
     def __init__(self, h_coarse: Hnf, h_fine: Hnf):
+        if not all(lat_contains(row, h_coarse) for row in h_fine):
+            raise ValueError("not a sublattice")
         self.coarse = h_coarse
         self.fine = h_fine
-        self.counts = []
-        for i, (c, f) in enumerate(zip(h_coarse, h_fine)):
-            if f[i] % c[i]:
-                raise ValueError("not a sublattice")
-            self.counts.append(f[i] // c[i])
+        # A sublattice's pivots are multiples of the coarse pivots.
+        self.counts = [f[i] // c[i] for i, (c, f) in enumerate(zip(h_coarse, h_fine))]
 
     def __len__(self) -> int:
         return prod(self.counts)
 
     def __iter__(self) -> Iterator[Vec]:
-        if len(self.coarse) == 1:
-            step = self.coarse[0][0]
-            for i in range(self.counts[0]):
-                yield (i * step,)
-            return
-        (A, _), (B, C) = self.coarse
-        for i in range(self.counts[0]):
-            for j in range(self.counts[1]):
-                yield lat_reduce((i * A + j * B, j * C), self.fine)
+        """t . coarse reduced into the fine box, for t in the product of range(counts)."""
+        cols = tuple(zip(*self.coarse))
+        for t in itertools.product(*map(range, self.counts)):
+            yield lat_reduce([sum(map(mul, t, col)) for col in cols], self.fine)
 
 
 def quotient_residues(h_coarse: Hnf, h_fine: Hnf) -> QuotientResidues:
@@ -349,16 +352,26 @@ def _layer_values(h: int) -> list[int]:
     return vals
 
 
+def _layer(rank: int, h: int, vals: list[int]) -> Iterator[Vec]:
+    """The tuples over vals with some |t_i| = h, in itertools.product order."""
+    for v in vals:
+        if abs(v) == h:
+            yield from ((v, *t) for t in itertools.product(vals, repeat=rank - 1))
+        elif rank > 1:
+            yield from ((v, *t) for t in _layer(rank - 1, h, vals))
+
+
 def gen_multipliers(rank: int) -> Iterator[Vec]:
     """Multiplier tuples in deterministic radial order.
 
     Layer h contains the tuples with max |t_i| = h; within a layer, tuples are
-    ordered coordinatewise by 0 < 1 < -1 < 2 < -2 < ...
+    ordered coordinatewise by 0 < 1 < -1 < 2 < -2 < ...  Rank 0 has the one
+    tuple ().
     """
+    if rank == 0:
+        yield ()
+        return
     h = 0
     while True:
-        vals = _layer_values(h)
-        for t in itertools.product(vals, repeat=rank):
-            if max((abs(v) for v in t), default=0) == h:
-                yield t
+        yield from _layer(rank, h, _layer_values(h))
         h += 1

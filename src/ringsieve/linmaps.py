@@ -13,11 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceeded, NoWitness, PreconditionFailed
+from .errors import BudgetExceeded, NoWitness, PreconditionFailed, VerificationFailed
 from .lattices import (
     Hnf,
     hnf_from_rows,
+    identity_hnf,
     lat_contains,
+    lat_scale,
     preimage_lattice,
     quotient_residues,
 )
@@ -234,14 +236,17 @@ def _check_local_condition_kfree(
 
     The condition holds iff for every target prime q | p the preimage
     P = A^{-1}(q^l), a lattice containing p^m O_K, lies inside the union of
-    the source lattices p_i^k.  The source has degree <= 2 (`scan_primes`
-    only routes such maps here), so at most two p_i lie above p, and a group
-    is never the union of two proper subgroups: P lies in the union iff it
-    lies in one p_i^k, iff all HNF generators of P lie in that one p_i^k.
+    the source lattices p_i^k.  P / p^m O_K is a finite p-group, and a finite
+    p-group is never the union of p or fewer proper subgroups (Cohn, "On
+    n-sum groups", Math. Scand. 75, 1994).  `scan_primes` routes a map here
+    only when at most p primes p_i lie above p, so P lies in the union iff
+    it lies in one p_i^k, iff all HNF generators of P lie in that one p_i^k.
     That containment test settles a passing q.  Otherwise the residues of
     P mod p^m are walked lazily in `quotient_residues` order, and the first
     one outside every p_i^k is reported; at most |P / p^m O_K| =
-    p^{nm} / Nm(q)^l of them, instead of p^{nm} classes.
+    p^{nm} / Nm(q)^l of them, instead of p^{nm} classes.  The reported
+    x and A x are re-checked against the sieves' local sets, which do not
+    use the lattices; a failed re-check raises VerificationFailed.
     """
     k = r_sieve.tail.exponent
     l = s_sieve.tail.exponent
@@ -249,11 +254,7 @@ def _check_local_condition_kfree(
     src_primes = split_prime(a.source, p)
     dst_primes = split_prime(a.target, p)
     src_lattices = [(pr.component, ideal_power(pr, k).hnf) for pr in src_primes]
-
-    n_src = a.source.degree
-    fine: Hnf = hnf_from_rows(
-        [[p**m if i == j else 0 for j in range(n_src)] for i in range(n_src)], n_src
-    )
+    fine = lat_scale(identity_hnf(a.source.degree), p**m)
 
     mat = [list(row) for row in a.matrix]
     for q_prime in dst_primes:
@@ -266,7 +267,12 @@ def _check_local_condition_kfree(
         for rep in quotient_residues(pre, fine):
             x = a.source.from_flat(rep)
             if not any(lat_contains(x.coords[ci], h) for ci, h in src_lattices):
-                return LocalCheck(False, p, x, a.apply(x))
+                y = a.apply(x)
+                if any(local_set(r_sieve, pr).hits(x) is not None for pr in src_primes):
+                    raise VerificationFailed(f"kernel-route witness {x} lies in a forbidden class above {p}")
+                if local_set(s_sieve, q_prime).hits(y) is None:
+                    raise VerificationFailed(f"image {y} of kernel-route witness {x} misses {q_prime}^{l}")
+                return LocalCheck(False, p, x, y)
     return LocalCheck(True, p)
 
 
@@ -279,12 +285,14 @@ def scan_primes(
 ) -> LocalCheck | None:
     """First p <= cutoff violating the local condition, or None.
 
-    Pure k-free sieves from a source of degree <= 2 use the kernel-lattice
-    route: a prime passes after one containment test of the preimage
-    generators per target prime, and a failing prime walks preimage residues
-    only up to its first violation.  Anything else falls back to exhaustive
-    class enumeration.  A negative cutoff raises PreconditionFailed rather
-    than pass vacuously.
+    Pure k-free sieves use the kernel-lattice route at every p with at most p
+    source primes above it, whatever the degrees: a prime passes after one
+    containment test of the preimage generators per target prime, and a
+    failing prime walks preimage residues only up to its first violation.
+    Anything else (other sieves, or more than p source primes above p, as
+    at p = 2 over Q x Q(sqrt 17)) falls back to exhaustive class
+    enumeration.  A negative cutoff raises PreconditionFailed rather than
+    pass vacuously.
 
     The witness depends on the route.  The kernel-lattice route returns the
     first violating preimage residue of the first failing target prime
@@ -299,7 +307,7 @@ def scan_primes(
         if (
             _kfree_fast_applicable(r_sieve, p)
             and _kfree_fast_applicable(s_sieve, p)
-            and a.source.degree <= 2
+            and len(split_prime(a.source, p)) <= p
         ):
             res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
         else:

@@ -29,7 +29,7 @@ from .errors import (
     TailNotBoundable,
     VerificationFailed,
 )
-from .lattices import Hnf, coset_points, crt_pair, gen_multipliers, grid_columns, grid_coords, grid_hnf, row_bands
+from .lattices import Hnf, coset_points, crt_pair, gen_multipliers, grid_columns, grid_coords, grid_hnf, identity_hnf, row_bands
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -54,12 +54,6 @@ class CongruenceConstraint:
     def canonical_target(self) -> Coords:
         mod = ideal_power(self.prime, self.k)
         return mod.reduce_coords(self.target.coords[self.prime.component])
-
-
-def _identity_hnf(degree: int) -> Hnf:
-    if degree == 1:
-        return ((1,),)
-    return ((1, 0), (0, 1))
 
 
 def _check_constraint_compatible(sieve: SieveSpec, c: CongruenceConstraint) -> None:
@@ -119,7 +113,7 @@ def solve(
     lattices: list[Hnf] = []
     for i, spec in enumerate(algebra.components):
         y: Coords = spec.zero()
-        lam = _identity_hnf(spec.degree)
+        lam = identity_hnf(spec.degree)
         for c in constraints:
             if c.prime.component != i:
                 continue

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed, UnitSearchExceeded
-from .lattices import Hnf, lat_contains, lat_reduce, lat_scale, residues
+from .lattices import Hnf, identity_hnf, lat_contains, lat_reduce, lat_scale, residues
 from .primes import is_prime, legendre, primes_upto, sqrt_mod
 
 Coords = tuple[int, ...]
@@ -173,9 +173,7 @@ class EtaleAlgebra:
             raise ComponentMismatch("one lattice per component expected")
         rows = []
         for i, (spec, hnf) in enumerate(zip(self.components, hnfs)):
-            if hnf is None:
-                hnf = tuple(tuple(int(j == jj) for jj in range(spec.degree)) for j in range(spec.degree))
-            rows.extend(self.embed(i, row).flat() for row in hnf)
+            rows.extend(self.embed(i, row).flat() for row in hnf or identity_hnf(spec.degree))
         return rows
 
     def basis(self) -> list["AlgebraicInt"]:

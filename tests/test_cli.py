@@ -191,6 +191,14 @@ def test_scan_reports_violation_with_exit_1():
     assert code == 1 and "violating_prime: 2" in out
 
 
+def test_scan_into_a_degree_three_target():
+    # the target lattice of Q x Q(sqrt 2) has rank 3; the map fails at p = 2
+    code, out = run(
+        ["linmap", "scan", "--source", "Q(sqrt 2)", "--target", "Q x Q(sqrt 2)", "--matrix", "1,0,1,0,0,1", "--cutoff", "10"]
+    )
+    assert code == 1 and "violating_prime: 2\nviolating_class: 1*w\nimage: 0|1*w\n" in out
+
+
 def test_shear_unit_check_exit_1():
     code, out = run(
         ["linmap", "units", "--source", "Q(sqrt 2)", "--matrix", "1,1,0,1", "--height", "5"]

@@ -4,8 +4,11 @@ import random
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from ringsieve import lattices
 from ringsieve.lattices import (
@@ -17,6 +20,7 @@ from ringsieve.lattices import (
     lat_contains,
     lat_intersection,
     lat_reduce,
+    lat_scale,
     quotient_residues,
     residues,
     solve_integer,
@@ -31,6 +35,45 @@ def test_hnf_canonical_form():
 
 def test_hnf_1d():
     assert hnf_from_rows([(6,), (10,)], 1) == ((2,),)
+
+
+def is_canonical_hnf(h, n):
+    return len(h) == n and all(
+        len(row) == n and row[i] > 0 and all(row[j] == 0 for j in range(i + 1, n)) and all(0 <= row[j] < h[j][j] for j in range(i))
+        for i, row in enumerate(h)
+    )
+
+
+def in_column_span(v, H):
+    """v = H w for an integer w, H square upper-triangular with nonzero diagonal (sympy's column HNF)."""
+    v = list(v)
+    for i in range(len(v) - 1, -1, -1):
+        if v[i] % H[i, i]:
+            return False
+        w = v[i] // H[i, i]
+        v = [x - w * H[j, i] for j, x in enumerate(v)]
+    return not any(v)
+
+
+def test_hnf_from_rows_matches_sympy():
+    # n coordinates, r rows: 3 x 3, 3 x 5 and 4 x 6 row sets
+    rng = random.Random(11)
+    for n, r in ((3, 3), (3, 5), (4, 6)):
+        done = 0
+        while done < 100:
+            rows = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(r)]
+            cols = Matrix(rows).T
+            if cols.rank() < n:
+                continue
+            h = hnf_from_rows(rows, n)
+            H = hermite_normal_form(cols)
+            assert is_canonical_hnf(h, n)
+            assert math.prod(h[i][i] for i in range(n)) == abs(H.det())
+            assert all(lat_contains(tuple(H[:, j]), h) for j in range(n))
+            assert all(in_column_span(row, H) for row in list(h) + rows)
+            done += 1
+    with pytest.raises(ValueError, match="rank-deficient"):
+        hnf_from_rows([(1, 2, 3), (2, 4, 6), (0, 0, 0)], 3)
 
 
 def test_reduce_and_contains():
@@ -51,6 +94,10 @@ def test_residue_count_matches_determinant():
     reps = list(residues(h))
     assert len(reps) == 18
     assert len({lat_reduce(r, h) for r in reps}) == 18
+    h3 = ((4, 0, 0), (1, 3, 0), (3, 2, 5))
+    reps = list(residues(h3))
+    assert len(reps) == 60 and reps == sorted(reps)
+    assert all(lat_reduce(r, h3) == r for r in reps)
 
 
 def test_quotient_residues():
@@ -61,6 +108,20 @@ def test_quotient_residues():
     assert len(set(reps)) == 8
     for r in reps:
         assert lat_contains(r, coarse)
+    # rank 3: one representative per class of coarse / fine, in product order of the counts
+    coarse3 = ((2, 0, 0), (1, 3, 0), (0, 2, 2))
+    fine3 = lat_scale(((1, 0, 0), (0, 1, 0), (0, 0, 1)), 12)
+    reps3 = list(quotient_residues(coarse3, fine3))
+    assert len(reps3) == len(quotient_residues(coarse3, fine3)) == 6 * 4 * 6
+    assert len(set(reps3)) == len(reps3)
+    assert all(lat_contains(r, coarse3) and lat_reduce(r, fine3) == r for r in reps3)
+    assert reps3[:3] == [(0, 0, 0), (0, 2, 2), (0, 4, 4)]
+
+
+def test_quotient_residues_rejects_a_non_sublattice():
+    # the diagonals divide, but (1, 2) is not in ((2, 0), (1, 1))
+    with pytest.raises(ValueError, match="not a sublattice"):
+        quotient_residues(((2, 0), (1, 1)), ((4, 0), (1, 2)))
 
 
 def test_solve_integer():
@@ -95,6 +156,25 @@ def test_multiplier_order_is_radial_positive_first():
     assert seq2[1:3] == [(0, 1), (0, -1)]
     layer1 = set(seq2[1:9])
     assert layer1 == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)} - {(0, 0)}
+
+
+def cube_filter_multipliers(rank):
+    """Reference order: layer h is the cube of side 2h + 1 filtered to max |t_i| = h."""
+    h = 0
+    while True:
+        vals = [0] + [v for a in range(1, h + 1) for v in (a, -a)]
+        for t in itertools.product(vals, repeat=rank):
+            if max((abs(v) for v in t), default=0) == h:
+                yield t
+        h += 1
+
+
+def test_multipliers_match_cube_filter():
+    assert list(gen_multipliers(0)) == [()]
+    for rank, count in ((1, 41), (2, 1000), (3, 3000), (4, 5000)):
+        assert list(itertools.islice(gen_multipliers(rank), count)) == list(
+            itertools.islice(cube_filter_multipliers(rank), count)
+        )
 
 
 @st.composite
@@ -136,23 +216,28 @@ def test_coset_points_match_lat_contains(h, c, a0, b0, shape, chunk):
 
 @st.composite
 def small_lattices(draw, n, max_det):
-    """HNFs ((A,),) or ((A, 0), (B, C)) of dimension n with A * C <= max_det."""
-    if n == 1:
-        return ((draw(st.integers(1, max_det)),),)
-    a = draw(st.integers(1, max_det))
-    return ((a, 0), (draw(st.integers(0, a - 1)), draw(st.integers(1, max_det // a))))
+    """Lower-triangular HNFs of dimension n whose diagonal product is <= max_det."""
+    rows = []
+    for i in range(n):
+        d = draw(st.integers(1, max_det))
+        max_det //= d
+        rows.append(tuple(draw(st.integers(0, rows[j][j] - 1)) for j in range(i)) + (d,) + (0,) * (n - 1 - i))
+    return tuple(rows)
 
 
 def member(v, h):
-    """v = i * (A, 0) + j * (B, C) for integers i, j (or v = i * A in dimension 1)."""
-    if len(h) == 1:
-        return v[0] % h[0][0] == 0
-    (A, _), (B, C) = h
-    return v[1] % C == 0 and (v[0] - v[1] // C * B) % A == 0
+    """v = sum of t_i * h[i] for integers t_i, solved exactly from the last coordinate."""
+    v = list(v)
+    for i in range(len(h) - 1, -1, -1):
+        if v[i] % h[i][i]:
+            return False
+        t = v[i] // h[i][i]
+        v = [x - t * y for x, y in zip(v, h[i])]
+    return True
 
 
 def residue_box(h):
-    """The box [0, A) x [0, C) that lat_reduce maps into."""
+    """The box of side h[i][i] in coordinate i that lat_reduce maps into."""
     return list(itertools.product(*(range(row[i]) for i, row in enumerate(h))))
 
 
@@ -161,7 +246,7 @@ def diff(u, v):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.sampled_from([1, 2]))
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]))
 def test_lat_reduce_matches_box_search(data, n):
     h = data.draw(small_lattices(n, 60))
     v = tuple(data.draw(st.integers(-10**6, 10**6)) for _ in range(n))

@@ -3,15 +3,16 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ringsieve import QQ, algebra_homs, linmaps, make_algebra, split_prime, units_up_to
-from ringsieve.errors import NoWitness, PreconditionFailed
+from ringsieve.errors import NoWitness, PreconditionFailed, VerificationFailed
 from ringsieve.linmaps import (
     MonomialDecomposition,
     ZLinearMap,
     _check_local_condition_kfree,
+    _det,
     check_local_condition,
     check_unit_preservation,
     cover_witness,
@@ -24,6 +25,7 @@ from ringsieve.linmaps import (
 from ringsieve.sieve import kfree_sieve, local_set
 
 QXQ = make_algebra([None, None])
+QXQ17 = make_algebra([None, 17])
 
 
 def test_induced_mod_examples(k2):
@@ -91,19 +93,32 @@ def test_fast_path_agrees_with_generic(k2, ki):
 
 
 _QUADRATIC = (2, -1, 5, -3, 13)
+# Q x Q(sqrt d); 2 splits in Q(sqrt 17), so three primes lie above 2 there
+_CUBIC = (2, -1, 17, 5, -7)
 
 
 @st.composite
 def _kfree_maps(draw):
-    """Nonsingular 2x2 maps over Q(sqrt d) or Q x Q, and 2x1 maps Q -> Q(sqrt d)."""
+    """Nonsingular square maps over Q(sqrt d), Q x Q, Q x Q(sqrt d) and Q x Q x Q,
+    and nonzero maps Q -> Q(sqrt d) and Q(sqrt d) -> Q x Q(sqrt d)."""
     entry = st.integers(-3, 3)
-    kind = draw(st.sampled_from(_QUADRATIC + ("QxQ", "Q->")))
+    kind = draw(st.sampled_from(_QUADRATIC + ("QxQ", "Q->", "QxQ(d)", "QxQxQ", "->QxQ(d)")))
     if kind == "Q->":
         col = draw(st.tuples(entry, entry).filter(any))
         return ZLinearMap(QQ, make_algebra([draw(st.sampled_from(_QUADRATIC))]), ((col[0],), (col[1],)))
-    alg = QXQ if kind == "QxQ" else make_algebra([kind])
-    e = draw(st.tuples(entry, entry, entry, entry).filter(lambda e: e[0] * e[3] != e[1] * e[2]))
-    return ZLinearMap(alg, alg, (e[:2], e[2:]))
+    if kind == "->QxQ(d)":
+        d = draw(st.sampled_from(_CUBIC))
+        e = draw(st.tuples(*[entry] * 6).filter(any))
+        return ZLinearMap(make_algebra([d]), make_algebra([None, d]), (e[:2], e[2:4], e[4:]))
+    if kind == "QxQ(d)":
+        alg = make_algebra([None, draw(st.sampled_from(_CUBIC))])
+    elif kind == "QxQxQ":
+        alg = make_algebra([None, None, None])
+    else:
+        alg = QXQ if kind == "QxQ" else make_algebra([kind])
+    n = alg.degree
+    e = draw(st.tuples(*[entry] * (n * n)).map(lambda e: tuple(e[i : i + n] for i in range(0, n * n, n))).filter(_det))
+    return ZLinearMap(alg, alg, e)
 
 
 def _walk_every_residue(a, r_sieve, s_sieve, p):
@@ -112,14 +127,24 @@ def _walk_every_residue(a, r_sieve, s_sieve, p):
         return _check_local_condition_kfree(a, r_sieve, s_sieve, p)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(_kfree_maps(), st.sampled_from(((2, 2), (2, 3), (3, 2))), st.sampled_from((2, 3, 5, 7, 11, 13)))
 @example(ZLinearMap(QXQ, QXQ, ((-2, 0), (-2, -2))), (2, 2), 2)
+@example(ZLinearMap(QXQ17, QXQ17, ((2, 0, 0), (-2, -2, 1), (1, -2, 0))), (2, 2), 2)
+@example(ZLinearMap.identity(QXQ17), (2, 2), 2)
 def test_kfree_shortcut_matches_full_walk_and_exhaustive(a, kl, p):
     # The shortcut may only skip target primes whose whole residue walk passes,
     # so (ok, p, x, y) equals the full walk's lex-first violation exactly.
     k, l = kl
+    # degree-3 sources only where the full walk and the exhaustive check stay small
+    assume(a.source.degree <= 2 or p ** (max(k, l) * a.source.degree) <= 20_000)
     r_sieve, s_sieve = kfree_sieve(a.source, k), kfree_sieve(a.target, l)
+    if len(split_prime(a.source, p)) > p:
+        # Three source primes above p = 2 (Q x Q x Q, Q x Q(sqrt 17)) may cover
+        # P / p^m, so scan_primes enumerates; its cutoff p = 2 lets in no other prime.
+        exhaustive = check_local_condition(a, r_sieve, s_sieve, p)
+        assert scan_primes(a, r_sieve, s_sieve, p) == (None if exhaustive.ok else exhaustive)
+        return
     res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
     assert res == _walk_every_residue(a, r_sieve, s_sieve, p)
     if not res.ok:
@@ -150,6 +175,19 @@ def test_kfree_shortcut_pinned_violation():
     sq = kfree_sieve(QXQ, 2)
     res = _check_local_condition_kfree(ZLinearMap(QXQ, QXQ, ((-2, 0), (-2, -2))), sq, sq, 2)
     assert (res.ok, res.p, res.counterexample.flat(), res.image.flat()) == (False, 2, (2, 1), (-4, -6))
+
+
+def test_kernel_route_rechecks_its_witness():
+    sq = kfree_sieve(QXQ, 2)
+    a = ZLinearMap(QXQ, QXQ, ((-2, 0), (-2, -2)))
+    # a containment test that says no to everything makes the walk report x = 0
+    with mock.patch.object(linmaps, "lat_contains", lambda *args: False):
+        with pytest.raises(VerificationFailed, match="forbidden class"):
+            _check_local_condition_kfree(a, sq, sq, 2)
+    # a preimage that is all of Z^2 makes the walk report an x whose image misses q^l
+    with mock.patch.object(linmaps, "preimage_lattice", lambda *args: ((1, 0), (0, 1))):
+        with pytest.raises(VerificationFailed, match="misses"):
+            _check_local_condition_kfree(ZLinearMap.identity(QXQ), sq, sq, 2)
 
 
 def test_routes_report_their_own_witness():
