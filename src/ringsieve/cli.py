@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -19,6 +20,7 @@ from . import linmaps, localglobal, presets, shiftspace
 from . import sieve as sieve_mod
 from .errors import FormatError, NotFoundWithinBound, RingsieveError
 from .intervals import RationalInterval
+from .primes import primes_upto
 from .rings import (
     QQ,
     format_algebra,
@@ -336,12 +338,13 @@ def _cmd_shift_verify(args, rep):
 def _cmd_shift_conjugacy(args, rep):
     r_sv = _load_sieve(args.spec)
     s_sv = _load_sieve(args.other)
-    res = shiftspace.conjugacy_search(r_sv, s_sv, unit_height=args.height)
+    res = shiftspace.conjugacy_search(r_sv, s_sv)
     rep.add("status", res.status)
     rep.add("reason", res.reason)
     if res.status == "witness":
         rep.add("tau", res.tau.describe())
         rep.add("epsilon", format_element(res.epsilon))
+        rep.add("tail_translate", format_element(res.tail_translate))
         rep.add("checked_primes", len(res.deltas))
         return EXIT_OK
     return EXIT_NEGATIVE
@@ -469,11 +472,15 @@ def _selftest_linmap(rep):
 def _selftest_shift(rep):
     sq = sieve_mod.kfree_sieve(QQ, 2)
     pair = presets.adjacent_pair_code()
+    # {0, 1} against {0, 1 + N}, N the product of the primes <= 60: translates at every p <= 60, none at 61
+    two = presets.two_class_sieve()
+    far = sieve_mod.build_sieve(QQ, sieve_mod.TailRule.classes_mod_p([0, 1 + math.prod(primes_upto(60))]), two.exceptions)
     checks = [
         ("block forced", not shiftspace.is_admissible(sq, shiftspace.int_pattern([0, 1, 2, 3])).admissible),
         ("empty image", len(shiftspace.apply_block_code(pair, shiftspace.int_pattern([]), complete=True)) == 0),
         ("count N=1", shiftspace.count_admissible(sq, 1) == 2),
         ("self conjugate", shiftspace.conjugacy_search(sq, sq).status == "witness"),
+        ("tail past 60", shiftspace.conjugacy_search(two, far).status == "provably_not"),
         ("derived identity", shiftspace.derived_local_set(sq, split_prime(QQ, 5)[0], [shiftspace.int_pattern([0])]).classes == ((0,),)),
         ("W=0 identity", [c.translation_by for c in shiftspace.symmetry_scan(sq, 0)] == [0]),
     ]
@@ -482,8 +489,6 @@ def _selftest_shift(rep):
 
 def _selftest_entropy(rep):
     emp = sieve_mod.build_sieve(QQ, sieve_mod.TailRule.empty())
-    import math
-
     log2 = entropy_mod.entropy_product(emp, 10)
     checks = [
         ("empty entropy", Fraction(6931471805, 10**10) < log2.lo <= log2.hi < Fraction(6931471806, 10**10)),
@@ -615,7 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(g, "conjugacy", _cmd_shift_conjugacy, required=("spec", "other"))
     p.add_argument("--spec")
     p.add_argument("--other")
-    p.add_argument("--height", type=int, default=8)
     p = sub(g, "symmetries", _cmd_shift_symmetries)
     p.add_argument("--spec")
     p.add_argument("--field")

@@ -54,10 +54,6 @@ class RegionTooSmall(RingsieveError):
     """A block code cannot be evaluated anywhere inside the known region."""
 
 
-class UnitSearchExceeded(RingsieveError):
-    """The fundamental-unit search exceeded its internal bound."""
-
-
 class VerificationFailed(RingsieveError):
     """An independent re-check rejected a witness the library produced."""
 

@@ -13,6 +13,7 @@ so residue arithmetic is plain integer linear algebra.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import threading
 from array import array
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed, UnitSearchExceeded
+from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed
 from .lattices import Hnf, identity_hnf, lat_contains, lat_reduce, lat_scale, residues
 from .primes import is_prime, legendre, primes_upto, sqrt_mod
 
@@ -686,39 +687,25 @@ def units_up_to(algebra: EtaleAlgebra, bound: int) -> list[AlgebraicInt]:
     return out
 
 
-def fundamental_unit(spec: FieldSpec, max_b: int = 2_000_000) -> Coords:
-    """Fundamental unit of a real quadratic component via the Pell search.
+def fundamental_unit(spec: FieldSpec) -> Coords:
+    """Fundamental unit a + b*w > 1 of a real quadratic component, by continued fractions.
 
-    Scans the generator coefficient b upward; the first b admitting
-    |norm| = 1 carries the smallest unit > 1.  All comparisons are exact.
+    A unit a + b*w > 1 has a/b among the convergents of -conj(w), so the
+    first convergent of norm +-1 is the unit (Cohen, GTM 138, 5.7).  The
+    expansion of (P + sqrt d)/Q runs on exact integers.
     """
     if spec.is_rational or spec.d is None or spec.d < 0:
         raise ValueError("fundamental unit requires a real quadratic component")
-    s, t = spec.omega_poly
-    d = spec.d
-    import math
-
-    def exceeds_one(a: int, b: int) -> bool:
-        # a + b*w > 1 with b > 0 reduces to b*sqrt(d) > rhs, squared exactly
-        rhs = 2 - 2 * a - b if s == 1 else 1 - a
-        return rhs <= 0 or b * b * d > rhs * rhs
-
-    for b in range(1, max_b + 1):
-        candidates = []
-        for sign in (1, -1):
-            disc = s * s * b * b + 4 * (t * b * b + sign)
-            if disc < 0:
-                continue
-            u = math.isqrt(disc)
-            if u * u != disc:
-                continue
-            for a in ((-s * b + u) // 2, (-s * b - u) // 2):
-                if spec.norm((a, b)) == sign and exceeds_one(a, b):
-                    candidates.append((a, b))
-        if candidates:
-            # same b: the smaller first coordinate is the smaller unit
-            return min(candidates)
-    raise UnitSearchExceeded(f"no unit found with generator coefficient <= {max_b}")
+    d, root = spec.d, math.isqrt(spec.d)
+    P, Q = (-1, 2) if spec.omega_poly[0] == 1 else (0, 1)  # -conj(w) = (sqrt d - 1)/2 or sqrt d
+    (h0, h1), (k0, k1) = (0, 1), (1, 0)
+    while True:
+        a = (P + root) // Q
+        (h0, h1), (k0, k1) = (h1, a * h1 + h0), (k1, a * k1 + k0)
+        if abs(spec.norm((h1, k1))) == 1:
+            return h1, k1
+        P = a * Q - P
+        Q = (d - P * P) // Q  # exact; positive, since every later complete quotient is reduced
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,18 +33,20 @@ from .rings import (
     EtaleAlgebra,
     AlgebraHom,
     PrimeIdeal,
+    _component_units,
     algebra_isomorphisms,
+    fundamental_unit,
     ideal_power,
     parse_element,
     prime_ideals,
     reduce_mod,
     split_prime,
-    units_up_to,
 )
 from .sieve import (
     LocalSet,
     SieveSpec,
     TailRule,
+    _label_element,
     _tail_local_set,
     _tail_primes,
     build_sieve,
@@ -483,33 +485,29 @@ def subset_of_translate(candidate: LocalSet, base: LocalSet) -> Coords | None:
 # conjugacy
 
 
+# unit classes tried per target component when only a unit's class modulo its
+# exception primes matters (a tail with one class on the component)
+_UNIT_CLASS_BUDGET = 4096
+
+
 @dataclass
 class ConjugacyResult:
-    status: str  # 'witness' | 'provably_not' | 'no_witness_up_to_bound'
+    status: str  # 'witness' | 'provably_not'
     reason: str = ""
     tau: AlgebraHom | None = None
     epsilon: AlgebraicInt | None = None
-    deltas: dict = field(default_factory=dict)
-    tail_checked_to: int = 0
+    deltas: dict = field(default_factory=dict)  # exception prime -> translate
+    tail_translate: AlgebraicInt | None = None  # D = tail_translate + eps*tau(C) for the tail labels
 
 
 def _prime_image(tau: AlgebraHom, prime: PrimeIdeal) -> PrimeIdeal:
-    """The prime of the target algebra above p containing tau(prime)."""
-    target_comp = None
-    for j, (i, _) in enumerate(tau.assignments):
-        if i == prime.component:
-            target_comp = j
-            break
-    if target_comp is None:
-        raise PreconditionFailed(f"{tau.describe()} maps no target component from component {prime.component}")
+    """The prime of the target algebra above p containing tau(prime), for an isomorphism tau."""
+    j = next(j for j, (i, _) in enumerate(tau.assignments) if i == prime.component)
     gens = [prime.algebra.embed(prime.component, row) for row in ideal_power(prime, 1).hnf]
     for q in split_prime(tau.target, prime.p):
-        if q.component != target_comp:
-            continue
-        qmod = ideal_power(q, 1)
-        if all(qmod.contains(tau.apply(g)) for g in gens):
+        if q.component == j and all(ideal_power(q, 1).contains(tau.apply(g)) for g in gens):
             return q
-    raise VerificationFailed(f"no prime of component {target_comp} above {prime.p} contains the image of {prime}")
+    raise VerificationFailed(f"no prime of component {j} above {prime.p} contains the image of {prime}")
 
 
 def _image_local_set(
@@ -523,19 +521,69 @@ def _image_local_set(
     return LocalSet(mod, tuple(sorted(out)))
 
 
-def conjugacy_search(
-    r_sieve: SieveSpec,
-    s_sieve: SieveSpec,
-    unit_height: int = 8,
-    tail_cutoff: int = 60,
-) -> ConjugacyResult:
-    """Search for (tau, eps) realizing a topological conjugacy of the spaces.
+def _tail_translate(eps: AlgebraicInt, c_j: list[AlgebraicInt], d_j: set[AlgebraicInt]) -> AlgebraicInt | None:
+    """delta with d_j = delta + eps*c_j exactly; only delta = min(d_j) - eps*c can work."""
+    d0 = min(d_j, key=AlgebraicInt.flat)
+    return next((t for t in (d0 - eps * c for c in c_j) if {t + eps * x for x in c_j} == d_j), None)
 
-    A witness requires S at tau(p) to be a translate of eps*tau(R_p) for all
-    primes: checked exactly on exception primes, identically true on k-free
-    tails, and sampled up to `tail_cutoff` otherwise.  Translate-invariant
-    mismatches (modulus norm or class count at cofinitely many primes) give
-    `provably_not`; exhausting the unit bound gives `no_witness_up_to_bound`.
+
+def _unit_candidates(L: EtaleAlgebra, j: int, c_j: list[AlgebraicInt], d_j: set[AlgebraicInt], moduli) -> Iterator[AlgebraicInt]:
+    """Units of component j (embedded in L), 1 first, among them every eps that can pass.
+
+    With two or more classes, eps*(c1 - c0) is a difference of d_j.  With
+    one, eps matters only modulo the moduli: torsion times powers of the
+    fundamental unit, until a power is 1 modulo all of them.
+    """
+    spec = L.components[j]
+    one = L.embed(j, spec.one())
+    yield one
+    if len(c_j) > 1:
+        step = (c_j[1] - c_j[0]).coords[j]
+        adj = spec.conj(step)  # (d - e)/step = (d - e)*adj/n
+        n = spec.mul(step, adj)[0]
+        for d, e in itertools.permutations(sorted(d_j, key=AlgebraicInt.flat), 2):
+            num = spec.mul((d - e).coords[j], adj)
+            if all(v % n == 0 for v in num) and abs(spec.norm(u := tuple(v // n for v in num))) == 1:
+                yield L.embed(j, u)
+    elif moduli:
+        real = spec.d is not None and spec.d > 0
+        torsion = [one, -one] if real else [L.embed(j, u) for u in _component_units(spec, 1)]
+        eta, power = (L.embed(j, fundamental_unit(spec)) if real else one), one
+        for tried in itertools.count(len(torsion), len(torsion)):
+            if tried > _UNIT_CLASS_BUDGET:
+                raise BudgetExceeded(f"more than {_UNIT_CLASS_BUDGET} unit classes of {spec} modulo its exception primes")
+            yield from (z * power for z in torsion)
+            power = power * eta
+            if all(m.contains(power - one) for m in moduli):
+                return
+
+
+def _component_witness(tau: AlgebraHom, j: int, c_j, d_j, checks) -> tuple | None:
+    """(eps, tail translate, exception-prime translates) on target component j, or None."""
+    for eps in _unit_candidates(tau.target, j, c_j, d_j, [s_ls.modulus for *_, s_ls in checks]):
+        tail = _tail_translate(eps, c_j, d_j)
+        if tail is None:
+            continue
+        deltas = {}
+        for prime, img_prime, r_ls, s_ls in checks:
+            deltas[prime] = translate_between(s_ls, _image_local_set(r_ls, tau, eps, img_prime))
+            if deltas[prime] is None:
+                break
+        else:
+            return eps, tail, deltas
+    return None
+
+
+def conjugacy_search(r_sieve: SieveSpec, s_sieve: SieveSpec, *, unit_height: int | None = None) -> ConjugacyResult:
+    """Decide whether the shift spaces of two sieves are topologically conjugate.
+
+    A conjugacy is a ring isomorphism tau times a unit eps, with S at tau(p)
+    a translate of eps*tau(R_p) at every prime p.  Per target component,
+    every tail prime passes iff the label projections satisfy
+    D = delta + eps*tau(C) exactly, the exception primes are compared
+    exactly, and the units that can pass are finitely many.  So no witness
+    is a proof.  A tau under which some component's class counts differ is
+    skipped.  `unit_height` is accepted and ignored: no unit needs a height bound.
     """
     if not (r_sieve.non_large and r_sieve.cofinite and s_sieve.non_large and s_sieve.cofinite):
         raise PreconditionFailed("conjugacy criterion requires non-large cofinite sieves")
@@ -544,72 +592,44 @@ def conjugacy_search(
     if not isos:
         return ConjugacyResult("provably_not", "no algebra isomorphism between the rings")
     rt, st = r_sieve.tail, s_sieve.tail
-    if rt.kind == "classes" and st.kind == "classes":
-        if rt.exponent != st.exponent:
-            return ConjugacyResult(
-                "provably_not",
-                f"tail modulus norms differ: exponents {rt.exponent} vs {st.exponent}",
-            )
-        if len(rt.labels) != len(st.labels):
-            return ConjugacyResult(
-                "provably_not",
-                f"tail class counts differ: {len(rt.labels)} vs {len(st.labels)}",
-            )
-    elif rt.kind != st.kind:
-        return ConjugacyResult("provably_not", "one tail is empty, the other is not")
-
-    pure_kfree = rt.is_kfree and st.is_kfree
-    # with only rational and imaginary quadratic components the unit group is
-    # finite torsion (coordinates bounded by 1), so the (tau, eps) sweep is
-    # exhaustive and a failure at a concrete prime refutes conjugacy outright
-    finite_units = all(
-        spec.is_rational or (spec.d is not None and spec.d < 0) for spec in L.components
-    )
-    units = [L.one] + [u for u in units_up_to(L, max(unit_height, 1)) if u != L.one]
-    for tau in isos:
-        for eps in units:
-            deltas = {}
-            ok = True
-            primes_to_check: list[PrimeIdeal] = [ls.prime for ls in r_sieve.exceptions]
-            for ls in s_sieve.exceptions:
-                # pull back exception primes of S along tau
-                for p in split_prime(K, ls.prime.p):
-                    if _prime_image(tau, p) == ls.prime and p not in primes_to_check:
-                        primes_to_check.append(p)
-            if not pure_kfree:
-                for prime in prime_ideals(K, tail_cutoff):
-                    if prime not in primes_to_check:
-                        primes_to_check.append(prime)
-            for prime in primes_to_check:
-                img_prime = _prime_image(tau, prime)
-                img = _image_local_set(local_set(r_sieve, prime), tau, eps, img_prime)
-                cand = local_set(s_sieve, img_prime)
-                if cand.modulus.k != img.modulus.k:
-                    kk = max(cand.modulus.k, img.modulus.k)
-                    img = img.refine(kk)
-                    cand = cand.refine(kk)
-                delta = translate_between(cand, img)
-                if delta is None:
-                    ok = False
-                    break
-                deltas[prime] = delta
-            if ok:
-                return ConjugacyResult(
-                    "witness",
-                    "translate witnesses on all checked primes",
-                    tau,
-                    eps,
-                    deltas,
-                    tail_checked_to=0 if pure_kfree else tail_cutoff,
-                )
-    if finite_units:
+    if rt.exponent != st.exponent:
         return ConjugacyResult(
             "provably_not",
-            "every (tau, eps) over the full finite unit group fails at a checked prime",
+            f"tail modulus norms differ: exponents {rt.exponent} vs {st.exponent}",
         )
-    return ConjugacyResult(
-        "no_witness_up_to_bound", f"no (tau, eps) with unit height <= {unit_height}"
-    )
+    reason = "tail class counts differ on a component under every algebra isomorphism"
+    for tau in isos:
+        tails = [
+            (
+                sorted({tau(K.embed(i, _label_element(K, c).coords[i])) for c in rt.labels}, key=AlgebraicInt.flat),
+                {L.embed(j, _label_element(L, d).coords[j]) for d in st.labels},
+            )
+            for j, (i, _) in enumerate(tau.assignments)
+        ]
+        if any(len(c_j) != len(d_j) for c_j, d_j in tails):
+            continue
+        reason = "no unit passes the exact tail test and every exception prime"
+        primes = [ls.prime for ls in r_sieve.exceptions]
+        for ls in s_sieve.exceptions:
+            # pull back exception primes of S along tau
+            primes.extend(p for p in split_prime(K, ls.prime.p) if _prime_image(tau, p) == ls.prime)
+        checks: dict[int, list] = {}  # target component -> (p, tau(p), R_p, S_tau(p)) at one exponent
+        for prime in dict.fromkeys(primes):
+            img_prime = _prime_image(tau, prime)
+            r_ls, s_ls = local_set(r_sieve, prime), local_set(s_sieve, img_prime)
+            kk = max(r_ls.modulus.k, s_ls.modulus.k)
+            checks.setdefault(img_prime.component, []).append((prime, img_prime, r_ls.refine(kk), s_ls.refine(kk)))
+        found = []
+        for j, (c_j, d_j) in enumerate(tails):
+            found.append(_component_witness(tau, j, c_j, d_j, checks.get(j, [])))
+            if found[-1] is None:
+                break
+        else:
+            # each component's eps and tail translate are zero off that component
+            eps, tail = (sum((part[n] for part in found), L.zero) for n in (0, 1))
+            deltas = {p: delta for *_, part in found for p, delta in part.items()}
+            return ConjugacyResult("witness", "exact tail translate and exception-prime translates", tau, eps, deltas, tail)
+    return ConjugacyResult("provably_not", reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import ringsieve
 from ringsieve import localglobal, shiftspace
 from ringsieve.cli import main
+from ringsieve.primes import primes_upto
 
 
 def run(argv):
@@ -77,6 +79,24 @@ def test_exit_code_negative_outcomes(sq_file, cube_file):
     assert code == 1 and "provably_not" in out
     code, out = run(["shift", "conjugacy", "--spec", sq_file, "--other", sq_file])
     assert code == 0 and "witness" in out
+
+
+def test_conjugacy_decides_past_the_primes_a_sample_would_check(tmp_path, sq_file):
+    # tails {0, 1} and {0, 1 + N}, N the product of the primes <= 60: no translate at p = 61
+    files = []
+    for c in (1, 1 + math.prod(primes_upto(60))):
+        f = tmp_path / f"tail{c}.sv"
+        f.write_text(f"algebra Q\ntail classes 0,{c}\nexception 2 1 : -\nexception 3 1 : -\n")
+        files.append(str(f))
+    code, out = run(["shift", "conjugacy", "--spec", files[0], "--other", files[1]])
+    assert code == 1 and "status: provably_not" in out
+    code, out = run(["shift", "conjugacy", "--spec", files[0], "--other", files[0]])
+    assert code == 0 and "checked_primes: 2\n" in out and "tail_translate: 0\n" in out
+    code, out = run(["shift", "conjugacy", "--spec", sq_file, "--other", sq_file])
+    assert f"config: digits=12 other={sq_file} spec={sq_file}\n" in out
+    with pytest.raises(SystemExit) as e:
+        run(["shift", "conjugacy", "--spec", sq_file, "--other", sq_file, "--height", "8"])
+    assert e.value.code == 2
 
 
 def test_exit_code_missing_file():

@@ -373,6 +373,49 @@ def test_pell_oracle_fundamental_unit(k2):
     assert best[1] == fundamental_unit(k2.components[0])
 
 
+def _scanned_fundamental_unit(spec, max_b):
+    """Reference: scan the generator coefficient b upward; the first b with |norm| = 1 carries the unit.
+
+    Returns None once b passes max_b.
+    """
+    s, t = spec.omega_poly
+    d = spec.d
+
+    def exceeds_one(a, b):
+        # a + b*w > 1 with b > 0 reduces to b*sqrt(d) > rhs, squared exactly
+        rhs = 2 - 2 * a - b if s == 1 else 1 - a
+        return rhs <= 0 or b * b * d > rhs * rhs
+
+    for b in range(1, max_b + 1):
+        candidates = []
+        for sign in (1, -1):
+            disc = s * s * b * b + 4 * (t * b * b + sign)
+            u = math.isqrt(max(disc, 0))
+            if disc >= 0 and u * u == disc:
+                for a in ((-s * b + u) // 2, (-s * b - u) // 2):
+                    if spec.norm((a, b)) == sign and exceeds_one(a, b):
+                        candidates.append((a, b))
+        if candidates:
+            return min(candidates)  # same b: the smaller first coordinate is the smaller unit
+    return None
+
+
+def test_fundamental_unit_matches_linear_scan():
+    compared = 0
+    for d in range(2, 400):
+        if _is_squarefree(d):
+            spec = make_algebra([d]).components[0]
+            ref = _scanned_fundamental_unit(spec, 5000)
+            if ref is not None:
+                assert fundamental_unit(spec) == ref, d
+                compared += 1
+    assert compared == 182  # the other 60 squarefree d need b > 5000
+    # the scan would need b = 140,634,693 here
+    spec = make_algebra([151]).components[0]
+    assert fundamental_unit(spec) == (1728148040, 140634693)
+    assert spec.norm((1728148040, 140634693)) == 1
+
+
 def test_fundamental_unit_generates_all(k2):
     # every unit of height <= H is +- a power of the fundamental unit
     H = 20

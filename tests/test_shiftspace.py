@@ -1,8 +1,11 @@
+import math
 import random
 
 import pytest
 
-from ringsieve import QQ, ideal_power, make_algebra, split_prime
+from ringsieve import QQ, algebra_isomorphisms, ideal_power, make_algebra, split_prime, units_up_to
+from ringsieve.errors import BudgetExceeded
+from ringsieve.lattices import quotient_residues
 from ringsieve.linmaps import ZLinearMap
 from ringsieve.presets import (
     NEIGHBOR_FLIP_EXPECTED,
@@ -16,9 +19,12 @@ from ringsieve.presets import (
     pair_sieves,
     two_class_sieve,
 )
+from ringsieve.primes import primes_upto
+from ringsieve.rings import prime_ideals
 from ringsieve.shiftspace import (
     Pattern,
     WindowCode,
+    _prime_image,
     apply_block_code,
     conjugacy_search,
     count_admissible,
@@ -274,7 +280,7 @@ def test_conjugacy_distinguishes_general_sieves():
 def test_conjugacy_witness_with_shifted_classes():
     # forbidding 1 mod p^2 instead of 0 is a translate of the squarefree sieve
     shifted = build_sieve(QQ, TailRule.shifted_kfree(2, (1,)))
-    res = conjugacy_search(kfree_sieve(QQ, 2), shifted, tail_cutoff=40)
+    res = conjugacy_search(kfree_sieve(QQ, 2), shifted)
     assert res.status == "witness"
 
 
@@ -290,13 +296,143 @@ def test_conjugacy_provably_not_over_finite_unit_group():
 
 
 def test_conjugacy_no_witness_with_infinite_units(k2):
-    # real quadratic units are infinite: exhausting the height bound is not a proof
+    # real quadratic units are infinite, yet {0, 3} = delta + eps*{0, 1} needs eps = +-3, not a unit
     p2 = split_prime(k2, 2)[0]
     exc = {p2: (1, ())}
     c = build_sieve(k2, TailRule.classes_mod_p([0, 1]), exc)
     d = build_sieve(k2, TailRule.classes_mod_p([0, 3]), exc)
-    res = conjugacy_search(c, d, unit_height=3, tail_cutoff=30)
-    assert res.status == "no_witness_up_to_bound"
+    res = conjugacy_search(c, d, unit_height=3)
+    assert res.status == "provably_not"
+
+
+def test_conjugacy_refutes_tail_that_agrees_below_60():
+    # {0, 1} and {0, 1 + N}, N the product of the primes <= 60: translates at every p <= 60, none at 61
+    exc = {q_prime(2): (1, ()), q_prime(3): (1, ())}
+    a = build_sieve(QQ, TailRule.classes_mod_p([0, 1]), exc)
+    b = build_sieve(QQ, TailRule.classes_mod_p([0, 1 + math.prod(primes_upto(60))]), exc)
+    assert conjugacy_search(a, b).status == "provably_not"
+    assert translate_between(local_set(b, q_prime(59)), local_set(a, q_prime(59))) is not None
+    assert translate_between(local_set(b, q_prime(61)), local_set(a, q_prime(61))) is None
+
+
+def test_conjugacy_two_class_certificate_checks_exception_primes_only():
+    sym = two_class_sieve()
+    res = conjugacy_search(sym, sym)
+    assert (res.status, res.epsilon, res.tail_translate) == ("witness", QQ.one, QQ.zero)
+    assert list(res.deltas) == [q_prime(2), q_prime(3)]
+
+
+def test_conjugacy_counts_classes_per_component():
+    QxQ = make_algebra([None, None])
+    # the same projections {1, 2} on both components: identical local sets at every prime
+    a = build_sieve(QxQ, TailRule.shifted_kfree(2, [(1, 2), (2, 1)]))
+    b = build_sieve(QxQ, TailRule.shifted_kfree(2, [(1, 1), (2, 2), (1, 2)]))
+    assert conjugacy_search(a, b).status == "witness"
+    # counts (1, 2) against (2, 1) match only when the components are swapped
+    c = build_sieve(QxQ, TailRule.shifted_kfree(2, [(0, 0), (0, 1)]))
+    d = build_sieve(QxQ, TailRule.shifted_kfree(2, [(0, 0), (1, 0)]))
+    res = conjugacy_search(c, d)
+    assert res.status == "witness" and res.tau.describe() == "K1->L0, K0->L1"
+
+
+def test_conjugacy_unit_walk_budget(k2):
+    # a k-free tail leaves eps free modulo the exception at (3): {0, 3} needs eps = +-3 there.
+    # 1 + sqrt 2 has order 8 * 3^(m-1) modulo 3^m, so the walk ends at m = 2 and passes the budget at m = 7
+    p3 = split_prime(k2, 3)[0]
+    for m, ends in ((2, True), (7, False)):
+        c = build_sieve(k2, TailRule.kfree(2), {p3: (m, [(0, 0), (1, 0)])})
+        d = build_sieve(k2, TailRule.kfree(2), {p3: (m, [(0, 0), (3, 0)])})
+        if ends:
+            assert conjugacy_search(c, d).status == "provably_not"
+        else:
+            with pytest.raises(BudgetExceeded):
+                conjugacy_search(c, d)
+
+
+def _oracle_passes(r, s, tau, eps, max_norm=150):
+    """Brute force: S at tau(p) is a translate of eps*tau(R_p) at every prime p of norm <= max_norm."""
+    K = r.algebra
+    for p in prime_ideals(K, max_norm):
+        if p.norm > max_norm:
+            continue
+        q = _prime_image(tau, p)
+        r_ls, s_ls = local_set(r, p), local_set(s, q)
+        mod = ideal_power(q, max(r_ls.modulus.k, s_ls.modulus.k))
+        lifts = quotient_residues(r_ls.modulus.hnf, ideal_power(p, mod.k).hnf)
+        image = {
+            mod.reduce_coords((eps * tau(K.embed(p.component, c) + K.embed(p.component, x))).coords[q.component])
+            for c in r_ls.classes
+            for x in lifts
+        }
+        lifts = quotient_residues(s_ls.modulus.hnf, mod.hnf)
+        target = {mod.reduce_coords(tuple(a + b for a, b in zip(c, x))) for c in s_ls.classes for x in lifts}
+        if len(image) != len(target):
+            return False
+        # a translate taking the image onto the target moves some image class x onto min(target)
+        shifted = ({mod.reduce_coords(tuple(a + t - b for a, b, t in zip(y, x, min(target)))) for y in image} for x in image)
+        if target and target not in shifted:
+            return False
+    return True
+
+
+def _random_sieve(rng, algebra, exponent):
+    """1-3 random labels of small height, and random exceptions above 2 and 3."""
+    for _ in range(100):
+        labels = [tuple(rng.randint(-3, 3) for _ in range(algebra.degree)) for _ in range(rng.randint(1, 3))]
+        exceptions = {}
+        for p in (2, 3):
+            for q in split_prime(algebra, p):
+                if rng.random() < 0.5:
+                    m = rng.randint(1, 2)
+                    reps = list(ideal_power(q, m).residues())
+                    exceptions[q] = (m, sorted(rng.sample(reps, rng.randint(0, min(2, len(reps) - 1)))))
+        sieve = build_sieve(algebra, TailRule.shifted_kfree(exponent, labels), exceptions)
+        if sieve.non_large:
+            return sieve
+    raise AssertionError("no non-large sieve drawn")
+
+
+def _moved_sieve(rng, r):
+    """R moved by a random automorphism tau, unit eps and translate delta; its exceptions moved too, or kept."""
+    K = r.algebra
+    tau = rng.choice(algebra_isomorphisms(K, K))
+    eps = rng.choice(units_up_to(K, 3))
+    delta = K.from_flat([rng.randint(-3, 3) for _ in range(K.degree)])
+    labels = [(delta + eps * tau(K.from_flat(c))).flat() for c in r.tail.labels]
+    exceptions = r.exceptions
+    if rng.random() < 0.5:
+        exceptions = {}
+        for ls in r.exceptions:
+            q = _prime_image(tau, ls.prime)
+            moved = {delta + eps * tau(K.embed(ls.prime.component, c)) for c in ls.classes}
+            exceptions[q] = (ls.modulus.k, sorted({ideal_power(q, ls.modulus.k).reduce_coords(x.coords[q.component]) for x in moved}))
+    return build_sieve(K, TailRule.shifted_kfree(r.tail.exponent, labels), exceptions)
+
+
+def test_conjugacy_agrees_with_per_prime_oracle():
+    # the oracle tries every tau, every unit of height <= 6 and every prime of norm <= 150
+    rng = random.Random(20261018)
+    fields = [QQ, make_algebra([-1]), make_algebra([-3]), make_algebra([2]), make_algebra([5]), make_algebra([None, None])]
+    outcomes = set()
+    for _ in range(300):
+        algebra = rng.choice(fields)
+        r = _random_sieve(rng, algebra, rng.randint(1, 3))
+        s = _random_sieve(rng, algebra, r.tail.exponent) if rng.random() < 0.4 else _moved_sieve(rng, r)
+        if not s.non_large:
+            continue
+        res = conjugacy_search(r, s)
+        outcomes.add(res.status)
+        if res.status == "witness":
+            assert res.epsilon.is_unit()
+            assert _oracle_passes(r, s, res.tau, res.epsilon), (r, s)
+        else:
+            assert res.status == "provably_not"
+            assert not any(
+                _oracle_passes(r, s, tau, eps)
+                for tau in algebra_isomorphisms(algebra, algebra)
+                for eps in units_up_to(algebra, 6)
+            ), (r, s)
+    assert outcomes == {"witness", "provably_not"}
 
 
 # ---------------------------------------------------------------------------
