@@ -475,12 +475,16 @@ def _selftest_shift(rep):
     # {0, 1} against {0, 1 + N}, N the product of the primes <= 60: translates at every p <= 60, none at 61
     two = presets.two_class_sieve()
     far = sieve_mod.build_sieve(QQ, sieve_mod.TailRule.classes_mod_p([0, 1 + math.prod(primes_upto(60))]), two.exceptions)
+    witnesses = shiftspace.is_admissible(two, shiftspace.int_pattern([0, 1, 2, 5]))
+    r7 = sieve_mod.local_set(two, split_prime(QQ, 7)[0])  # {0, 1} mod 7
     checks = [
         ("block forced", not shiftspace.is_admissible(sq, shiftspace.int_pattern([0, 1, 2, 3])).admissible),
         ("empty image", len(shiftspace.apply_block_code(pair, shiftspace.int_pattern([]), complete=True)) == 0),
         ("count N=1", shiftspace.count_admissible(sq, 1) == 2),
         ("self conjugate", shiftspace.conjugacy_search(sq, sq).status == "witness"),
         ("tail past 60", shiftspace.conjugacy_search(two, far).status == "provably_not"),
+        ("two-class witnesses", [(p.p, d) for p, d in witnesses.witnesses] == [(5, (3,)), (7, (3,)), (2, (0,)), (3, (0,))]),
+        ("translate delta", shiftspace.subset_of_translate(r7, sieve_mod.LocalSet(r7.modulus, ((0,), (2,), (3,)))) == (5,)),
         ("derived identity", shiftspace.derived_local_set(sq, split_prime(QQ, 5)[0], [shiftspace.int_pattern([0])]).classes == ((0,),)),
         ("W=0 identity", [c.translation_by for c in shiftspace.symmetry_scan(sq, 0)] == [0]),
     ]
@@ -525,10 +529,18 @@ def _run_selftest(group: str, rep: _Report) -> int:
 # parser
 
 
-def _nonnegative(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+def _at_least(text: str, low: int) -> int:
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
     return int(text)
+
+
+def _nonnegative(text: str) -> int:
+    return _at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    return _at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub(g, "solve", _cmd_lg_solve, required=("spec",))
     p.add_argument("--spec")
     p.add_argument("--cong", action="append", help="p[idx]^k=element, repeatable")
-    p.add_argument("--bound", type=int, default=10_000)
+    p.add_argument("--bound", type=_nonnegative, default=10_000)
     p = sub(g, "surjectivity", _cmd_lg_surjectivity)
     p.add_argument("--field", default="Q")
     p.add_argument("--k", type=int, default=2)
@@ -591,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "scan":
             p.add_argument("--cutoff", type=_nonnegative, default=50)
         if name == "units":
-            p.add_argument("--height", type=int, default=10)
+            p.add_argument("--height", type=_positive, default=10)
     p = sub(g, "preservers", _cmd_linmap_preservers)
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--n", type=int, default=2)
@@ -615,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code")
     p.add_argument("--source-sieve")
     p.add_argument("--target-sieve")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     p = sub(g, "conjugacy", _cmd_shift_conjugacy, required=("spec", "other"))
     p.add_argument("--spec")
@@ -624,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec")
     p.add_argument("--field")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--window", type=int, default=1)
+    p.add_argument("--window", type=_nonnegative, default=1)
     p = sub(g, "orbit", _cmd_shift_orbit, required=("pattern", "window_pattern"))
     p.add_argument("--field", default="Q")
     p.add_argument("--k", type=int, default=2)
@@ -638,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_nonnegative, default=10_000)
     p = sub(g, "empirical", _cmd_entropy_empirical, required=("spec",))
     p.add_argument("--spec")
-    p.add_argument("--box", type=int, default=8)
+    p.add_argument("--box", type=_positive, default=8)
     p = sub(g, "zeta", _cmd_entropy_zeta)
     p.add_argument("--field", default="Q")
     p.add_argument("--s", type=int, default=2)

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import TailNotBoundable
+from .errors import PreconditionFailed, TailNotBoundable
 from .intervals import RationalInterval, _round_up, directed_product, log2_interval
 from .rings import EtaleAlgebra, norms_upto
 from .sieve import SieveSpec, _check_cutoff, density_interval
@@ -76,4 +76,6 @@ def empirical_entropy(sieve: SieveSpec, box_size: int) -> float:
     Convergence to the entropy is slow; this is reported as trend data next
     to the product enclosure, with no closeness asserted.
     """
+    if box_size < 1:
+        raise PreconditionFailed(f"box size must be >= 1, got {box_size}")
     return math.log(count_admissible(sieve, box_size)) / box_size

@@ -85,9 +85,6 @@ class ZLinearMap:
     def __call__(self, x: AlgebraicInt) -> AlgebraicInt:
         return self.apply(x)
 
-    def apply_flat(self, v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(sum(r * c for r, c in zip(row, v)) for row in self.matrix)
-
     @property
     def is_square(self) -> bool:
         return self.source.degree == self.target.degree
@@ -135,24 +132,6 @@ class InducedMap:
     p: int
     k: int
     bijective: bool
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.k
-
-    def apply_class(self, flat: Sequence[int]) -> tuple[int, ...]:
-        q = self.modulus
-        return tuple(v % q for v in self.linmap.apply_flat(flat))
-
-    def table(self, budget: int = DEFAULT_CLASS_BUDGET) -> dict[tuple[int, ...], tuple[int, ...]]:
-        q = self.modulus
-        n = self.linmap.source.degree
-        if q**n > budget:
-            raise BudgetExceeded(f"{q**n} classes exceed table budget {budget}")
-        out = {}
-        for flat in itertools.product(range(q), repeat=n):
-            out[flat] = self.apply_class(flat)
-        return out
 
 
 def induced_mod(a: ZLinearMap, p: int, k: int) -> InducedMap:
@@ -429,6 +408,8 @@ class UnitCheck:
 
 def check_unit_preservation(a: ZLinearMap, height: int) -> UnitCheck:
     """Test A on all units of height <= H; true iff every image is a unit."""
+    if height < 1:
+        raise PreconditionFailed(f"unit height must be >= 1, got {height}")
     for spec in a.source.components:
         if not spec.is_rational and spec.d is not None and spec.d < 0:
             raise PreconditionFailed("source must be totally real")

@@ -40,7 +40,7 @@ from .rings import (
     reduce_mod,
     split_prime,
 )
-from .sieve import SieveSpec, kfree_sieve, local_set, membership, _norm_bound, _tail_primes
+from .sieve import SieveSpec, kfree_sieve, local_set, membership, _check_bound, _norm_bound, _tail_primes
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ def solve(
     NotFoundWithinBound once all candidates of height <= bound are spent.
     """
     _gate_tail(sieve)
+    _check_bound(bound)
     algebra = sieve.algebra
     seen = set()
     for c in constraints:

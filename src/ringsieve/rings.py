@@ -662,16 +662,36 @@ def _unit_key(u: Coords) -> tuple:
     return (abs(b), b < 0, a)
 
 
+def _roots_of_unity(spec: FieldSpec) -> list[Coords]:
+    """The roots of unity of a component: 1, -1, then the others of Q(sqrt -1) or Q(sqrt -3) (all of height 1)."""
+    one = spec.one()
+    pm = [one, tuple(-v for v in one)]
+    if spec.is_rational or spec.d > 0:
+        return pm
+    return pm + sorted(((a, b) for a in (-1, 0, 1) for b in (-1, 1) if spec.norm((a, b)) == 1), key=_unit_key)
+
+
 def _component_units(spec: FieldSpec, bound: int) -> list[Coords]:
-    if spec.is_rational:
-        return [(1,), (-1,)] if bound >= 1 else []
-    out = []
-    for b in range(-bound, bound + 1):
-        for a in range(-bound, bound + 1):
-            if abs(spec.norm((a, b))) == 1:
-                out.append((a, b))
-    out.sort(key=_unit_key)
-    return out
+    """The units of one component with max |coordinate| <= bound, by `_unit_key`.
+
+    By the unit theorem a real quadratic field adds +-eta^n, n != 0, to the
+    roots of unity (eta the fundamental unit).  The w-coordinate of eta^n is
+    +-(eta^n - conj(eta)^n) / sqrt(disc), the same for eta^-n up to sign, and
+    since eta >= (1 + sqrt 5)/2 it never falls as |n| grows; so each
+    direction stops once that coordinate passes the bound.
+    """
+    if bound < 1:
+        return []
+    out = _roots_of_unity(spec)
+    if not spec.is_rational and spec.d > 0:
+        eta = fundamental_unit(spec)
+        for step in (eta, spec.mul(spec.conj(eta), (spec.norm(eta), 0))):  # eta and 1/eta
+            power = step
+            while abs(power[1]) <= bound:
+                if abs(power[0]) <= bound:
+                    out += [power, tuple(-v for v in power)]
+                power = spec.mul(power, step)
+    return sorted(out, key=_unit_key)
 
 
 def units_up_to(algebra: EtaleAlgebra, bound: int) -> list[AlgebraicInt]:

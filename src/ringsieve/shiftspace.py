@@ -33,7 +33,7 @@ from .rings import (
     EtaleAlgebra,
     AlgebraHom,
     PrimeIdeal,
-    _component_units,
+    _roots_of_unity,
     algebra_isomorphisms,
     fundamental_unit,
     ideal_power,
@@ -47,8 +47,7 @@ from .sieve import (
     SieveSpec,
     TailRule,
     _label_element,
-    _tail_local_set,
-    _tail_primes,
+    _tail_local_sets,
     build_sieve,
     kfree_sieve,
     local_set,
@@ -127,44 +126,33 @@ class AdmissibilityResult:
         return self.admissible
 
 
+def _points(ls: LocalSet, pattern: Pattern) -> list[Coords]:
+    """The pattern's coordinates on the component of the local set."""
+    return [x.coords[ls.modulus.component] for x in pattern.elements]
+
+
 def _free_translate(ls: LocalSet, pattern: Pattern) -> Coords | None:
-    """A residue delta with (delta + classes) disjoint from the pattern."""
-    if not ls.classes:
-        return ls.modulus.reduce_coords(ls.prime.spec.zero())
+    """The lex-first residue delta with (delta + classes) disjoint from the pattern: -delta is no c - x."""
     mod = ls.modulus
-    comp = mod.component
-    bad = set()
-    for x in pattern.elements:
-        xr = x.coords[comp]
-        for c in ls.classes:
-            bad.add(mod.reduce_coords(tuple(a - b for a, b in zip(xr, c))))
-    if len(bad) < mod.norm:
-        for delta in mod.residues():
-            if delta not in bad:
-                return delta
-    return None
+    diffs = ls.differences(_points(ls, pattern))
+    if len(diffs) == mod.norm:
+        return None
+    return next(d for d in mod.residues() if mod.reduce_coords(tuple(-v for v in d)) not in diffs)
 
 
 def is_admissible(sieve: SieveSpec, pattern: Pattern) -> AdmissibilityResult:
     """Decide membership of a finite pattern in the shift space of the sieve.
 
-    Only exception primes and tail primes with Nm(p)^k <= |X| * #labels can
-    fail; each checked prime gets an explicit translate witness.
+    Only the tail primes with Nm(p)^k <= |X| * #labels and the exception
+    primes can fail; each, in that order, gets its lex-first free translate.
     """
     if not sieve.non_large:
         raise PreconditionFailed("admissibility requires a non-large sieve")
     if pattern.algebra != sieve.algebra:
         raise PreconditionFailed("pattern algebra mismatch")
     witnesses: list[tuple[PrimeIdeal, Coords]] = []
-    threshold = 0
-    if sieve.tail.kind == "classes" and len(pattern) > 0:
-        threshold = len(pattern) * len(sieve.tail.labels)
-        for prime in _tail_primes(sieve, threshold):
-            delta = _free_translate(_tail_local_set(sieve, prime), pattern)
-            if delta is None:
-                return AdmissibilityResult(False, tuple(witnesses), threshold, prime)
-            witnesses.append((prime, delta))
-    for ls in sieve.exceptions:
+    threshold = len(pattern) * len(sieve.tail.labels) if sieve.tail.kind == "classes" else 0
+    for ls in _tail_local_sets(sieve, len(pattern)) + list(sieve.exceptions):
         delta = _free_translate(ls, pattern)
         if delta is None:
             return AdmissibilityResult(False, tuple(witnesses), threshold, ls.prime)
@@ -175,41 +163,35 @@ def is_admissible(sieve: SieveSpec, pattern: Pattern) -> AdmissibilityResult:
 def count_admissible(sieve: SieveSpec, box_size: int, budget: int = 1 << 24) -> int:
     """Number of admissible subsets of {0, ..., N-1} over Q.
 
-    Subsets are enumerated as bitmasks; a prime can only reject when
-    Nm(p)^k <= N * #classes, so only those few primes are tested.
+    Subsets are enumerated as bitmasks and tested at the exceptions and the
+    tail sets that can reject N points.  delta + R_p meets x iff -delta is a
+    difference c - x, so one pass over points and classes builds every
+    translate's bitmask; a subset meeting all of them is rejected.
     """
     if len(sieve.algebra.components) != 1 or not sieve.algebra.components[0].is_rational:
         raise PreconditionFailed("count_admissible runs over the rationals")
     if not sieve.non_large:
         raise PreconditionFailed("count_admissible requires a non-large sieve")
-    if box_size < 0 or (1 << box_size) > budget:
+    if box_size < 0:
+        raise PreconditionFailed(f"box size must be >= 0, got {box_size}")
+    if (1 << box_size) > budget:
         raise BudgetExceeded(f"2^{box_size} subsets exceed budget {budget}")
     n_sets = 1 << box_size
     dtype = np.uint32 if box_size <= 31 else np.uint64
     masks = np.arange(n_sets, dtype=dtype)
     bad = np.zeros(n_sets, dtype=bool)
-
-    def reject_with(ls: LocalSet):
-        mod = ls.modulus.norm
-        if not ls.classes:
-            return
-        classes = [c[0] for c in ls.classes]
+    for ls in list(sieve.exceptions) + _tail_local_sets(sieve, box_size):
+        m = ls.modulus.norm
+        translates = [0] * m
+        for x in range(box_size):
+            for (d,) in ls.differences([(x,)]):
+                translates[-d % m] |= 1 << x
+        if 0 in translates:
+            continue  # a free translate exists for every subset
         fails = np.ones(n_sets, dtype=bool)
-        for delta in range(mod):
-            translate = 0
-            for x in range(box_size):
-                if (x - delta) % mod in classes:
-                    translate |= 1 << x
-            if translate == 0:
-                return  # a free translate exists for every subset
-            fails &= (masks & dtype(translate)) != 0
-        bad[:] |= fails
-
-    for ls in sieve.exceptions:
-        reject_with(ls)
-    if sieve.tail.kind == "classes":
-        for prime in _tail_primes(sieve, box_size * len(sieve.tail.labels)):
-            reject_with(_tail_local_set(sieve, prime))
+        for t in translates:
+            fails &= (masks & dtype(t)) != 0
+        bad |= fails
     return int(n_sets - int(bad.sum()))
 
 
@@ -322,16 +304,14 @@ def random_admissible(
 ) -> Pattern:
     """Union of translated base patterns, placed by CRT to stay admissible.
 
-    For each small prime, every copy is steered into a residue class whose
-    translate misses the forbidden set; copies are spaced far apart, so large
-    primes are handled by the measure bound.
+    At the exceptions and the tail sets that can reject the union, every
+    copy T is steered into a residue delta outside the differences of T, so
+    delta + T misses the forbidden set; copies are spaced far apart, so
+    large primes are handled by the measure bound.
     """
     algebra = sieve.algebra
-    n_labels = len(sieve.tail.labels) if sieve.tail.kind == "classes" else 0
     total = max(len(t) for t in base_patterns) * copies
-    relevant: list[LocalSet] = list(sieve.exceptions)
-    if sieve.tail.kind == "classes":
-        relevant.extend(_tail_local_set(sieve, q) for q in _tail_primes(sieve, total * n_labels))
+    relevant = list(sieve.exceptions) + _tail_local_sets(sieve, total)
 
     if len(algebra.components) != 1:
         raise PreconditionFailed("random pattern placement expects a single component")
@@ -343,18 +323,8 @@ def random_admissible(
         lam = None
         for ls in relevant:
             mod = ls.modulus
-            good = []
-            for delta in mod.residues():
-                ok = True
-                for e in t.elements:
-                    rep = mod.reduce_coords(
-                        tuple(a + d for a, d in zip(e.coords[mod.component], delta))
-                    )
-                    if rep in ls.classes:
-                        ok = False
-                        break
-                if ok:
-                    good.append(delta)
+            bad = ls.differences(_points(ls, t))
+            good = [delta for delta in mod.residues() if delta not in bad]
             if not good:
                 raise PreconditionFailed(f"base pattern {t} is not admissible at {ls.prime}")
             pick = good[rng.randrange(len(good))]
@@ -412,6 +382,8 @@ def verify_intertwiner(
     identity f(g + X) = A(g) + f(X) on matching regions, and tests that the
     image patch is admissible for the target sieve.
     """
+    if trials < 1:
+        raise PreconditionFailed(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     report = IntertwinerReport(trials)
     algebra = code.source
@@ -435,22 +407,12 @@ def verify_intertwiner(
 def derived_local_set(
     sieve: SieveSpec, prime: PrimeIdeal, patterns: Sequence[Pattern]
 ) -> LocalSet:
-    """Intersection over the family of -T + R_p, as residue classes."""
-    ls = local_set(sieve, prime)
-    mod = ls.modulus
-    comp = mod.component
-    current: set[Coords] | None = None
-    for t in patterns:
-        shifted = set()
-        for c in ls.classes:
-            for e in t.elements:
-                shifted.add(
-                    mod.reduce_coords(tuple(a - b for a, b in zip(c, e.coords[comp])))
-                )
-        current = shifted if current is None else (current & shifted)
-    if current is None:
+    """Intersection over the family of -T + R_p (the differences c - x), as residue classes."""
+    if not patterns:
         raise PreconditionFailed("derived_local_set needs at least one pattern")
-    return LocalSet(mod, tuple(sorted(current)))
+    ls = local_set(sieve, prime)
+    common = set.intersection(*(ls.differences(_points(ls, t)) for t in patterns))
+    return LocalSet(ls.modulus, tuple(sorted(common)))
 
 
 def translate_between(candidate: LocalSet, base: LocalSet) -> Coords | None:
@@ -465,20 +427,16 @@ def translate_between(candidate: LocalSet, base: LocalSet) -> Coords | None:
 def subset_of_translate(candidate: LocalSet, base: LocalSet) -> Coords | None:
     """The lex-first residue delta with candidate contained in delta + base, or None.
 
-    delta + base contains c0 = candidate.classes[0] only if delta = c0 - b
-    for some b in base, so only those |base| values of delta are tried.
+    delta + base contains c iff delta is one of the c - b, b in base, so the
+    deltas that work are the intersection over c of those sets.
     """
     if candidate.modulus.hnf != base.modulus.hnf:
         raise PreconditionFailed("local sets live modulo different lattices")
     mod = base.modulus
-    cand = set(candidate.classes)
-    if not cand:
+    if not candidate.classes:
         return mod.reduce_coords(mod.prime.spec.zero())
-    c0 = candidate.classes[0]
-    for delta in sorted({mod.reduce_coords(tuple(a - b for a, b in zip(c0, c))) for c in base.classes}):
-        if cand <= set(base.translate(delta).classes):
-            return delta
-    return None
+    common = set.intersection(*(LocalSet(mod, (c,)).differences(base.classes) for c in candidate.classes))
+    return min(common, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +505,7 @@ def _unit_candidates(L: EtaleAlgebra, j: int, c_j: list[AlgebraicInt], d_j: set[
                 yield L.embed(j, u)
     elif moduli:
         real = spec.d is not None and spec.d > 0
-        torsion = [one, -one] if real else [L.embed(j, u) for u in _component_units(spec, 1)]
+        torsion = [L.embed(j, u) for u in _roots_of_unity(spec)]
         eta, power = (L.embed(j, fundamental_unit(spec)) if real else one), one
         for tried in itertools.count(len(torsion), len(torsion)):
             if tried > _UNIT_CLASS_BUDGET:
@@ -664,25 +622,15 @@ def symmetry_scan(
     algebra = sieve.algebra
     if len(algebra.components) != 1 or not algebra.components[0].is_rational:
         raise PreconditionFailed("symmetry scan runs over the rationals")
-    window_vals = list(range(-radius, radius + 1))
-    window = int_pattern(window_vals)
-    subsets = []
-    for size in range(1, len(window_vals) + 1):
-        for combo in itertools.combinations(window_vals, size):
-            pat = int_pattern(combo)
-            if is_admissible(sieve, pat).admissible:
-                subsets.append(pat)
+    if radius < 0:
+        raise PreconditionFailed(f"window radius must be >= 0, got {radius}")
+    window = int_pattern(range(-radius, radius + 1))
+    subsets = _admissible_patterns(sieve, range(-radius, radius + 1), 1)
     if 2 ** len(subsets) > budget * 32:
         raise BudgetExceeded(f"2^{len(subsets)} families exceed the scan budget")
 
     # probe data: admissible patches on a box two steps wider than the window
-    probe_vals = list(range(-radius - 2, radius + 3))
-    probe_sets = []
-    for size in range(0, len(probe_vals) + 1):
-        for combo in itertools.combinations(probe_vals, size):
-            pat = int_pattern(combo)
-            if is_admissible(sieve, pat).admissible:
-                probe_sets.append(pat)
+    probe_sets = _admissible_patterns(sieve, range(-radius - 2, radius + 3), 0)
     core_vals = list(range(-radius - 1, radius + 2))
     core_keys = {algebra.from_int(v).flat() for v in core_vals}
     admissible_core = set()
@@ -690,11 +638,10 @@ def symmetry_scan(
         sub = frozenset(e.flat() for e in pat.elements if e.flat() in core_keys)
         admissible_core.add(sub)
 
-    # small primes for the derived-set condition, plus one identifying prime
-    check_primes: list[PrimeIdeal] = [ls.prime for ls in sieve.exceptions]
+    # the primes that can reject a window pattern, plus one identifying prime
+    check_primes = [ls.prime for ls in list(sieve.exceptions) + _tail_local_sets(sieve, len(window))]
     if sieve.tail.kind == "classes":
         k = sieve.tail.exponent
-        check_primes.extend(_tail_primes(sieve, (2 * radius + 1) * len(sieve.tail.labels)))
         check_primes.append(
             next(
                 q
@@ -726,6 +673,12 @@ def symmetry_scan(
                 continue
             survivors.append(SymmetryCandidate(code, _translation_value(code, probe_sets)))
     return survivors
+
+
+def _admissible_patterns(sieve: SieveSpec, values: range, smallest: int) -> list[Pattern]:
+    """The admissible patterns of at least `smallest` of the values, by size, then lex."""
+    combos = (c for size in range(smallest, len(values) + 1) for c in itertools.combinations(values, size))
+    return [pat for pat in map(int_pattern, combos) if is_admissible(sieve, pat).admissible]
 
 
 def _passes_probe(code, sieve, probe_sets, core_keys, admissible_core) -> bool:

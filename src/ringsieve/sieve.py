@@ -139,14 +139,14 @@ class LocalSet:
     def is_everything(self) -> bool:
         return len(self.classes) == self.modulus.norm
 
-    def translate(self, delta: Coords) -> "LocalSet":
-        cls = tuple(
-            sorted(
-                self.modulus.reduce_coords(tuple(a + d for a, d in zip(c, delta)))
-                for c in self.classes
-            )
-        )
-        return LocalSet(self.modulus, cls)
+    def differences(self, points: Iterable[Coords]) -> set[Coords]:
+        """{c - x mod p^k} over the classes c and the points x (in this component's coordinates).
+
+        delta + x is forbidden for some point x iff delta is among these, and
+        delta + R_p misses every point iff -delta is not.
+        """
+        reduce = self.modulus.reduce_coords
+        return {reduce(tuple(a - b for a, b in zip(c, x))) for x in points for c in self.classes}
 
     def refine(self, k: int) -> "LocalSet":
         """The same set as classes modulo prime^k, for k >= the current exponent."""
@@ -251,14 +251,9 @@ def build_sieve(
             raise ClassOutOfRange(f"duplicate exception at {ls.prime}")
         seen.add(key)
 
-    non_large = not any(ls.is_everything() for ls in locs)
-    if non_large and tail.kind == "classes":
-        # a classes tail can only cover everything at tiny primes
-        limit = len(tail.labels)
-        probe = SieveSpec(algebra, tail, tuple(locs), True, True)
-        for prime in _tail_primes(probe, limit):
-            if _tail_local_set(probe, prime).is_everything():
-                non_large = False
+    # a tail set covers everything only where it can reject a single point
+    probe = SieveSpec(algebra, tail, tuple(locs), True, True)
+    non_large = not any(ls.is_everything() for ls in locs + _tail_local_sets(probe, 1))
     cofinite = tail.kind != "empty"
     return SieveSpec(algebra, tail, tuple(locs), non_large, cofinite)
 
@@ -294,6 +289,17 @@ def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) 
         if prime.norm**k <= max_norm and component in (None, prime.component):
             if sieve.exception_at(prime) is None:
                 yield prime
+
+
+def _tail_local_sets(sieve: SieveSpec, n: int) -> list[LocalSet]:
+    """The tail local sets that can reject some set of n points, ascending.
+
+    n points meet at most n * #labels translates of a tail set, so only tail
+    primes q with Nm(q)^k <= n * #labels can leave no translate free.
+    """
+    if sieve.tail.kind == "empty":
+        return []
+    return [_tail_local_set(sieve, q) for q in _tail_primes(sieve, n * len(sieve.tail.labels))]
 
 
 def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:

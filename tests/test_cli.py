@@ -142,6 +142,59 @@ def test_negative_cutoffs_are_usage_errors(sq_file, capsys):
             assert "must be >= 0" in capsys.readouterr().err
 
 
+def _rejected(argv, capsys, message):
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_trials_must_be_positive(trials, flip_code_file, tmp_path, capsys):
+    spec = tmp_path / "two.sv"
+    spec.write_text("algebra Q\ntail classes 0,1\nexception 2 1 : -\nexception 3 1 : -\n")
+    argv = ["shift", "verify", "--code", flip_code_file, "--source-sieve", str(spec), "--trials", trials]
+    _rejected(argv, capsys, f"must be >= 1, got {trials}")
+
+
+def test_unit_height_must_be_positive(capsys):
+    _rejected(["linmap", "units", "--source", "Q(sqrt 2)", "--matrix", "1,0,0,1", "--height", "-3"], capsys, "must be >= 1")
+
+
+@pytest.mark.parametrize("box", ["0", "-1"])
+def test_empirical_box_must_be_positive(box, sq_file, capsys):
+    _rejected(["entropy", "empirical", "--spec", sq_file, "--box", box], capsys, f"must be >= 1, got {box}")
+
+
+def test_symmetry_window_must_be_nonnegative(capsys):
+    _rejected(["shift", "symmetries", "--window", "-1"], capsys, "must be >= 0, got -1")
+
+
+def test_solve_bound_must_be_nonnegative(sq_file, capsys):
+    _rejected(["lg", "solve", "--spec", sq_file, "--cong", "2^2=3", "--bound", "-5"], capsys, "must be >= 0, got -5")
+
+
+def test_library_refuses_the_same_arguments(sq_file):
+    from ringsieve import entropy, linmaps, presets
+    from ringsieve.errors import PreconditionFailed
+    from ringsieve.sieve import kfree_sieve
+
+    sq = kfree_sieve(ringsieve.QQ, 2)
+    two = presets.two_class_sieve()
+    calls = [
+        lambda: shiftspace.verify_intertwiner(presets.neighbor_flip_code(), two, two, trials=0),
+        lambda: linmaps.check_unit_preservation(linmaps.ZLinearMap.identity(ringsieve.QQ), -3),
+        lambda: entropy.empirical_entropy(sq, 0),
+        lambda: shiftspace.count_admissible(sq, -1),
+        lambda: shiftspace.symmetry_scan(sq, -1),
+        lambda: localglobal.solve(sq, [], bound=-5),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionFailed):
+            call()
+    assert shiftspace.count_admissible(sq, 0) == 1
+
+
 def test_cutoffs_zero_and_one_keep_their_answers(sq_file):
     expected = {
         ("sieve", "density", "0"): ["0.000000000000", "1.000000000000"],

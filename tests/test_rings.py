@@ -445,6 +445,24 @@ def test_unit_returns_have_unit_norm():
             assert all(abs(v) == 1 for v in u.component_norms())
 
 
+def test_units_match_box_scan():
+    # reference: every (a, b) with max(|a|, |b|) <= H and |norm| = 1, in the order units_up_to promises
+    H = 30
+    for d in range(-50, 51):
+        if d in (0, 1) or not _is_squarefree(d):
+            continue
+        K = make_algebra([d])
+        spec = K.components[0]
+        box = [(a, b) for b in range(-H, H + 1) for a in range(-H, H + 1) if abs(spec.norm((a, b))) == 1]
+        box.sort(key=lambda u: (abs(u[1]), u[1] < 0, u[0]))
+        for h in range(H + 1):
+            got = [u.coords[0] for u in units_up_to(K, h)]
+            assert got == [u for u in box if max(abs(u[0]), abs(u[1])) <= h], (d, h)
+    # a product: earlier components vary slowest
+    second = [(-1, 0), (1, 0), (-1, 1), (1, 1), (-1, -1), (1, -1)]
+    assert [u.coords for u in units_up_to(make_algebra([None, 2]), 2)] == [(s, u) for s in ((1,), (-1,)) for u in second]
+
+
 def test_valuation(k2):
     (p2,) = split_prime(k2, 2)
     sqrt2 = k2.element([(0, 1)])

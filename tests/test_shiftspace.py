@@ -91,6 +91,71 @@ def test_admissibility_translation_invariant(squarefree_q):
         assert is_admissible(squarefree_q, pat.translate(QQ.from_int(t))).admissible == verdict
 
 
+def shifted(mod, delta, c):
+    """delta + c, reduced."""
+    return mod.reduce_coords(tuple(a + b for a, b in zip(delta, c)))
+
+
+def brute_admissibility(sieve, pattern):
+    """(witnesses, violation) by definition: at each prime that can fail, tail primes first,
+    the lex-first residue delta with (delta + R_p) disjoint from the pattern."""
+    primes = []
+    if sieve.tail.kind == "classes":
+        bound = len(pattern) * len(sieve.tail.labels)
+        k = sieve.tail.exponent
+        primes = [q for q in prime_ideals(sieve.algebra, bound) if q.norm**k <= bound and sieve.exception_at(q) is None]
+    witnesses = []
+    for q in primes + [ls.prime for ls in sieve.exceptions]:
+        ls = local_set(sieve, q)
+        mod = ls.modulus
+        xs = {mod.reduce_coords(x.coords[mod.component]) for x in pattern}
+        free = (d for d in mod.residues() if not any(shifted(mod, d, c) in xs for c in ls.classes))
+        delta = next(free, None)
+        if delta is None:
+            return witnesses, q
+        witnesses.append((q, delta))
+    return witnesses, None
+
+
+def test_admissibility_witnesses_match_brute_force():
+    rng = random.Random(13)
+    k2, km3 = make_algebra([2]), make_algebra([-3])
+    r3, s3 = exceptional_factor_sieves()
+    sieves = [
+        kfree_sieve(QQ, 2),
+        two_class_sieve(),
+        r3,
+        s3,
+        kfree_sieve(k2, 2),
+        build_sieve(k2, TailRule.shifted_kfree(2, [(0, 0), (1, 1)]), {split_prime(k2, 7)[0]: (1, [(0, 0), (3, 0)])}),
+        kfree_sieve(km3, 2),
+        build_sieve(km3, TailRule.classes_mod_p([0, 1])),
+    ]
+    nonzero = violations = 0
+    for sieve in sieves:
+        algebra = sieve.algebra
+        for _ in range(80):
+            points = [[rng.randint(-9, 9) for _ in range(algebra.degree)] for _ in range(rng.randrange(0, 8))]
+            pat = Pattern.of(algebra, map(algebra.from_flat, points))
+            res = is_admissible(sieve, pat)
+            witnesses, violation = brute_admissibility(sieve, pat)
+            assert list(res.witnesses) == witnesses and res.violation == violation
+            assert res.admissible == (violation is None)
+            nonzero += sum(any(d) for _, d in witnesses)
+            violations += violation is not None
+    assert nonzero > 80 and violations > 200
+
+
+def test_random_admissible_output_is_pinned(k2):
+    rng = random.Random(5)
+    x = random_admissible(two_class_sieve(), rng, list(neighbor_flip_code().patterns), copies=3)
+    assert x.ints() == [2392, 2393, 6858, 7597, 7599] and rng.random() == 0.21672980046384815
+    rng = random.Random(8)
+    base = [Pattern.of(k2, [k2.from_int(0), k2.element([(1, 1)])]), Pattern.of(k2, [k2.from_int(0)])]
+    x = random_admissible(kfree_sieve(k2, 2), rng, base, copies=3)
+    assert str(x) == "{3,4+1*w,46+1*w,88+1*w,89+2*w}" and rng.random() == 0.08518526805075266
+
+
 def test_count_admissible_examples(squarefree_q):
     assert count_admissible(squarefree_q, 8) == 175
     assert count_admissible(squarefree_q, 1) == 2
@@ -220,6 +285,35 @@ def test_derived_local_set_examples(squarefree_q):
         assert translate_between(s5, d) is None
     # but it is contained in a translate (the morphism condition)
     assert subset_of_translate(s5, derived_local_set(r3, p5, [t1, t2])) is not None
+
+
+def test_derived_sets_and_translates_over_quadratic_fields():
+    # derived_local_set: the y with y + t in R_p for some t in every T; subset_of_translate:
+    # the lex-first delta with candidate inside delta + base
+    rng = random.Random(31)
+    found = 0
+    for d in (2, -3, 5, -1):
+        K = make_algebra([d])
+        sieves = [kfree_sieve(K, 2), build_sieve(K, TailRule.shifted_kfree(1, [(0, 0), (1, 0), (0, 1)]))]
+        for sieve in sieves:
+            for q in prime_ideals(K, 7):
+                ls = local_set(sieve, q)
+                mod = ls.modulus
+                for _ in range(6):
+                    family = [
+                        Pattern.of(K, (K.element([(rng.randint(-4, 4), rng.randint(-4, 4))]) for _ in range(rng.randint(1, 3))))
+                        for _ in range(rng.randint(1, 3))
+                    ]
+                    want = [
+                        y for y in mod.residues()
+                        if all(any(shifted(mod, y, t.coords[0]) in ls.classes for t in pat) for pat in family)
+                    ]
+                    derived = derived_local_set(sieve, q, family)
+                    assert list(derived.classes) == sorted(want)
+                    delta = subset_of_translate(ls, derived)
+                    assert delta == exhaustive_subset_of_translate(ls, derived)
+                    found += delta is not None and any(delta)
+    assert found > 80
 
 
 def test_derived_local_set_needs_a_pattern(squarefree_q):
@@ -527,13 +621,19 @@ def test_pattern_and_code_files(k2):
     assert rt.linmap.matrix == code.linmap.matrix
 
 
+def translate_classes(ls, delta):
+    """delta + ls, by adding delta to every class."""
+    mod = ls.modulus
+    return tuple(sorted(mod.reduce_coords(tuple(a + d for a, d in zip(c, delta))) for c in ls.classes))
+
+
 def exhaustive_subset_of_translate(candidate, base):
     """The walk subset_of_translate replaced: every residue delta in lex order."""
     mod = base.modulus
     if not candidate.classes:
         return mod.reduce_coords(mod.prime.spec.zero())
     for delta in mod.residues():
-        if set(candidate.classes) <= set(base.translate(delta).classes):
+        if set(candidate.classes) <= set(translate_classes(base, delta)):
             return delta
     return None
 
@@ -554,7 +654,7 @@ def test_subset_of_translate_matches_exhaustive_walk():
         residues = list(mod.residues())
         base = LocalSet(mod, tuple(sorted(rng.sample(residues, rng.randrange(0, min(len(residues), 6) + 1)))))
         if base.classes and rng.random() < 0.5:  # a subset of a translate of base
-            shifted = base.translate(rng.choice(residues)).classes
+            shifted = translate_classes(base, rng.choice(residues))
             cand = rng.sample(shifted, rng.randrange(0, len(shifted) + 1))
         else:
             cand = rng.sample(residues, rng.randrange(0, min(len(residues), 3) + 1))
