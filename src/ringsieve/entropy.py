@@ -4,21 +4,24 @@ All analytic quantities are returned as rational enclosures: Euler products
 are truncated at a norm cutoff and widened by rigorous tail bounds.  The
 truncated products run in `intervals.directed_product`, integer directed
 rounding on the 2^-192 grid that is bit-identical to rounding each
-`Fraction` product, over the prime norms of `rings.norms_upto`: one table
-per algebra, filled in bulk, with the splitting rule run once per residue
-class of p mod |disc| in each quadratic component.
+`Fraction` product.  Every factor is 1 + a/b, passed in runs that share
+one a, with the b read in chunks from the prime-norm columns of
+`rings.norms_upto`: one table per algebra, filled in bulk, with the
+splitting rule run once per residue class of p mod |disc| in each
+quadratic component.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
+
+import numpy as np
 
 from .errors import PreconditionFailed, TailNotBoundable
 from .intervals import RationalInterval, _round_up, directed_product, log2_interval
 from .rings import EtaleAlgebra, norms_upto
-from .sieve import SieveSpec, _check_cutoff, density_interval
+from .sieve import SieveSpec, _check_cutoff, _power_runs, density_interval
 from .shiftspace import count_admissible
 
 
@@ -41,26 +44,22 @@ def _product_tail_upper(degree: int, s: int, cutoff: int) -> Fraction:
     return u**degree
 
 
-def _zeta_factors(algebra: EtaleAlgebra, s: int, cutoff: int) -> Iterator[tuple[int, int]]:
-    """The local factors (Nm^s, Nm^s - 1) of the primes with norm <= cutoff, ascending p."""
-    for _, _, nm in norms_upto(algebra, cutoff):
-        if nm <= cutoff:
-            q = nm**s
-            yield q, q - 1
-
-
 def zeta_K(algebra: EtaleAlgebra, s: int, cutoff: int) -> RationalInterval:
     """Enclosure of the Dedekind zeta value via the Euler product.
 
-    Multiplies the local factors Nm^s / (Nm^s - 1) of all primes with norm
-    <= cutoff (`directed_product`; norms from the table of `rings.norms_upto`)
-    and widens upward by the tail bound; the lower end needs no correction
-    since every omitted factor exceeds 1.
+    Multiplies the local factors Nm^s / (Nm^s - 1) = 1 + 1/(Nm^s - 1) of all
+    primes with norm <= cutoff, one run with a = 1 (`directed_product`; norms
+    from the columns of `rings.norms_upto`), and widens upward by the tail
+    bound; the lower end needs no correction since every omitted factor
+    exceeds 1.
     """
     _check_cutoff(cutoff)
     if s < 2:
         raise TailNotBoundable("the Euler product requires s >= 2")
-    lo, hi = directed_product(Fraction(1), _zeta_factors(algebra, s, cutoff))
+    _, _, norms = norms_upto(algebra, cutoff)
+    norms = norms[norms <= cutoff]
+    # the local factor Nm^s/(Nm^s - 1) is 1 + 1/(Nm^s - 1)
+    lo, hi = directed_product(Fraction(1), _power_runs(np.ones_like(norms), norms, s, -1))
     hi = _round_up(hi * _product_tail_upper(algebra.degree, s, max(cutoff, 1)))
     return RationalInterval(lo, hi)
 

@@ -2,10 +2,12 @@
 
 Endpoints are exact fractions; every arithmetic step rounds the lower end
 down and the upper end up onto the dyadic grid 2^-192, so intervals stay
-small while provably enclosing the target value.  Long products of rational
-factors (the Euler products) run in `directed_product` as integer floor and
-ceiling divisions of the endpoints' numerators on that grid, bit-identical
-to rounding each `Fraction` product.
+small while provably enclosing the target value.  Long products of factors
+1 + a/b (the Euler products) run in `directed_product` over runs of factors
+that share one a: with each endpoint's numerator on that grid held in the
+sign whose rounding is a floor, a factor costs one floor division and one
+addition per endpoint (and a multiply when |a| > 1), bit-identical to
+rounding each `Fraction` product.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Iterable
+
+from .errors import PreconditionFailed
 
 _GRID_BITS = 192
 _GRID = 1 << _GRID_BITS
@@ -27,21 +31,46 @@ def _round_up(x: Fraction) -> Fraction:
     return Fraction(-((-x.numerator * _GRID) // x.denominator), _GRID)
 
 
-def directed_product(start: Fraction, factors: Iterable[tuple[int, int]]) -> tuple[Fraction, Fraction]:
-    """(lo, hi): start times every factor num/den, lo rounded down and hi up.
+def directed_product(start: Fraction, runs: Iterable[tuple[int, Iterable[int]]]) -> tuple[Fraction, Fraction]:
+    """(lo, hi): start times 1 + a/b for each run (a, bs) and each b > 0 in bs; lo rounded down, hi up.
 
     Each step rounds onto the grid exactly as `_round_down(lo * f)` and
     `_round_up(hi * f)` would, but on integers: the endpoints are held as
     numerators over d * 2^192, where d is start's denominator until the first
-    factor and 1 after it.  With no factors, start comes back unrounded.
+    factor and 1 after it.  A step rests on floor(x(b + a)/b) = x + floor(xa/b)
+    for every integer x.  The endpoints are held as (lo, -hi) while a > 0 and
+    as (-lo, hi) while a < 0, so that both round by a floor: each step is
+    x += x*a//b or x -= x*|a|//b, with no multiply when |a| = 1.  The first
+    factor, which also divides by d, is one floor of x(b + a)/(bd) instead.
+    With no factors, start comes back unrounded.
     """
-    lo = hi = start.numerator * _GRID
+    x = start.numerator * _GRID
+    y = -x
     d = start.denominator
-    for num, den in factors:
-        den *= d
-        lo = lo * num // den
-        hi = -((-hi * num) // den)
-        d = 1
+    sign = 1  # (x, y) is (lo, -hi) while sign > 0, (-lo, hi) while sign < 0
+    for a, bs in runs:
+        if a * sign < 0:
+            x, y, sign = -x, -y, -sign
+        m = abs(a)
+        if d != 1:
+            bs = iter(bs)
+            for b in bs:  # (sign * x, sign * y) is (lo, -hi) in either sign
+                num, den = b + a, b * d
+                x, y, d = sign * (sign * x * num // den), sign * (sign * y * num // den), 1
+                break
+        if m != 1:
+            for b in bs:
+                x += sign * (x * m // b)
+                y += sign * (y * m // b)
+        elif sign > 0:
+            for b in bs:
+                x += x // b
+                y += y // b
+        else:
+            for b in bs:
+                x -= x // b
+                y -= y // b
+    lo, hi = sign * x, -sign * y
     return Fraction(lo, d * _GRID), Fraction(hi, d * _GRID)
 
 
@@ -86,6 +115,9 @@ class RationalInterval:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def decimal(self, digits: int = 12) -> tuple[str, str]:
+        """(lo, hi) as decimals with `digits` places, lo rounded down and hi up."""
+        if digits < 0:
+            raise PreconditionFailed(f"digits must be >= 0, got {digits}")
         scale = 10**digits
         lo = self.lo.numerator * scale // self.lo.denominator
         hi = -((-self.hi.numerator * scale) // self.hi.denominator)

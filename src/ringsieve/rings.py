@@ -16,7 +16,6 @@ import itertools
 import math
 import re
 import threading
-from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
@@ -351,7 +350,7 @@ def _quadratic_splitting(spec: FieldSpec, p: int) -> list[tuple[str, int | None,
 
 
 class _NormTable:
-    """(p, component, Nm(q)) for the primes q above every prime p <= limit, as flat arrays.
+    """(p, component, Nm(q)) for the primes q above every prime p <= limit, as three int64 columns.
 
     Filled in bulk.  In a quadratic component of discriminant D, the kind of
     an odd prime p not dividing D depends only on p mod |D|, since the
@@ -362,7 +361,7 @@ class _NormTable:
 
     def __init__(self):
         self.limit = 1
-        self.ps, self.components, self.norms = array("q"), array("q"), array("q")
+        self.columns = np.empty((3, 0), np.int64)  # rows p, component, Nm(q)
         # component -> {p mod |D|: residue degrees}, filled as classes are met
         self.classes: defaultdict[int, dict[int, tuple[int, int]]] = defaultdict(dict)
 
@@ -395,8 +394,10 @@ class _NormTable:
         rows = f > 0
         p = np.broadcast_to(ps[:, None], f.shape)[rows]
         components = np.broadcast_to(np.arange(f.shape[1], dtype=np.int64) // 2, f.shape)[rows]
-        for column, values in ((self.ps, p), (self.components, components), (self.norms, p ** f[rows])):
-            column.frombytes(memoryview(values).cast("B"))
+        # a new read-only array, so a slice handed out earlier stays valid
+        columns = np.concatenate((self.columns, np.stack((p, components, p ** f[rows]))), axis=1)
+        columns.flags.writeable = False
+        self.columns = columns
         self.limit = n
 
 
@@ -404,19 +405,21 @@ _NORM_TABLES: defaultdict[EtaleAlgebra, _NormTable] = defaultdict(_NormTable)
 _NORM_TABLES_GROWING = threading.Lock()  # two threads must not extend one table twice
 
 
-def norms_upto(algebra: EtaleAlgebra, n: int) -> Iterator[tuple[int, int, int]]:
-    """(p, component, Nm(q)) for every prime q above a prime p <= n, in split_prime's order.
+def norms_upto(algebra: EtaleAlgebra, n: int) -> np.ndarray:
+    """The columns p, component, Nm(q) for every prime q above a prime p <= n, in split_prime's order.
 
-    Read from one table per algebra, extended in bulk over the new primes
-    only, and only to n, when n passes its end.  A quadratic component's
-    splitting is looked up by p mod |disc| (see `_NormTable`).
+    A read-only (3, rows) int64 view of one table per algebra, extended in
+    bulk over the new primes only, and only to n, when n passes its end.  A
+    quadratic component's splitting is looked up by p mod |disc| (see
+    `_NormTable`).
     """
     table = _NORM_TABLES[algebra]
     if n > table.limit:
         with _NORM_TABLES_GROWING:
             if n > table.limit:
                 table.extend(algebra, n)
-    return itertools.islice(zip(table.ps, table.components, table.norms), bisect_right(table.ps, n))
+    columns = table.columns
+    return columns[:, : np.searchsorted(columns[0], n, "right")]
 
 
 @lru_cache(maxsize=200_000)

@@ -459,38 +459,60 @@ def _survivors(ls: LocalSet) -> tuple[int, int]:
     return n - len(ls.classes), n
 
 
-def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, int]]:
-    """(Nm^k - c, Nm^k) for the non-exception primes of norm <= cutoff, ascending p.
+_RUN_ROWS = 4096  # table rows per chunk of Euler factors: no list grows with the cutoff
+
+
+def _power_runs(a: np.ndarray, nm: np.ndarray, e: int, shift: int) -> Iterator[tuple[int, list[int]]]:
+    """`directed_product` runs (a, [Nm^e + shift, ...]) over table rows sharing one a, in row order.
+
+    A chunk's powers are taken in int64 when its largest Nm^e fits, and as
+    Python ints otherwise.
+    """
+    for i in range(0, len(nm), _RUN_ROWS):
+        chunk_a, chunk = a[i : i + _RUN_ROWS], nm[i : i + _RUN_ROWS]
+        if int(chunk.max()) ** e < 1 << 63:
+            bs = (chunk**e + shift).tolist()
+        else:
+            bs = [q**e + shift for q in chunk.tolist()]
+        edges = [0, *(np.flatnonzero(np.diff(chunk_a)) + 1).tolist(), len(bs)]
+        for j, k in itertools.pairwise(edges):
+            yield int(chunk_a[j]), bs[j:k]
+
+
+def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, list[int]]]:
+    """Runs (-c, [Nm^k, ...]): factors 1 - c/Nm^k of non-exception primes of norm <= cutoff, ascending p.
 
     c is the number of forbidden classes.  Distinct label projections x != y
     on a component meet modulo q^k only if Nm(q)^k divides N(x - y), so at
     every rational p with p^k above the largest such |N(x - y)|, c is the
-    number of distinct projections and the norms are read from the table of
-    `rings.norms_upto`.  The finitely many other primes (those up to that
-    bound and those below exceptions) go through `_tail_local_set`, once per
-    rational p.
+    number of distinct projections on q's component and the norms are read
+    from the columns of `rings.norms_upto`.  The finitely many other primes
+    (those up to that bound and those below exceptions) go through
+    `_tail_local_set` and are spliced in at their place in p order.
     """
     algebra, k = sieve.algebra, sieve.tail.exponent
-    distinct: list[int] = []
+    a_by_component = np.zeros(len(algebra.components), np.int64)
     reach = 0
     for i, spec in enumerate(algebra.components):
         proj = {_label_element(algebra, c).coords[i] for c in sieve.tail.labels}
-        distinct.append(len(proj))
+        a_by_component[i] = -len(proj)
         for x, y in itertools.combinations(proj, 2):
             reach = max(reach, abs(spec.norm(tuple(a - b for a, b in zip(x, y)))))
-    special = {ls.prime.p for ls in sieve.exceptions}
+    special = {ls.prime.p for ls in sieve.exceptions if ls.prime.p <= cutoff}
     special.update(itertools.takewhile(lambda p: p**k <= reach, primes_upto(cutoff)))
-    done = 0
-    for p, i, nm in norms_upto(algebra, cutoff):
-        if p in special:
-            if p != done:
-                done = p
-                for prime in split_prime(algebra, p):
-                    if prime.norm <= cutoff and sieve.exception_at(prime) is None:
-                        yield _survivors(_tail_local_set(sieve, prime))
-        elif nm <= cutoff:
-            n = nm**k
-            yield n - distinct[i], n
+    ps, components, norms = norms_upto(algebra, cutoff)
+    keep = norms <= cutoff
+    ps, a, norms = ps[keep], a_by_component[components[keep]], norms[keep]
+    start = 0
+    for p in sorted(special):
+        stop = np.searchsorted(ps, p)
+        yield from _power_runs(a[start:stop], norms[start:stop], k, 0)
+        for prime in split_prime(algebra, p):
+            if prime.norm <= cutoff and sieve.exception_at(prime) is None:
+                free, n = _survivors(_tail_local_set(sieve, prime))
+                yield free - n, [n]
+        start = np.searchsorted(ps, p, "right")
+    yield from _power_runs(a[start:], norms[start:], k, 0)
 
 
 def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
@@ -498,10 +520,11 @@ def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
 
     Truncates the product at norm <= cutoff (exceptions always included
     exactly) and widens by the bound on the measure sum of the omitted tail
-    primes.  The tail primes' factors are multiplied in
+    primes.  The tail primes' factors 1 - c/Nm^k are multiplied in
     `intervals.directed_product`, integer directed rounding on the 2^-192
-    grid, bit-identical to rounding each `Fraction` product.  Raises
-    TailNotBoundable for exponent-1 tails.
+    grid, bit-identical to rounding each `Fraction` product, in runs
+    (-c, [Nm^k, ...]) of primes with one forbidden count c (`_tail_factors`).
+    Raises TailNotBoundable for exponent-1 tails.
     """
     _check_cutoff(cutoff)
     if not sieve.non_large:

@@ -174,6 +174,12 @@ def test_solve_bound_must_be_nonnegative(sq_file, capsys):
     _rejected(["lg", "solve", "--spec", sq_file, "--cong", "2^2=3", "--bound", "-5"], capsys, "must be >= 0, got -5")
 
 
+@pytest.mark.parametrize("argv", [["--digits", "-2", "entropy", "zeta", "--cutoff", "10"],
+                                  ["entropy", "zeta", "--cutoff", "10", "--digits", "-3"]])
+def test_negative_digits_are_usage_errors(argv, capsys):
+    _rejected(argv, capsys, "must be >= 0, got -")
+
+
 def test_library_refuses_the_same_arguments(sq_file):
     from ringsieve import entropy, linmaps, presets
     from ringsieve.errors import PreconditionFailed

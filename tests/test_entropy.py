@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringsieve import QQ, make_algebra
-from ringsieve.entropy import empirical_entropy, entropy_product, zeta_K
+from ringsieve.entropy import _product_tail_upper, empirical_entropy, entropy_product, zeta_K
 from ringsieve.errors import PreconditionFailed, TailNotBoundable
-from ringsieve.intervals import _round_down, _round_up, directed_product, log2_interval
+from ringsieve.intervals import RationalInterval, _round_down, _round_up, directed_product, log2_interval
+from ringsieve.primes import primes_upto
+from ringsieve.rings import split_prime
 from ringsieve.sieve import TailRule, build_sieve, kfree_sieve
 
 PI2_OVER_6 = Fraction(16449340668482264, 10**16)  # pi^2/6 to 16 digits
@@ -150,6 +152,40 @@ def test_zeta_pinned_exactly(key):
     assert (iv.lo * 2**192, iv.hi * 2**192) == ZETA_PINS[key]
 
 
+def _zeta_by_split_primes(K, s, cutoff):
+    """The per-prime route: `split_prime`, one rounded `Fraction` product per prime, then the tail."""
+    lo = hi = Fraction(1)
+    for p in primes_upto(cutoff):
+        for prime in split_prime(K, p):
+            if prime.norm <= cutoff:
+                q = prime.norm**s
+                lo, hi = _round_down(lo * Fraction(q, q - 1)), _round_up(hi * Fraction(q, q - 1))
+    return lo, _round_up(hi * _product_tail_upper(K.degree, s, max(cutoff, 1)))
+
+
+def test_zeta_matches_split_prime_chain():
+    # QQ at s = 7 passes int64 (600^7 > 2^63), so its later chunks take Python-int powers
+    for K, s, cutoff in ((QQ, 7, 1000), (make_algebra([None, 2]), 3, 500), (make_algebra([-1]), 2, 0)):
+        iv = zeta_K(K, s, cutoff)
+        assert (iv.lo, iv.hi) == _zeta_by_split_primes(K, s, cutoff), (K, s, cutoff)
+
+
+def test_zeta_q13_pinned_at_large_cutoff():
+    # endpoints of the per-prime Fraction chain, pinned before the factors ran in runs
+    iv = zeta_K(make_algebra([13]), 2, 100_000)
+    assert (iv.lo * 2**192, iv.hi * 2**192) == (
+        8696650615694877341931625363161872976395988669027239262160,
+        8696824551316221211224227726593982083378258025849930467792,
+    )
+
+
+def test_negative_decimal_digits_rejected():
+    iv = RationalInterval(Fraction(1, 3), Fraction(1, 2))
+    assert iv.decimal(3) == ("0.333", "0.500")
+    with pytest.raises(PreconditionFailed, match="digits"):
+        iv.decimal(-1)
+
+
 def _fraction_chain(start, factors):
     lo = hi = start
     for num, den in factors:
@@ -158,11 +194,23 @@ def _fraction_chain(start, factors):
     return lo, hi
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.fractions(min_value=0, max_value=4, max_denominator=10**40),
-    st.lists(st.tuples(st.integers(0, 10**12), st.integers(1, 10**12)), max_size=12),
+_RUNS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-(10**12), 10**12)),
+        st.lists(st.integers(1, 10**12), max_size=6),
+    ),
+    max_size=8,
 )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(min_value=0, max_value=4, max_denominator=10**40), _RUNS)
 @example(Fraction(23, 49), [])  # no factor: the start comes back unrounded
-def test_directed_product_equals_fraction_chain(start, factors):
-    assert directed_product(start, factors) == _fraction_chain(start, factors)
+@example(Fraction(23, 49), [(1, []), (-1, [])])  # empty runs: still unrounded
+@example(Fraction(1), [(1, [3, 8, 24]), (-1, [4, 9, 25]), (1, [48])])  # multi-factor runs, sign switches
+@example(Fraction(5, 3), [(-7, [7, 11]), (2, [5])])  # a = -b: a zero factor, then a factor
+@example(Fraction(7, 10**30 + 1), [(-5, [9, 13]), (6, [11, 2]), (-2, [3])])  # |a| > 1, denominator
+@example(Fraction(2, 7), [(-1, []), (-3, [10]), (3, [10])])  # the denominator goes into a later run's first b
+def test_directed_product_equals_fraction_chain(start, runs):
+    factors = [(b + a, b) for a, bs in runs for b in bs]
+    assert directed_product(start, runs) == _fraction_chain(start, factors)

@@ -87,6 +87,11 @@ def fresh_tables():
         primes._sieved, rings._NORM_TABLES = saved
 
 
+def table_rows(K, n):
+    """The rows (p, component, Nm(q)) of the table's columns, as Python ints."""
+    return list(zip(*norms_upto(K, n).tolist()))
+
+
 def split_rows(K, n):
     return [(q.p, q.component, q.norm) for p in primes_upto(n) for q in split_prime(K, p)]
 
@@ -99,7 +104,7 @@ def test_prime_norms_match_split_prime():
     algebras = [QQ, *products] + [make_algebra([d]) for d in ds]
     with fresh_tables():
         for K in algebras:
-            assert list(norms_upto(K, 500)) == split_rows(K, 500)
+            assert table_rows(K, 500) == split_rows(K, 500)
 
 
 @pytest.mark.parametrize("d,kind", [(17, "split"), (-7, "split"), (5, "inert"), (-3, "inert"), (13, "inert")])
@@ -107,7 +112,7 @@ def test_norm_table_at_two_for_odd_discriminants(d, kind):
     # 2 splits exactly when d = 1 mod 8; it shares class 2 mod |disc| with odd primes
     K = make_algebra([d])
     with fresh_tables():
-        rows = list(norms_upto(K, 200))
+        rows = table_rows(K, 200)
     assert [r for r in rows if r[0] == 2] == ([(2, 0, 2), (2, 0, 2)] if kind == "split" else [(2, 0, 4)])
 
 
@@ -117,7 +122,7 @@ def test_norm_table_at_ramified_primes_of_even_discriminants(d):
     disc = K.components[0].disc
     assert disc == 4 * d
     with fresh_tables():
-        rows = list(norms_upto(K, 200))
+        rows = table_rows(K, 200)
     for p in primes_upto(abs(disc)):
         if disc % p == 0:
             assert [r for r in rows if r[0] == p] == [(p, 0, p)]
@@ -133,7 +138,7 @@ def test_norm_table_grown_in_steps(order):
     with fresh_tables():
         for n in bounds:
             for K in algebras:
-                assert list(norms_upto(K, n)) == split_rows(K, n)
+                assert table_rows(K, n) == split_rows(K, n)
 
 
 TABLE_ALGEBRAS = [QQ, *(make_algebra([d]) for d in (2, -1, 5, -3, 13)), make_algebra([None, 2])]
@@ -148,7 +153,7 @@ def test_tables_match_sieve_and_split_prime(bounds):
             assert primes_upto(n) == tuple(primerange(n + 1))
             for K in TABLE_ALGEBRAS:
                 expected = [(q.p, q.component, q.norm) for p in primes_upto(n) for q in split_prime(K, p)]
-                assert list(norms_upto(K, n)) == expected
+                assert table_rows(K, n) == expected
 
 
 def test_tables_grow_safely_under_threads():
@@ -164,7 +169,7 @@ def test_tables_grow_safely_under_threads():
     def work():
         start.wait()
         for n in bounds:
-            if list(norms_upto(K, n)) != expected[n]:
+            if table_rows(K, n) != expected[n]:
                 wrong.append(n)
 
     interval = sys.getswitchinterval()

@@ -253,6 +253,20 @@ def test_density_huge_labels_match_local_sets():
         assert (iv.lo, iv.hi) == _density_by_local_sets(sieve, cutoff), str(sieve.tail)
 
 
+def test_density_runs_match_local_sets():
+    # k = 7 takes Python-int powers past 600^7 > 2^63; labels (0,0), (1,0) forbid two classes
+    # in the first Q component and one in the second, so the run's a switches at every row
+    QxQ = make_algebra([None, None])
+    cases = [
+        (kfree_sieve(QQ, 7), 1000),
+        (build_sieve(QxQ, TailRule.shifted_kfree(2, ((0, 0), (1, 0)))), 1000),
+        (_pinned_sieves()["exc"], 3000),
+    ]
+    for sieve, cutoff in cases:
+        iv = density_interval(sieve, cutoff)
+        assert (iv.lo, iv.hi) == _density_by_local_sets(sieve, cutoff), str(sieve.tail)
+
+
 def test_density_positive_on_grid():
     for d in (None, 2, 13):
         K = QQ if d is None else make_algebra([d])
