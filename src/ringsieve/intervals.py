@@ -115,7 +115,7 @@ class RationalInterval:
         return self.lo <= other.hi and other.lo <= self.hi
 
     def decimal(self, digits: int = 12) -> tuple[str, str]:
-        """(lo, hi) as decimals with `digits` places, lo rounded down and hi up."""
+        """(lo, hi) as decimals with `digits` places, lo rounded down and hi up; integers at 0."""
         if digits < 0:
             raise PreconditionFailed(f"digits must be >= 0, got {digits}")
         scale = 10**digits
@@ -125,7 +125,7 @@ class RationalInterval:
         def fmt(v: int) -> str:
             sign = "-" if v < 0 else ""
             v = abs(v)
-            return f"{sign}{v // scale}.{v % scale:0{digits}d}"
+            return f"{sign}{v // scale}.{v % scale:0{digits}d}" if digits else f"{sign}{v}"
 
         return fmt(lo), fmt(hi)
 

@@ -11,6 +11,15 @@ Rows generate the lattice over Z.  The product of the diagonal is the index
 in Z^n.  A field component has n <= 2; a product algebra's flat coordinates
 (`EtaleAlgebra.lattice_rows`, `preimage_lattice`) have n = its degree.
 
+`hnf_from_rows` is the package's one elimination.  Intersections, CRT and
+preimages under an integer matrix are each one HNF of a stacked lattice in
+Z^(n+m), read off its first n rows, which span the vectors whose last m
+coordinates vanish:
+
+    lat_intersection   rows (h1_i, h1_i), (0, h2_i)
+    crt_pair           rows (h1_i, 0, h1_i), (0, 0, h2_i), (0, 1, x1 - x2)
+    preimage_lattice   rows (e_j, A e_j), (0, t_k)
+
 `coset_points` is the package's one box-marking primitive: sieve box counts,
 tail counts and the local-global strip sieve mark cosets c + L in H x W boxes
 walked in row bands (`row_bands`).  A Q component is the one-column grid b = 0
@@ -23,7 +32,7 @@ from __future__ import annotations
 import itertools
 from functools import cache
 from math import gcd, prod
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -155,130 +164,37 @@ def quotient_residues(h_coarse: Hnf, h_fine: Hnf) -> QuotientResidues:
     return QuotientResidues(h_coarse, h_fine)
 
 
-def _col_hnf_transform(mat: list[list[int]]) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Reduce `mat` (r x c) by unimodular column operations to column echelon form.
-
-    Returns (L, U, pivots) with mat @ U == L; pivots[i] is the pivot column of
-    row i or -1.
-    """
-    r = len(mat)
-    c = len(mat[0]) if r else 0
-    L = [row[:] for row in mat]
-    U = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    col = 0
-    pivots = []
-    for row in range(r):
-        # gcd-out all entries of this row in columns >= col
-        j = col
-        found = -1
-        for jj in range(col, c):
-            if L[row][jj]:
-                found = jj
-                break
-        if found < 0:
-            pivots.append(-1)
-            continue
-        if found != col:
-            for i in range(r):
-                L[i][col], L[i][found] = L[i][found], L[i][col]
-            for i in range(c):
-                U[i][col], U[i][found] = U[i][found], U[i][col]
-        for jj in range(col + 1, c):
-            while L[row][jj]:
-                q = L[row][col] // L[row][jj]
-                for i in range(r):
-                    L[i][col] -= q * L[i][jj]
-                for i in range(c):
-                    U[i][col] -= q * U[i][jj]
-                for i in range(r):
-                    L[i][col], L[i][jj] = L[i][jj], L[i][col]
-                for i in range(c):
-                    U[i][col], U[i][jj] = U[i][jj], U[i][col]
-        if L[row][col] < 0:
-            for i in range(r):
-                L[i][col] = -L[i][col]
-            for i in range(c):
-                U[i][col] = -U[i][col]
-        pivots.append(col)
-        col += 1
-        if col == c:
-            for rr in range(row + 1, r):
-                pivots.append(-1 if all(L[rr][j] == 0 for j in range(c)) else -2)
-            break
-    return L, U, pivots
-
-
-def solve_integer(mat: list[list[int]], rhs: Sequence[int]) -> list[int] | None:
-    """One integer solution w of mat @ w == rhs, or None."""
-    r = len(mat)
-    c = len(mat[0]) if r else 0
-    L, U, pivots = _col_hnf_transform(mat)
-    if -2 in pivots:
-        raise ValueError("echelon failure")
-    z = [0] * c
-    resid = list(rhs)
-    for row in range(r):
-        pc = pivots[row]
-        if pc < 0:
-            if resid[row] != 0:
-                return None
-            continue
-        if resid[row] % L[row][pc]:
-            return None
-        z[pc] = resid[row] // L[row][pc]
-        for rr in range(r):
-            resid[rr] -= z[pc] * L[rr][pc]
-    if any(resid):
-        return None
-    return [sum(U[i][j] * z[j] for j in range(c)) for i in range(c)]
-
-
-def integer_kernel(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {w : mat @ w == 0}."""
-    r = len(mat)
-    c = len(mat[0]) if r else 0
-    L, U, pivots = _col_hnf_transform(mat)
-    rank = sum(1 for p in pivots if p >= 0)
-    return [[U[i][j] for i in range(c)] for j in range(rank, c)]
-
-
 def lat_intersection(h1: Hnf, h2: Hnf) -> Hnf:
     """Intersection of two full-rank lattices in Z^n."""
     n = len(h1)
-    mat = [[h1[k][i] for k in range(n)] + [-h2[k][i] for k in range(n)] for i in range(n)]
-    kern = integer_kernel(mat)
-    rows = []
-    for w in kern:
-        u = w[:n]
-        rows.append(tuple(sum(u[k] * h1[k][i] for k in range(n)) for i in range(n)))
-    return hnf_from_rows(rows, n)
+    h = hnf_from_rows([(*r, *r) for r in h1] + [(*(0,) * n, *r) for r in h2], 2 * n)
+    return tuple(r[:n] for r in h[:n])
 
 
 def crt_pair(x1: Vec, h1: Hnf, x2: Vec, h2: Hnf) -> tuple[Vec, Hnf] | None:
-    """Solve y = x1 mod h1, y = x2 mod h2; returns (y, h1 n h2) or None."""
+    """Solve y = x1 mod h1, y = x2 mod h2; returns (y, h1 n h2) or None.
+
+    Row n of the stacked HNF is (u, t, 0): u in h1, and t > 0 least with
+    u + t*(x1 - x2) in h2.  A solution exists iff t = 1, and then y = x1 + u.
+    """
     n = len(x1)
-    mat = [[h1[k][i] for k in range(n)] + [-h2[k][i] for k in range(n)] for i in range(n)]
-    rhs = [x2[i] - x1[i] for i in range(n)]
-    w = solve_integer(mat, rhs)
-    if w is None:
+    zero = (0,) * n
+    rows = [(*r, 0, *r) for r in h1] + [(*zero, 0, *r) for r in h2] + [(*zero, 1, *map(sub, x1, x2))]
+    h = hnf_from_rows(rows, 2 * n + 1)
+    if h[n][n] != 1:
         return None
-    u = w[:n]
-    y = tuple(x1[i] + sum(u[k] * h1[k][i] for k in range(n)) for i in range(n))
-    inter = lat_intersection(h1, h2)
-    return lat_reduce(y, inter), inter
+    inter = tuple(r[:n] for r in h[:n])
+    return lat_reduce(list(map(add, x1, h[n])), inter), inter
 
 
 def preimage_lattice(a_mat: list[list[int]], h_target: Hnf) -> Hnf:
     """Lattice {x in Z^n : A x in target lattice} for an m x n integer matrix."""
-    m = len(a_mat)
     n = len(a_mat[0])
-    nt = len(h_target)
-    if nt != m:
+    if len(h_target) != len(a_mat):
         raise ValueError("dimension mismatch")
-    mat = [[a_mat[i][j] for j in range(n)] + [-h_target[k][i] for k in range(nt)] for i in range(m)]
-    kern = integer_kernel(mat)
-    rows = [tuple(w[:n]) for w in kern]
-    return hnf_from_rows(rows, n)
+    rows = [(*e, *col) for e, col in zip(identity_hnf(n), zip(*a_mat))] + [(*(0,) * n, *t) for t in h_target]
+    h = hnf_from_rows(rows, n + len(a_mat))
+    return tuple(r[:n] for r in h[:n])
 
 
 # Points per row band of a box walk, and per index chunk of `coset_points`.

@@ -255,7 +255,8 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         lo = offsets[s] * P + r0
         return lo + h - 1 if lo >= 0 else -lo
 
-    v_classes = sum(h * W - int(np.count_nonzero(band_mask(zero_lattices, r0, h))) for r0, h in bands)
+    # the k-free classes P^n * prod over q | p of (1 - Nm(q)^-k), checked against the bands below
+    v_classes = P**n * math.prod(q.norm**k - 1 for q in primes) // math.prod(q.norm**k for q in primes)
     stride = 1 if v_classes <= _FULL_VERIFY_CLASSES else max(1, v_classes // _SAMPLE_CAP)
     # about 50 membership spot checks, spread evenly over the sampled ranks
     spot_stride = stride * max(1, -(-v_classes // stride) // 50)
@@ -341,6 +342,8 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
             else:
                 wits.append(algebra.element([grid_coords(a + offsets[strips[i]] * P, b, n)]))
         rank0 += int(pos.size)
+    if rank0 != v_classes:
+        raise VerificationFailed(f"the bands hold {rank0} {k}-free classes, the product formula {v_classes}")
 
     return SurjectivityReport(
         algebra,

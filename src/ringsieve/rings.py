@@ -481,10 +481,7 @@ class Modulus:
 
     @property
     def norm(self) -> int:
-        n = 1
-        for i, row in enumerate(self.hnf):
-            n *= row[i]
-        return n
+        return math.prod(row[i] for i, row in enumerate(self.hnf))
 
     @property
     def component(self) -> int:

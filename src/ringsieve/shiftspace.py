@@ -46,6 +46,7 @@ from .sieve import (
     LocalSet,
     SieveSpec,
     TailRule,
+    _check_bound,
     _label_element,
     _tail_local_sets,
     build_sieve,
@@ -725,10 +726,11 @@ def orbit_approximation(
     Builds the auxiliary sieve forbidding -X' + p^k (X' the pattern inside
     the window), adds one congruence per excluded window point at a fresh
     prime, and delegates to the strong-approximation solver; Delta = 0 is
-    excluded from the scan.
+    excluded from the scan.  A negative bound raises PreconditionFailed.
     """
     if k < 2:
         raise PreconditionFailed("orbit approximation requires k >= 2")
+    _check_bound(bound)
     sieve = kfree_sieve(algebra, k)
     x_in_window = x_set.intersect(window)
     adm = is_admissible(sieve, x_in_window)

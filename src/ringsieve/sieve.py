@@ -9,6 +9,7 @@ avoiding every forbidden class.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from .errors import (
     VerificationFailed,
 )
 from .intervals import RationalInterval, _round_down, _round_up, directed_product
-from .lattices import coset_points, grid_columns, grid_hnf, grid_point, quotient_residues, row_bands
+from .lattices import coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
 from .primes import primes_upto
 from .rings import (
     AlgebraicInt,
@@ -356,14 +357,6 @@ def _check_bound(bound: int) -> None:
         raise PreconditionFailed(f"coordinate bound must be >= 0, got {bound}")
 
 
-def enumerate_V(sieve: SieveSpec, bound: int) -> list[AlgebraicInt]:
-    """All members with max |coordinate| <= bound, in lex coordinate order."""
-    if not sieve.non_large:
-        raise PreconditionFailed("enumerate_V requires a non-large sieve")
-    _check_bound(bound)
-    return [x for x in sieve.algebra.box(bound) if membership(sieve, x).member]
-
-
 def _norm_bound(spec: FieldSpec, amax: int, bmax: int) -> int:
     """An upper bound for |N(a + b*w)| over |a| <= amax, |b| <= bmax."""
     if spec.is_rational:
@@ -390,43 +383,77 @@ def _component_bands(spec: FieldSpec, bound: int, factors: list, dtype) -> Itera
         yield a0, b0, band.reshape(h, W)
 
 
+def _member_bands(sieve: SieveSpec, i: int, bound: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Row bands (a0, b0, band) of component i's box [-bound, bound]^degree, members nonzero.
+
+    The marker (`lattices.coset_points`) zeroes every exception class, every
+    tail label's class mod q^k for the non-exception tail primes q with
+    Nm(q)^k up to the box's norm bound, and the label points, which every
+    tail prime catches.  A Q component is the one-column grid b = 0; bands
+    share one buffer, so each is read before the next is made.
+    """
+    algebra = sieve.algebra
+    spec = algebra.components[i]
+    factors = [(grid_hnf(ls.modulus.hnf), grid_point(c), 0)
+               for ls in sieve.exceptions if ls.modulus.component == i for c in ls.classes]
+    labels: list[Coords] = []
+    if sieve.tail.kind == "classes":
+        k = sieve.tail.exponent
+        labels = sorted({grid_point(_label_element(algebra, c).coords[i]) for c in sieve.tail.labels})
+        reach = bound + max(abs(v) for c in labels for v in c)
+        for prime in _tail_primes(sieve, _norm_bound(spec, reach, reach), i):
+            h = grid_hnf(ideal_power(prime, k).hnf)
+            factors.extend((h, c, 0) for c in labels)
+    for a0, b0, band in _component_bands(spec, bound, factors, np.uint8):
+        for a, b in labels:
+            if 0 <= a - a0 < band.shape[0] and 0 <= b - b0 < band.shape[1]:
+                band[a - a0, b - b0] = 0
+        yield a0, b0, band
+
+
 def count_members(sieve: SieveSpec, bound: int) -> int:
     """Number of members of V(K, R) with max |coordinate| <= bound.
 
-    Every prime lives on one component, so the count is the product of
-    per-component counts.  In each row band of a component box the marker
-    (`lattices.coset_points`) zeroes every exception class, every tail label's
-    class mod q^k for the non-exception tail primes q with Nm(q)^k up to the
-    box's norm bound, and the label points, which every tail prime catches.
+    Every prime lives on one component, so the count is the product of the
+    components' counts of nonzero `_member_bands` entries.
     """
     if not sieve.non_large:
         raise PreconditionFailed("count_members requires a non-large sieve")
     _check_bound(bound)
+    return math.prod(
+        sum(int(np.count_nonzero(band)) for _, _, band in _member_bands(sieve, i, bound))
+        for i in range(len(sieve.algebra.components))
+    )
+
+
+_MAX_BOX_POINTS = 1 << 22  # largest box (2*bound + 1)^degree that `enumerate_V` lists
+
+
+def enumerate_V(sieve: SieveSpec, bound: int) -> list[AlgebraicInt]:
+    """All members with max |coordinate| <= bound, in lex coordinate order.
+
+    Membership is componentwise: the members are the lex product of each
+    component's nonzero `_member_bands` entries, read row-major.  About 50
+    evenly spaced members are re-decided by `membership` (VerificationFailed on
+    a disagreement).  A box over _MAX_BOX_POINTS points raises BudgetExceeded
+    before anything is allocated.
+    """
+    if not sieve.non_large:
+        raise PreconditionFailed("enumerate_V requires a non-large sieve")
+    _check_bound(bound)
     algebra = sieve.algebra
-    total = 1
-    for i, spec in enumerate(algebra.components):
-        factors = [
-            (grid_hnf(ls.modulus.hnf), grid_point(c), 0)
-            for ls in sieve.exceptions
-            if ls.modulus.component == i
-            for c in ls.classes
-        ]
-        labels: list[Coords] = []
-        if sieve.tail.kind == "classes":
-            k = sieve.tail.exponent
-            labels = sorted({grid_point(_label_element(algebra, c).coords[i]) for c in sieve.tail.labels})
-            reach = bound + max(abs(v) for c in labels for v in c)
-            for prime in _tail_primes(sieve, _norm_bound(spec, reach, reach), i):
-                h = grid_hnf(ideal_power(prime, k).hnf)
-                factors.extend((h, c, 0) for c in labels)
-        count = 0
-        for a0, b0, band in _component_bands(spec, bound, factors, np.uint8):
-            for a, b in labels:
-                if 0 <= a - a0 < band.shape[0] and 0 <= b - b0 < band.shape[1]:
-                    band[a - a0, b - b0] = 0
-            count += int(np.count_nonzero(band))
-        total *= count
-    return total
+    if (points := (2 * bound + 1) ** algebra.degree) > _MAX_BOX_POINTS:
+        raise BudgetExceeded(f"a box of {points} points exceeds the budget {_MAX_BOX_POINTS}")
+    blocks = [
+        [grid_coords(a0 + r, b0 + c, spec.degree) for a0, b0, band in _member_bands(sieve, i, bound)
+         for r, c in np.argwhere(band).tolist()]
+        for i, spec in enumerate(algebra.components)
+    ]
+    members = [AlgebraicInt(algebra, x) for x in itertools.product(*blocks)]
+    for x in members[:: max(1, -(-len(members) // 50))]:
+        if not membership(sieve, x).member:
+            raise VerificationFailed(f"the box mask lists {x}, which membership rejects")
+    return members
 
 
 def empirical_density(sieve: SieveSpec, bound: int) -> Fraction:

@@ -174,6 +174,22 @@ def test_solve_bound_must_be_nonnegative(sq_file, capsys):
     _rejected(["lg", "solve", "--spec", sq_file, "--cong", "2^2=3", "--bound", "-5"], capsys, "must be >= 0, got -5")
 
 
+def test_surjectivity_limit_must_be_nonnegative(capsys):
+    _rejected(["lg", "surjectivity", "--limit", "-1"], capsys, "must be >= 0, got -1")
+
+
+def test_orbit_bound_must_be_nonnegative(tmp_path, capsys):
+    pat = tmp_path / "x.pat"
+    pat.write_text("0\n")
+    argv = ["shift", "orbit", "--pattern", str(pat), "--window-pattern", str(pat), "--bound", "-5"]
+    _rejected(argv, capsys, "must be >= 0, got -5")
+
+
+def test_zero_digits_print_integers():
+    code, out = run(["--digits", "0", "entropy", "zeta", "--cutoff", "10"])
+    assert code == 0 and "interval: 1, 2\n" in out
+
+
 @pytest.mark.parametrize("argv", [["--digits", "-2", "entropy", "zeta", "--cutoff", "10"],
                                   ["entropy", "zeta", "--cutoff", "10", "--digits", "-3"]])
 def test_negative_digits_are_usage_errors(argv, capsys):
@@ -194,6 +210,8 @@ def test_library_refuses_the_same_arguments(sq_file):
         lambda: shiftspace.count_admissible(sq, -1),
         lambda: shiftspace.symmetry_scan(sq, -1),
         lambda: localglobal.solve(sq, [], bound=-5),
+        lambda: shiftspace.orbit_approximation(ringsieve.QQ, 2, shiftspace.Pattern.from_ints(ringsieve.QQ, [0]),
+                                               shiftspace.Pattern.from_ints(ringsieve.QQ, [0, 1]), bound=-7),
     ]
     for call in calls:
         with pytest.raises(PreconditionFailed):

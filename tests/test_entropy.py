@@ -186,6 +186,13 @@ def test_negative_decimal_digits_rejected():
         iv.decimal(-1)
 
 
+def test_zero_decimal_digits_print_integers():
+    # floor and ceiling, with no fractional digit
+    assert RationalInterval(Fraction(1, 3), Fraction(1, 2)).decimal(0) == ("0", "1")
+    assert RationalInterval(Fraction(-5, 2), Fraction(7, 3)).decimal(0) == ("-3", "3")
+    assert RationalInterval(Fraction(2), Fraction(2)).decimal(0) == ("2", "2")
+
+
 def _fraction_chain(start, factors):
     lo = hi = start
     for num, den in factors:

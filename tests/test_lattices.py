@@ -21,9 +21,9 @@ from ringsieve.lattices import (
     lat_intersection,
     lat_reduce,
     lat_scale,
+    preimage_lattice,
     quotient_residues,
     residues,
-    solve_integer,
 )
 
 
@@ -124,17 +124,12 @@ def test_quotient_residues_rejects_a_non_sublattice():
         quotient_residues(((2, 0), (1, 1)), ((4, 0), (1, 2)))
 
 
-def test_solve_integer():
-    mat = [[4, 0, -5, 0], [0, 4, 0, -5]]
-    w = solve_integer(mat, [3 - 2, 0])
-    assert w is not None
-    assert 4 * w[0] - 5 * w[2] == 1 and 4 * w[1] - 5 * w[3] == 0
-    assert solve_integer([[2, 4]], [3]) is None
-
-
 def test_crt_pair_scalars():
     y, mod = crt_pair((3,), ((4,),), (2,), ((5,),))
     assert y == (7,) and mod == ((20,),)
+    # y = 0 mod 2 and y = 1 mod 4, and a rank-2 pair differing in a coordinate both moduli divide
+    assert crt_pair((0,), ((2,),), (1,), ((4,),)) is None
+    assert crt_pair((0, 0), ((2, 0), (0, 2)), (0, 1), ((4, 0), (0, 6))) is None
     y, mod = crt_pair((1, 0), ((9, 0), (0, 9)), (0, 1), ((4, 0), (0, 4)))
     assert mod == ((36, 0), (0, 36))
     assert y[0] % 9 == 1 and y[0] % 4 == 0 and y[1] % 9 == 0 and y[1] % 4 == 1
@@ -271,3 +266,18 @@ def test_crt_pair_matches_box_search(data, n):
     assert y in residue_box(inter) and member(diff(y, x1), h1) and member(diff(y, x2), h2)
     # inter is h1 n h2: z - y lies in it exactly for the common points z
     assert all((z in common) == member(diff(z, y), inter) for z in grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), m=st.sampled_from([1, 2, 3]))
+def test_preimage_lattice_matches_box_search(data, n, m):
+    # det(T) kills Z^m / T, so A z in T depends on z mod det(T) only
+    t = data.draw(small_lattices(m, 12))
+    a = [[data.draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)]
+    if data.draw(st.booleans()):
+        a[0] = [0] * n  # a singular A
+    pre = preimage_lattice(a, t)
+    d = math.prod(row[i] for i, row in enumerate(t))
+    for z in itertools.product(range(d), repeat=n):
+        az = tuple(sum(x * y for x, y in zip(row, z)) for row in a)
+        assert member(az, t) == member(z, pre)

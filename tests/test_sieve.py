@@ -10,7 +10,8 @@ from sympy import factorint, integer_nthroot, legendre_symbol, primerange
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 from ringsieve import QQ, lattices, make_algebra, reduce_mod, split_prime, ideal_power
-from ringsieve.errors import BudgetExceeded, ClassOutOfRange, PreconditionFailed, TailNotBoundable
+from ringsieve import sieve as sieve_mod
+from ringsieve.errors import BudgetExceeded, ClassOutOfRange, PreconditionFailed, TailNotBoundable, VerificationFailed
 from ringsieve.intervals import _round_down, _round_up
 from ringsieve.primes import primes_upto
 from ringsieve.sieve import (
@@ -281,16 +282,19 @@ def test_empirical_density_close_to_interval(squarefree_q):
     assert abs(emp - iv.midpoint) <= Fraction(2, 1000)
 
 
+def box_filter(sieve, bound):
+    """The members of the box, one `membership` call per point."""
+    return [x for x in sieve.algebra.box(bound) if membership(sieve, x).member]
+
+
 def test_count_members_with_exceptions_and_class_tails(monkeypatch):
     # exception: forbid 1 mod 4 as well
     sv = build_sieve(QQ, TailRule.kfree(2), {q_prime(2): (2, ((0,), (1,)))})
-    got = count_members(sv, 500)
-    brute = sum(1 for x in enumerate_V(sv, 500))
-    assert got == brute
+    brute = box_filter(sv, 500)
+    assert count_members(sv, 500) == len(brute) and enumerate_V(sv, 500) == brute
     two = build_sieve(QQ, TailRule.classes_mod_p([0, 1]), {q_prime(2): (1, ()), q_prime(3): (1, ())})
-    got = count_members(two, 200)
-    brute = len(enumerate_V(two, 200))
-    assert got == brute
+    brute = box_filter(two, 200)
+    assert count_members(two, 200) == len(brute) and enumerate_V(two, 200) == brute
     # quadratic fields and products: in Q(sqrt 2), 2 ramifies, 3 is inert and
     # 7 splits; the shifted tails have labels inside the box
     k2, ki = make_algebra([2]), make_algebra([-1])
@@ -303,13 +307,35 @@ def test_count_members_with_exceptions_and_class_tails(monkeypatch):
         (build_sieve(make_algebra([-1, 2]), TailRule.kfree(2), {split_prime(make_algebra([-1, 2]), 2)[0]: (1, ())}), 2),
     ]
     for sv, bound in cases:
-        brute = len(enumerate_V(sv, bound))
-        assert count_members(sv, bound) == brute
-        # bands of a few rows and marker chunks of a few points count the same
+        brute = box_filter(sv, bound)
+        assert count_members(sv, bound) == len(brute) and enumerate_V(sv, bound) == brute
+        # bands of a few rows and marker chunks of a few points count and list the same
         with monkeypatch.context() as m:
             m.setattr(lattices, "_SEGMENT_CLASSES", 20)
             m.setattr(lattices, "_CHUNK_POINTS", 3)
-            assert count_members(sv, bound) == brute
+            assert count_members(sv, bound) == len(brute) and enumerate_V(sv, bound) == brute
+
+
+def test_enumerate_refuses_a_box_over_budget(squarefree_q, k2, monkeypatch):
+    # boxes of 2^22 + 1 and 2049^2 points: refused before any band is marked
+    monkeypatch.setattr(sieve_mod, "_member_bands", None)
+    for sv, bound in ((squarefree_q, sieve_mod._MAX_BOX_POINTS // 2), (kfree_sieve(k2, 2), 1024)):
+        with pytest.raises(BudgetExceeded, match="budget"):
+            enumerate_V(sv, bound)
+
+
+def test_enumerate_spot_check_catches_a_wrong_mask(squarefree_q, monkeypatch):
+    # a marker that drops every exception and tail class lists 4, which membership rejects
+    monkeypatch.setattr(sieve_mod, "coset_points", lambda *args: iter(()))
+    with pytest.raises(VerificationFailed, match="membership rejects"):
+        enumerate_V(squarefree_q, 4)
+
+
+def test_box_readers_refuse_a_large_sieve():
+    covering = build_sieve(QQ, TailRule.classes_mod_p([0, 1]))
+    for fn in (enumerate_V, count_members, empirical_density):
+        with pytest.raises(PreconditionFailed, match="non-large"):
+            fn(covering, 5)
 
 
 def test_negative_bounds_rejected(squarefree_q, k2):
