@@ -432,9 +432,11 @@ def _selftest_sieve(rep):
 def _selftest_lg(rep):
     r = localglobal.check_local_surjectivity(QQ, 2, 2)
     wit = {c[0]: w.coords[0][0] for c, w in r.items()}
+    r13 = localglobal.check_local_surjectivity(make_algebra([13]), 2, 3)
     checks = [
         ("classes mod 4", r.v_classes == 3),
         ("witnesses", wit == {1: 1, 2: 2, 3: 3}),
+        ("Q(sqrt 13) re-checked", r13.v_classes == 64 and r13.reverified == 64),
     ]
     try:
         localglobal.check_local_surjectivity(QQ, 1, 5)

@@ -9,7 +9,9 @@ of `solve`, a quadratic field the p^k x p^k class grid.  The strips are
 marked by `lattices.coset_points`, the package's one box-marking primitive,
 and the grid is walked in row bands of about 2^21 classes
 (`lattices.row_bands`), so memory is bounded by the band, not by the grid.
-A product algebra is assembled from its components.
+Witnesses are re-checked on a prime list of their own, through their norms
+and then their coordinates in cells of up to 2^24 classes, by their
+coordinates alone beyond.  A product algebra is assembled from its components.
 """
 
 from __future__ import annotations
@@ -191,6 +193,11 @@ _MAX_GRID_CLASSES = 1 << 28
 # about _SAMPLE_CAP evenly spaced ones beyond.
 _FULL_VERIFY_CLASSES = 4_000_000
 _SAMPLE_CAP = 200_000
+# The re-check goes through the witnesses' norms in cells of up to
+# _NORM_RECHECK_CLASSES classes; larger cells (such as k=3 at p=17 and 19
+# over a quadratic field) test every prime ideal on every sampled witness,
+# for the reason given under ROADMAP item 3.
+_NORM_RECHECK_CLASSES = 1 << 24
 
 
 def _norms(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -204,6 +211,36 @@ def _prime_lattices(sieve: SieveSpec, skip_p: int, max_norm: int) -> list[Hnf]:
     """Grid lattices of q^k for every prime q not above skip_p with Nm(q)^k <= max_norm."""
     k = sieve.tail.exponent
     return [grid_hnf(ideal_power(q, k).hnf) for q in _tail_primes(sieve, max_norm) if q.p != skip_p]
+
+
+def _non_kfree_witnesses(
+    spec: FieldSpec, sieve: SieveSpec, skip_p: int, sa: np.ndarray, sb: np.ndarray, by_norm: bool = True
+) -> np.ndarray:
+    """Ascending indices i with (sa[i], sb[i]) in q^k for some prime q not above skip_p.
+
+    Ideal norms are multiplicative, so q^k | w implies Nm(q)^k | N(w).  With
+    by_norm, one `N(w) % Nm(q)^k` per distinct Nm(q)^k (the primes above one
+    rational prime share it) finds the only witnesses q can hold, and the
+    coordinate test decides just those; without it, every witness is tested
+    against every q^k.  The norms must be exact, so every |N(w)| must be
+    below 2^63 (`check_local_surjectivity` refuses larger cells).
+    """
+    k = sieve.tail.exponent
+    nrm = _norms(spec, sa, sb)
+    bad = np.zeros(sa.size, dtype=bool)
+    idx, a, b = slice(None), sa, sb
+    modulus = 0
+    for q in _tail_primes(sieve, int(nrm.max(initial=0))):
+        if q.p == skip_p:
+            continue
+        if by_norm and q.norm**k != modulus:
+            modulus = q.norm**k
+            idx = np.flatnonzero(nrm % modulus == 0)
+            a, b = sa[idx], sb[idx]
+        if a.size:
+            (alpha, _), (beta, gamma) = grid_hnf(ideal_power(q, k).hnf)
+            bad[idx] |= (b % gamma == 0) & ((a - (b // gamma) * beta) % alpha == 0)
+    return np.flatnonzero(bad)
 
 
 def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityReport:
@@ -312,21 +349,17 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
                     lo = offsets[s] * P + r0
                     max_h = max(max_h, lo + int(hit[-1]) if lo >= 0 else -lo - int(hit[0]))
 
-        # independent re-verification: direct divisibility per prime ideal on
-        # the witness coordinates (the finder marked boxes; this tests each one)
+        # independent re-verification of the sampled witnesses, through their
+        # norms and then their coordinates (`_non_kfree_witnesses`); it reads
+        # its own prime list, not the finder's.  Witnesses are congruent to
+        # their class by construction: a = class + t*P
         ranks = np.arange((-rank0) % stride, pos.size, stride)
         ranks = ranks[have[pos[ranks]]]
         sel = pos[ranks]
         sa = r0 + sel // W + offset_arr[strips[sel]] * P
         sb = sel % W
-        if sel.size:
-            nrm = _norms(spec, sa, sb)
-            good = np.ones(sel.size, dtype=bool)
-            for (alpha, _), (beta, gamma) in _prime_lattices(sieve, p, int(nrm.max())):
-                good &= ~((sb % gamma == 0) & ((sa - (sb // gamma) * beta) % alpha == 0))
-            # witnesses are congruent to their class by construction: a = class + t*P
-            if not bool(good.all()):
-                raise VerificationFailed("strip sieve produced a non-k-free witness")
+        if _non_kfree_witnesses(spec, sieve, p, sa, sb, P**n <= _NORM_RECHECK_CLASSES).size:
+            raise VerificationFailed("strip sieve produced a non-k-free witness")
         reverified += int(sel.size) + len(fallback)
         # scalar spot check through the standard membership path
         for j in np.flatnonzero((rank0 + ranks) % spot_stride == 0).tolist():
@@ -370,12 +403,16 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
     a componentwise condition, so a product algebra's report is assembled from
     its components': class counts multiply, the height is the largest, and
     the witness table is the lex product of the components' tables.  Every
-    report keeps the first 4096 rows of its table.  Witnesses are re-verified
-    by direct divisibility tests (all of them up to 4e6 classes of a
-    component, about 200k evenly spaced samples beyond) and fallback witnesses
-    by membership and congruence; a failed re-check raises VerificationFailed.
-    A component grid of more than 2^28 classes raises BudgetExceeded before
-    anything is allocated.  Requires k >= 2.
+    report keeps the first 4096 rows of its table.  Strip witnesses are
+    re-verified (all of them up to 4e6 classes of a component, about 200k
+    evenly spaced samples beyond) through their norms, then their
+    coordinates: a prime q^k is tested only on the witnesses whose norm
+    Nm(q)^k divides.  In a component of more than 2^24 classes every q^k is
+    tested on every sampled witness.  Fallback witnesses are re-verified by
+    membership and congruence; a failed re-check raises VerificationFailed.
+    A component grid of more than 2^28 classes, or one whose witness norms
+    could pass int64 (2^63), raises BudgetExceeded before anything is
+    allocated.  Requires k >= 2.
     """
     if k < 2:
         raise TailNotBoundable("local-global surjectivity requires k >= 2")
@@ -384,6 +421,10 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
             raise BudgetExceeded(
                 f"{p ** (k * spec.degree)} classes of {spec} exceed the budget {_MAX_GRID_CLASSES}"
             )
+        # a witness (a, b) has |a| < (_MAX_STRIPS + 1) * p^k and 0 <= b < p^k
+        norm_bound = _norm_bound(spec, (_MAX_STRIPS + 1) * p**k, p**k)
+        if norm_bound >= 2**63:
+            raise BudgetExceeded(f"witness norms over {spec} reach {norm_bound}, past int64")
     if len(algebra.components) == 1:
         return _surjectivity_field(algebra, k, p)
     parts = [_surjectivity_field(EtaleAlgebra((spec,)), k, p) for spec in algebra.components]

@@ -589,14 +589,14 @@ def tail_count(algebra: EtaleAlgebra, k: int, coord_bound: int, norm_cutoff: int
     _check_bound(coord_bound)
     _check_cutoff(norm_cutoff)
     cap = norm_cutoff + 1
+    sieve = kfree_sieve(algebra, k)
     acc = Counter({1: 1})  # capped product of the D_i so far -> element count
     for i, spec in enumerate(algebra.components):
         max_norm = _norm_bound(spec, coord_bound, coord_bound)
         factors = [
             (grid_hnf(ideal_power(q, j * k).hnf), (0, 0), q.norm)
-            for q in _tail_primes(kfree_sieve(algebra, k), max_norm, i)
-            for j in range(1, max_norm.bit_length())
-            if q.norm ** (j * k) <= max_norm
+            for q in _tail_primes(sieve, max_norm, i)
+            for j in itertools.takewhile(lambda j: q.norm ** (j * k) <= max_norm, itertools.count(1))
         ]
         # a nonzero point has D_i <= max_norm, so clipping there is exact too
         clip = min(cap, max_norm + 1)

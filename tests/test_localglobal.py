@@ -3,12 +3,14 @@ import random
 import time
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsieve import QQ, ideal_power, lattices, localglobal, make_algebra, reduce_mod, split_prime
+from ringsieve import QQ, ideal_power, lattices, localglobal, make_algebra, reduce_mod, rings, split_prime
 from ringsieve.errors import (
+    BudgetExceeded,
     InvalidConstraint,
     NotFoundWithinBound,
     TailNotBoundable,
@@ -201,6 +203,78 @@ def test_surjectivity_wrong_class_witness_raises(monkeypatch):
     for algebra, p in ((QQ, 5), (make_algebra([13]), 3)):
         with pytest.raises(VerificationFailed, match="not congruent"):
             check_local_surjectivity(algebra, 2, p)
+
+
+def test_surjectivity_refuses_int64_norms():
+    # 101^4 classes are inside the grid budget, but a witness's norm can pass
+    # 2^63 (|N(5 + 16000 w)| = 25,600,000,000,767,999,975), so the cell is
+    # refused before the kernel allocates anything
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"100000000003.*past int64"):
+        check_local_surjectivity(make_algebra([10**11 + 3]), 2, 101)
+    assert time.perf_counter() - t0 < 0.5
+
+
+@pytest.mark.parametrize("drop, by_norm", [(0, True), (1, True), (3, True), (1, False)])
+def test_broken_finder_is_caught_by_the_recheck(monkeypatch, drop, by_norm):
+    # the finder reads _prime_lattices and the re-check does not, so a finder
+    # that forgets a prime hands over witnesses the re-check rejects, through
+    # the norm filter and through the per-ideal test of the largest cells
+    if not by_norm:
+        monkeypatch.setattr(localglobal, "_NORM_RECHECK_CLASSES", 0)
+    prime_lattices = localglobal._prime_lattices
+    monkeypatch.setattr(
+        localglobal,
+        "_prime_lattices",
+        lambda sieve, skip_p, max_norm: [
+            h for i, h in enumerate(prime_lattices(sieve, skip_p, max_norm)) if i != drop
+        ],
+    )
+    cells = [([-1], 2, 13), ([2], 3, 11), ([-7], 3, 7), ([None], 2, 13)]
+    for spec, k, p in cells:
+        with pytest.raises(VerificationFailed, match="non-k-free witness"):
+            check_local_surjectivity(make_algebra(spec), k, p)
+    # a sampled cell, in bands of 150 rows
+    monkeypatch.setattr(lattices, "_SEGMENT_CLASSES", 2197 * 150)
+    with pytest.raises(VerificationFailed, match="non-k-free witness"):
+        check_local_surjectivity(make_algebra([13]), 3, 13)
+
+
+def _flagged_by_each_ideal(spec, sieve, skip_p, sa, sb):
+    """The re-check `_non_kfree_witnesses` replaced: every prime lattice against every witness."""
+    nrm = localglobal._norms(spec, sa, sb)
+    good = np.ones(sa.size, dtype=bool)
+    for (alpha, _), (beta, gamma) in localglobal._prime_lattices(sieve, skip_p, int(nrm.max(initial=0))):
+        good &= ~((sb % gamma == 0) & ((sa - (sb // gamma) * beta) % alpha == 0))
+    return np.flatnonzero(~good)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from([None, 2, 13, -1, -7]),
+    k=st.sampled_from([2, 3]),
+    skip_p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    seed=st.integers(0, 2**32 - 1),
+    by_norm=st.booleans(),
+)
+def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, skip_p, seed, by_norm):
+    K = make_algebra([spec])
+    field, sieve = K.components[0], kfree_sieve(K, k)
+    rng = np.random.default_rng(seed)
+    n = 400
+    sa = rng.integers(-3000, 3000, n)
+    sb = np.zeros(n, dtype=np.int64) if field.is_rational else rng.integers(-3000, 3000, n)
+    # points of q^k for small q, some above skip_p, and the zero witness
+    ideals = [q for q in rings.prime_ideals(K, 13) if q.norm**k <= 3000]
+    for i in rng.choice(n, n // 2, replace=False).tolist():
+        (alpha, _), (beta, gamma) = lattices.grid_hnf(ideal_power(ideals[rng.integers(len(ideals))], k).hnf)
+        u, v = rng.integers(-40, 40, 2).tolist()
+        if field.is_rational:
+            v = 0
+        sa[i], sb[i] = u * alpha + v * beta, v * gamma
+    sa[0] = sb[0] = 0
+    flagged = localglobal._non_kfree_witnesses(field, sieve, skip_p, sa, sb, by_norm)
+    assert flagged.tolist() == _flagged_by_each_ideal(field, sieve, skip_p, sa, sb).tolist()
 
 
 def quotient_walk_compatible(sieve, c):
