@@ -18,7 +18,7 @@ from functools import cache
 from . import entropy as entropy_mod
 from . import linmaps, localglobal, presets, shiftspace
 from . import sieve as sieve_mod
-from .errors import FormatError, NotFoundWithinBound, RingsieveError
+from .errors import BudgetExceeded, FormatError, NotFoundWithinBound, RingsieveError
 from .intervals import RationalInterval
 from .primes import primes_upto
 from .rings import (
@@ -425,24 +425,37 @@ def _selftest_sieve(rep):
             3611809258130995155904847607397712258668758388957873082179,
             4461857682240706026772073003862731091273644297605977607392,
         )),
+        ("huge membership refused", _raises(BudgetExceeded, sieve_mod.membership, sq, QQ.from_int(10**400))),
+        ("density box refused", _raises(BudgetExceeded, sieve_mod.empirical_density, sq2, 10**9)),
     ]
     return checks
+
+
+def _raises(error: type[Exception], fn, *args) -> bool:
+    try:
+        fn(*args)
+    except error:
+        return True
+    return False
 
 
 def _selftest_lg(rep):
     r = localglobal.check_local_surjectivity(QQ, 2, 2)
     wit = {c[0]: w.coords[0][0] for c, w in r.items()}
     r13 = localglobal.check_local_surjectivity(make_algebra([13]), 2, 3)
+    # Q x Q(sqrt -1): the zero class is forbidden at 3 on both components
+    rp = localglobal.check_local_surjectivity(make_algebra([None, -1]), 2, 3)
+    wp = dict((c, w.flat()) for c, w in rp.items())
     checks = [
         ("classes mod 4", r.v_classes == 3),
         ("witnesses", wit == {1: 1, 2: 2, 3: 3}),
         ("Q(sqrt 13) re-checked", r13.v_classes == 64 and r13.reverified == 64),
+        ("product report", (rp.n_classes, rp.v_classes, rp.max_witness_height, rp.reverified,
+                            rp.fallback_classes) == (729, 640, 47, 640, 0)),
+        ("product witnesses", len(wp) == 640 and wp[(1, 2, 2)] == (1, 47, 2) and wp[(8, 8, 8)] == (17, 17, 8)
+         and sum(map(sum, wp.values())) == 12168),
+        ("k=1 rejected", _raises(RingsieveError, localglobal.check_local_surjectivity, QQ, 1, 5)),
     ]
-    try:
-        localglobal.check_local_surjectivity(QQ, 1, 5)
-        checks.append(("k=1 rejected", False))
-    except RingsieveError:
-        checks.append(("k=1 rejected", True))
     return checks
 
 

@@ -20,11 +20,14 @@ coordinates vanish:
     crt_pair           rows (h1_i, 0, h1_i), (0, 0, h2_i), (0, 1, x1 - x2)
     preimage_lattice   rows (e_j, A e_j), (0, t_k)
 
-`coset_points` is the package's one box-marking primitive: sieve box counts,
-tail counts and the local-global strip sieve mark cosets c + L in H x W boxes
-walked in row bands (`row_bands`).  A Q component is the one-column grid b = 0
-(`grid_hnf`, `grid_point`, `grid_coords`, `grid_columns` embed its lattices,
-points and boxes).  The marker's index temporaries come in bounded chunks.
+`coset_points` walks the points of a coset c + L in an H x W box.  It is the
+one walker under the package's one member mask, `sieve._member_mask`, which
+serves sieve box counts, enumeration and the local-global strip sieve (whose
+classes and strips are the members of two sieves), and under tail counts.
+Boxes are walked in row bands (`row_bands`).  A Q component is the
+one-column grid b = 0 (`grid_hnf`, `grid_point`, `grid_coords`,
+`grid_columns` embed its lattices, points and boxes).  The walker's index
+temporaries come in bounded chunks.
 """
 
 from __future__ import annotations

@@ -5,17 +5,21 @@ the CRT base point plus multiples of the combined modulus lattice in a fixed
 radial order.  `check_local_surjectivity` exhibits a k-free preimage for
 every k-free residue class modulo p^k with one vectorized strip sieve per
 field component: Q is a one-column grid whose strips follow the radial order
-of `solve`, a quadratic field the p^k x p^k class grid.  The strips are
-marked by `lattices.coset_points`, the package's one box-marking primitive,
-and the grid is walked in row bands of about 2^21 classes
+of `solve`, a quadratic field the p^k x p^k class grid.  The strip sieve is
+two sieves read through `sieve._member_mask`, the package's one member mask:
+the classes are the members of the sieve of the primes above p alone, and a
+strip's witnesses the members of the k-free sieve with nothing forbidden at
+those primes.  The grid is walked in row bands of about 2^21 classes
 (`lattices.row_bands`), so memory is bounded by the band, not by the grid.
-Witnesses are re-checked on a prime list of their own, through their norms
-and then their coordinates in cells of up to 2^24 classes, by their
-coordinates alone beyond.  A product algebra is assembled from its components.
+Witnesses are re-checked on a prime list of their own, every prime included,
+through their norms and then their coordinates in cells of up to 2^24
+classes, by their coordinates alone beyond.  A product algebra is assembled
+from its components.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,7 +35,7 @@ from .errors import (
     TailNotBoundable,
     VerificationFailed,
 )
-from .lattices import Hnf, coset_points, crt_pair, gen_multipliers, grid_columns, grid_coords, grid_hnf, identity_hnf, row_bands
+from .lattices import Hnf, crt_pair, gen_multipliers, grid_columns, grid_coords, grid_hnf, identity_hnf, row_bands
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -42,7 +46,10 @@ from .rings import (
     reduce_mod,
     split_prime,
 )
-from .sieve import SieveSpec, kfree_sieve, local_set, membership, _check_bound, _norm_bound, _tail_primes
+from .sieve import (
+    _MAX_GRID_CLASSES, SieveSpec, TailRule, build_sieve, kfree_sieve, local_set, membership,
+    _check_bound, _forbidden_cosets, _member_mask, _norm_bound, _tail_primes,
+)
 
 
 @dataclass(frozen=True)
@@ -183,12 +190,11 @@ class SurjectivityReport:
         return len(self._witnesses)
 
 
-# Strip-sieve limits: strips walked before a class falls back to `solve`,
-# witness rows kept in a report's table, and the largest class grid
-# p^(k*degree) of one component the kernel will walk.
+# Strip-sieve limits: strips walked before a class falls back to `solve`, and
+# witness rows kept in a report's table.  The largest class grid p^(k*degree)
+# of one component the kernel will walk is the box budget _MAX_GRID_CLASSES.
 _MAX_STRIPS = 10
 _TABLE_ROWS = 4096
-_MAX_GRID_CLASSES = 1 << 28
 # Re-verification checks every witness up to _FULL_VERIFY_CLASSES classes and
 # about _SAMPLE_CAP evenly spaced ones beyond.
 _FULL_VERIFY_CLASSES = 4_000_000
@@ -200,23 +206,8 @@ _SAMPLE_CAP = 200_000
 _NORM_RECHECK_CLASSES = 1 << 24
 
 
-def _norms(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if spec.is_rational:
-        return np.abs(a)
-    s, t = spec.omega_poly
-    return np.abs(a * a + s * a * b - t * b * b)
-
-
-def _prime_lattices(sieve: SieveSpec, skip_p: int, max_norm: int) -> list[Hnf]:
-    """Grid lattices of q^k for every prime q not above skip_p with Nm(q)^k <= max_norm."""
-    k = sieve.tail.exponent
-    return [grid_hnf(ideal_power(q, k).hnf) for q in _tail_primes(sieve, max_norm) if q.p != skip_p]
-
-
-def _non_kfree_witnesses(
-    spec: FieldSpec, sieve: SieveSpec, skip_p: int, sa: np.ndarray, sb: np.ndarray, by_norm: bool = True
-) -> np.ndarray:
-    """Ascending indices i with (sa[i], sb[i]) in q^k for some prime q not above skip_p.
+def _non_kfree_witnesses(spec: FieldSpec, sieve: SieveSpec, sa: np.ndarray, sb: np.ndarray, by_norm: bool = True) -> np.ndarray:
+    """Ascending indices i with (sa[i], sb[i]) in q^k for some prime q.
 
     Ideal norms are multiplicative, so q^k | w implies Nm(q)^k | N(w).  With
     by_norm, one `N(w) % Nm(q)^k` per distinct Nm(q)^k (the primes above one
@@ -226,13 +217,11 @@ def _non_kfree_witnesses(
     below 2^63 (`check_local_surjectivity` refuses larger cells).
     """
     k = sieve.tail.exponent
-    nrm = _norms(spec, sa, sb)
+    nrm = np.abs(spec.norm((sa, sb)))
     bad = np.zeros(sa.size, dtype=bool)
     idx, a, b = slice(None), sa, sb
     modulus = 0
     for q in _tail_primes(sieve, int(nrm.max(initial=0))):
-        if q.p == skip_p:
-            continue
         if by_norm and q.norm**k != modulus:
             modulus = q.norm**k
             idx = np.flatnonzero(nrm % modulus == 0)
@@ -247,14 +236,18 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     """Strip sieve over the class grid of a one-component algebra, one row band at a time.
 
     With P = p^k the classes are the points (a, b) of a P x W grid: W = P over a
-    quadratic field, W = 1 over Q.  The class (a, b) gets the witness
-    (a + t*P, b) for the first strip offset t whose box [t*P, (t+1)*P) x [0, W)
-    leaves that point unmarked by every q^k, q not above p.  Offsets run
-    0, 1, -1, 2, -2, ... over Q, the radial order of `solve`, and 0, 1, 2, ...
-    over a quadratic field; a class still pending after _MAX_STRIPS strips
-    falls back to `solve`.  Each band (`row_bands`) holds about 2^21 classes and
-    shares one mask buffer.  Classes are ranked in row-major order across
-    bands; sampled re-verification picks every stride-th rank.
+    quadratic field, W = 1 over Q.  Two sieves do the work, both read through
+    `sieve._member_mask`: the k-free classes are the members of `at_p`, which
+    forbids the zero class mod q^k at each q | p and nothing else, and the
+    class (a, b) gets the witness (a + t*P, b) for the first strip offset t at
+    which that point is a member of `off_p`, k-free at every prime not above p
+    and free at those above it.  Offsets run 0, 1, -1, 2, -2, ... over Q, the
+    radial order of `solve`, and 0, 1, 2, ... over a quadratic field; a class
+    still pending after _MAX_STRIPS strips falls back to `solve`.  Each strip's
+    cosets, over its box [t*P, (t+1)*P) x [0, W), are listed once.  Each band
+    (`row_bands`) holds about 2^21 classes and shares one mask buffer.  Classes
+    are ranked in row-major order across bands; sampled re-verification picks
+    every stride-th rank.
     """
     spec = algebra.components[0]
     P = p**k
@@ -262,30 +255,21 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     _, W = grid_columns(n, 0, P)
     sieve = kfree_sieve(algebra, k)
     primes = split_prime(algebra, p)
-    zero_lattices = [grid_hnf(ideal_power(q, k).hnf) for q in primes]
+    at_p = build_sieve(algebra, TailRule.empty(), {q: (k, [spec.zero()]) for q in primes})
+    off_p = build_sieve(algebra, TailRule.kfree(k), {q: (k, []) for q in primes})
     bands = row_bands(0, P, W)
     buf = np.empty(bands[0][1] * W, dtype=bool)
-
-    def band_mask(lattices: list[Hnf], a0: int, h: int) -> np.ndarray:
-        mask = buf[: h * W]
-        mask.fill(False)
-        for hnf in lattices:
-            for idx in coset_points(hnf, (0, 0), a0, 0, h, W):
-                mask[idx] = True
-        return mask
 
     if spec.is_rational:
         offsets = [(s + 1) // 2 if s % 2 else -(s // 2) for s in range(_MAX_STRIPS)]
     else:
         offsets = list(range(_MAX_STRIPS))
     offset_arr = np.array(offsets, dtype=np.int64)
-    lattices_by_strip: dict[int, list[Hnf]] = {}
 
-    def strip_lattices(s: int) -> list[Hnf]:
-        if s not in lattices_by_strip:
-            amax = max(offsets[s] + 1, -offsets[s]) * P
-            lattices_by_strip[s] = _prime_lattices(sieve, p, _norm_bound(spec, amax, W))
-        return lattices_by_strip[s]
+    @functools.cache
+    def strip_cosets(s: int):
+        amax = max(offsets[s] + 1, -offsets[s]) * P
+        return _forbidden_cosets(off_p, 0, _norm_bound(spec, amax, W))
 
     def reach(s: int, r0: int, h: int) -> int:
         # the largest |a + offsets[s]*P| over the band's rows
@@ -305,7 +289,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     wits: list[AlgebraicInt] = []
     rank0 = 0
     for r0, h in bands:
-        in_v = ~band_mask(zero_lattices, r0, h)
+        in_v = _member_mask(_forbidden_cosets(at_p, 0, 0), r0, 0, h, W, np.empty(h * W, dtype=bool))
         pos = np.flatnonzero(in_v)  # the band's classes in rank order
         # pending classes; strips counts the strips each class failed, which
         # is the strip of its witness once it leaves todo
@@ -314,7 +298,8 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         for s in range(_MAX_STRIPS):
             if not todo.any():
                 break
-            todo &= band_mask(strip_lattices(s), offsets[s] * P + r0, h)
+            # todo &= ~members, without a temporary
+            np.greater(todo, _member_mask(strip_cosets(s), offsets[s] * P + r0, 0, h, W, buf), out=todo)
             strips += todo
 
         fallback: dict[int, AlgebraicInt] = {}
@@ -351,14 +336,15 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
 
         # independent re-verification of the sampled witnesses, through their
         # norms and then their coordinates (`_non_kfree_witnesses`); it reads
-        # its own prime list, not the finder's.  Witnesses are congruent to
-        # their class by construction: a = class + t*P
+        # its own prime list, the primes above p included, not the finder's
+        # cosets.  Witnesses are congruent to their class by construction:
+        # a = class + t*P
         ranks = np.arange((-rank0) % stride, pos.size, stride)
         ranks = ranks[have[pos[ranks]]]
         sel = pos[ranks]
         sa = r0 + sel // W + offset_arr[strips[sel]] * P
         sb = sel % W
-        if _non_kfree_witnesses(spec, sieve, p, sa, sb, P**n <= _NORM_RECHECK_CLASSES).size:
+        if _non_kfree_witnesses(spec, sieve, sa, sb, P**n <= _NORM_RECHECK_CLASSES).size:
             raise VerificationFailed("strip sieve produced a non-k-free witness")
         reverified += int(sel.size) + len(fallback)
         # scalar spot check through the standard membership path
@@ -406,13 +392,14 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
     report keeps the first 4096 rows of its table.  Strip witnesses are
     re-verified (all of them up to 4e6 classes of a component, about 200k
     evenly spaced samples beyond) through their norms, then their
-    coordinates: a prime q^k is tested only on the witnesses whose norm
-    Nm(q)^k divides.  In a component of more than 2^24 classes every q^k is
-    tested on every sampled witness.  Fallback witnesses are re-verified by
-    membership and congruence; a failed re-check raises VerificationFailed.
-    A component grid of more than 2^28 classes, or one whose witness norms
-    could pass int64 (2^63), raises BudgetExceeded before anything is
-    allocated.  Requires k >= 2.
+    coordinates: every prime q^k is tested, those above p too (q^k contains
+    p^k, so the witness of a class outside q^k stays outside it), and only
+    on the witnesses whose norm Nm(q)^k divides.  In a component of more
+    than 2^24 classes every q^k is tested on every sampled witness.
+    Fallback witnesses are re-verified by membership and congruence; a
+    failed re-check raises VerificationFailed.  A component grid of more
+    than 2^28 classes, or one whose witness norms could pass int64 (2^63),
+    raises BudgetExceeded before anything is allocated.  Requires k >= 2.
     """
     if k < 2:
         raise TailNotBoundable("local-global surjectivity requires k >= 2")

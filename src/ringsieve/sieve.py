@@ -27,7 +27,7 @@ from .errors import (
     VerificationFailed,
 )
 from .intervals import RationalInterval, _round_down, _round_up, directed_product
-from .lattices import coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
+from .lattices import Hnf, Vec, coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
 from .primes import primes_upto
 from .rings import (
     AlgebraicInt,
@@ -268,19 +268,27 @@ def _iroot(n: int, k: int) -> int:
     """Largest r >= 0 with r^k <= n."""
     if n < 0:
         raise ValueError("negative radicand")
-    if k == 1:
+    if k == 1 or n < 2:
         return n
-    r = int(round(n ** (1.0 / k)))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
+    if k == 2:
+        return math.isqrt(n)
+    r = 1 << -(-n.bit_length() // k)  # above the root; Newton's steps fall to it
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
     return r
 
 
-# Largest rational prime `membership` scans.  Sieving to 10^7 already takes
+# Largest rational prime a scan may reach.  Sieving to 10^7 already takes
 # about 0.5 s and 70 MB, and the scan then visits its 664,579 primes in Python.
 _MAX_PRIME_BOUND = 10**7
+# Largest box of one component (points) that a box reader or the strip sieve walks.
+_MAX_GRID_CLASSES = 1 << 28
+
+
+def _check_scan(max_norm: int, k: int, what: str) -> None:
+    """BudgetExceeded if the tail primes with Nm(q)^k <= max_norm run past _MAX_PRIME_BOUND."""
+    if (limit := _iroot(max_norm, k)) > _MAX_PRIME_BOUND:
+        raise BudgetExceeded(f"{what} would scan primes up to {limit}, over the limit {_MAX_PRIME_BOUND}")
 
 
 def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
@@ -339,11 +347,7 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
                     raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
                 return Verdict(False, prime, hit, tuple(checked))
             bound = max(bound, nm)
-        limit = _iroot(bound, k)
-        if limit > _MAX_PRIME_BOUND:
-            raise BudgetExceeded(
-                f"membership would scan primes up to {limit}, over the limit {_MAX_PRIME_BOUND}"
-            )
+        _check_scan(bound, k, "membership")
         for prime in _tail_primes(sieve, bound, i):
             checked.append(prime)
             hit = _tail_local_set(sieve, prime).hits(x)
@@ -365,64 +369,86 @@ def _norm_bound(spec: FieldSpec, amax: int, bmax: int) -> int:
     return amax * amax + abs(s) * amax * bmax + abs(t) * bmax * bmax
 
 
-def _component_bands(spec: FieldSpec, bound: int, factors: list, dtype) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Row bands (a0, b0, band) of one component's box [-bound, bound]^degree.
+def _box_norm_bounds(sieve: SieveSpec, bound: int) -> list[int]:
+    """Per component, a bound on |N(x - label)| over its box [-bound, bound]^degree.
 
-    band[i, j] is the product of f over the (L, c, f) in factors with (a0+i, b0+j)
-    in c + L; a Q component is the one-column grid b = 0.  Bands share a buffer.
+    Both budgets are checked on every component before any prime is listed:
+    a box of more than _MAX_GRID_CLASSES points, or a tail-prime scan past
+    _MAX_PRIME_BOUND, raises BudgetExceeded.
     """
+    norms = []
+    for i, spec in enumerate(sieve.algebra.components):
+        if (points := (2 * bound + 1) ** spec.degree) > _MAX_GRID_CLASSES:
+            raise BudgetExceeded(f"a component box of {points} points exceeds the budget {_MAX_GRID_CLASSES}")
+        labels = [_label_element(sieve.algebra, c).coords[i] for c in sieve.tail.labels]
+        reach = bound + max((abs(v) for c in labels for v in c), default=0)
+        norms.append(_norm_bound(spec, reach, reach))
+        if labels:
+            _check_scan(norms[-1], sieve.tail.exponent, "the box")
+    return norms
+
+
+def _forbidden_cosets(sieve: SieveSpec, i: int, max_norm: int) -> tuple[list[tuple[Hnf, Vec]], list[Vec]]:
+    """(cosets, points) of component i's non-members, on the grid.
+
+    The cosets are the exception classes and each tail label's class mod q^k
+    for the non-exception tail primes q with Nm(q)^k <= max_norm; the points
+    are the labels, which every tail prime catches.  Off the labels, that is
+    exact in any box where max_norm bounds |N(x - label)|.
+    """
+    cosets = [(grid_hnf(ls.modulus.hnf), grid_point(c))
+              for ls in sieve.exceptions if ls.modulus.component == i for c in ls.classes]
+    points = sorted({grid_point(_label_element(sieve.algebra, c).coords[i]) for c in sieve.tail.labels})
+    if points:
+        k = sieve.tail.exponent
+        cosets += [(grid_hnf(ideal_power(q, k).hnf), c) for q in _tail_primes(sieve, max_norm, i) for c in points]
+    return cosets, points
+
+
+def _member_mask(forbidden, a0: int, b0: int, H: int, W: int, buf: np.ndarray) -> np.ndarray:
+    """buf[:H*W] as the flat row-major box [a0, a0+H) x [b0, b0+W), a `_forbidden_cosets` pair's members True."""
+    cosets, points = forbidden
+    mask = buf[: H * W]
+    mask.fill(True)
+    for hnf, c in cosets:
+        for idx in coset_points(hnf, c, a0, b0, H, W):
+            mask[idx] = False
+    for a, b in points:
+        if 0 <= a - a0 < H and 0 <= b - b0 < W:
+            mask[(a - a0) * W + b - b0] = False
+    return mask
+
+
+def _member_bands(sieve: SieveSpec, i: int, bound: int, max_norm: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Row bands (a0, b0, `_member_mask` shaped (rows, W)) of component i's box [-bound, bound]^degree.
+
+    A Q component is the one-column grid b = 0.  Bands share one buffer, so
+    each is read before the next is made.
+    """
+    spec = sieve.algebra.components[i]
+    forbidden = _forbidden_cosets(sieve, i, max_norm)
     b0, W = grid_columns(spec.degree, -bound, 2 * bound + 1)
     bands = row_bands(-bound, 2 * bound + 1, W)
-    buf = np.empty(bands[0][1] * W, dtype=dtype)
+    buf = np.empty(bands[0][1] * W, dtype=bool)
     for a0, h in bands:
-        band = buf[: h * W]
-        band.fill(1)
-        for hnf, c, f in factors:
-            for idx in coset_points(hnf, c, a0, b0, h, W):
-                band[idx] *= f
-        yield a0, b0, band.reshape(h, W)
-
-
-def _member_bands(sieve: SieveSpec, i: int, bound: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Row bands (a0, b0, band) of component i's box [-bound, bound]^degree, members nonzero.
-
-    The marker (`lattices.coset_points`) zeroes every exception class, every
-    tail label's class mod q^k for the non-exception tail primes q with
-    Nm(q)^k up to the box's norm bound, and the label points, which every
-    tail prime catches.  A Q component is the one-column grid b = 0; bands
-    share one buffer, so each is read before the next is made.
-    """
-    algebra = sieve.algebra
-    spec = algebra.components[i]
-    factors = [(grid_hnf(ls.modulus.hnf), grid_point(c), 0)
-               for ls in sieve.exceptions if ls.modulus.component == i for c in ls.classes]
-    labels: list[Coords] = []
-    if sieve.tail.kind == "classes":
-        k = sieve.tail.exponent
-        labels = sorted({grid_point(_label_element(algebra, c).coords[i]) for c in sieve.tail.labels})
-        reach = bound + max(abs(v) for c in labels for v in c)
-        for prime in _tail_primes(sieve, _norm_bound(spec, reach, reach), i):
-            h = grid_hnf(ideal_power(prime, k).hnf)
-            factors.extend((h, c, 0) for c in labels)
-    for a0, b0, band in _component_bands(spec, bound, factors, np.uint8):
-        for a, b in labels:
-            if 0 <= a - a0 < band.shape[0] and 0 <= b - b0 < band.shape[1]:
-                band[a - a0, b - b0] = 0
-        yield a0, b0, band
+        yield a0, b0, _member_mask(forbidden, a0, b0, h, W, buf).reshape(h, W)
 
 
 def count_members(sieve: SieveSpec, bound: int) -> int:
     """Number of members of V(K, R) with max |coordinate| <= bound.
 
     Every prime lives on one component, so the count is the product of the
-    components' counts of nonzero `_member_bands` entries.
+    components' counts of `_member_bands` members.  A component box of more
+    than _MAX_GRID_CLASSES points, or a prime scan past _MAX_PRIME_BOUND,
+    raises BudgetExceeded before any prime is listed.
     """
     if not sieve.non_large:
         raise PreconditionFailed("count_members requires a non-large sieve")
     _check_bound(bound)
+    norms = _box_norm_bounds(sieve, bound)
     return math.prod(
-        sum(int(np.count_nonzero(band)) for _, _, band in _member_bands(sieve, i, bound))
-        for i in range(len(sieve.algebra.components))
+        sum(int(np.count_nonzero(band)) for _, _, band in _member_bands(sieve, i, bound, m))
+        for i, m in enumerate(norms)
     )
 
 
@@ -433,10 +459,10 @@ def enumerate_V(sieve: SieveSpec, bound: int) -> list[AlgebraicInt]:
     """All members with max |coordinate| <= bound, in lex coordinate order.
 
     Membership is componentwise: the members are the lex product of each
-    component's nonzero `_member_bands` entries, read row-major.  About 50
+    component's `_member_bands` members, read row-major.  About 50
     evenly spaced members are re-decided by `membership` (VerificationFailed on
-    a disagreement).  A box over _MAX_BOX_POINTS points raises BudgetExceeded
-    before anything is allocated.
+    a disagreement).  A box over _MAX_BOX_POINTS points, or a prime scan past
+    _MAX_PRIME_BOUND, raises BudgetExceeded before anything is allocated.
     """
     if not sieve.non_large:
         raise PreconditionFailed("enumerate_V requires a non-large sieve")
@@ -444,8 +470,9 @@ def enumerate_V(sieve: SieveSpec, bound: int) -> list[AlgebraicInt]:
     algebra = sieve.algebra
     if (points := (2 * bound + 1) ** algebra.degree) > _MAX_BOX_POINTS:
         raise BudgetExceeded(f"a box of {points} points exceeds the budget {_MAX_BOX_POINTS}")
+    norms = _box_norm_bounds(sieve, bound)
     blocks = [
-        [grid_coords(a0 + r, b0 + c, spec.degree) for a0, b0, band in _member_bands(sieve, i, bound)
+        [grid_coords(a0 + r, b0 + c, spec.degree) for a0, b0, band in _member_bands(sieve, i, bound, norms[i])
          for r, c in np.argwhere(band).tolist()]
         for i, spec in enumerate(algebra.components)
     ]
@@ -582,7 +609,8 @@ def tail_count(algebra: EtaleAlgebra, k: int, coord_bound: int, norm_cutoff: int
     component and row band, Nm(q) is multiplied into the points of q^(jk) for
     j = 1, 2, ... (`lattices.coset_points`); only the counts of min(D_i, M+1)
     are kept, so memory does not grow with M.  A product's count comes from
-    the products of those value classes; the zero element is excluded.
+    the products of those value classes; the zero element is excluded.  The
+    box readers' budgets apply (`_box_norm_bounds`).
     """
     if k < 2:
         raise PreconditionFailed("tail_count requires k >= 2")
@@ -591,19 +619,23 @@ def tail_count(algebra: EtaleAlgebra, k: int, coord_bound: int, norm_cutoff: int
     cap = norm_cutoff + 1
     sieve = kfree_sieve(algebra, k)
     acc = Counter({1: 1})  # capped product of the D_i so far -> element count
-    for i, spec in enumerate(algebra.components):
-        max_norm = _norm_bound(spec, coord_bound, coord_bound)
+    for i, (spec, max_norm) in enumerate(zip(algebra.components, _box_norm_bounds(sieve, coord_bound))):
         factors = [
-            (grid_hnf(ideal_power(q, j * k).hnf), (0, 0), q.norm)
+            (grid_hnf(ideal_power(q, j * k).hnf), q.norm)
             for q in _tail_primes(sieve, max_norm, i)
             for j in itertools.takewhile(lambda j: q.norm ** (j * k) <= max_norm, itertools.count(1))
         ]
         # a nonzero point has D_i <= max_norm, so clipping there is exact too
         clip = min(cap, max_norm + 1)
         hist: Counter[int] = Counter()
-        for a0, b0, band in _component_bands(spec, coord_bound, factors, np.int64):
-            if a0 <= 0 < a0 + band.shape[0]:
-                band[-a0, -b0] = 0  # the zero point: D_i is unbounded
+        b0, W = grid_columns(spec.degree, -coord_bound, 2 * coord_bound + 1)
+        for a0, h in row_bands(-coord_bound, 2 * coord_bound + 1, W):
+            band = np.ones(h * W, dtype=np.int64)
+            for hnf, f in factors:
+                for idx in coset_points(hnf, (0, 0), a0, b0, h, W):
+                    band[idx] *= f
+            if a0 <= 0 < a0 + h:
+                band[-a0 * W - b0] = 0  # the zero point: D_i is unbounded
             np.minimum(band, clip, out=band)
             if clip <= band.size:  # a histogram array no larger than the band, else a sort
                 values = np.flatnonzero(counts := np.bincount(band.ravel()))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -279,6 +280,12 @@ def test_exit_code_domain_error(tmp_path):
     # 19^8 classes of Q(sqrt 2) exceed the strip sieve's grid budget: refused at once
     code, out = run(["lg", "surjectivity", "--field", "Q(sqrt 2)", "--k", "4", "--p", "19"])
     assert code == 4 and "BudgetExceeded" in out
+    # so do (2*10^9 + 1)^2 points of a density or tail box, before any prime is listed
+    f.write_text("algebra Q(sqrt 2)\ntail kfree 2\n")
+    for cmd in ("density", "tail"):
+        t0 = time.perf_counter()
+        code, out = run(["sieve", cmd, "--spec", str(f), "--bound", "1000000000"])
+        assert code == 4 and "BudgetExceeded" in out and time.perf_counter() - t0 < 0.5
 
 
 def test_scan_reports_violation_with_exit_1():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ringsieve import QQ, ideal_power, lattices, localglobal, make_algebra, reduce_mod, rings, split_prime
+from ringsieve import sieve as sieve_mod
 from ringsieve.errors import (
     BudgetExceeded,
     InvalidConstraint,
@@ -217,19 +218,21 @@ def test_surjectivity_refuses_int64_norms():
 
 @pytest.mark.parametrize("drop, by_norm", [(0, True), (1, True), (3, True), (1, False)])
 def test_broken_finder_is_caught_by_the_recheck(monkeypatch, drop, by_norm):
-    # the finder reads _prime_lattices and the re-check does not, so a finder
-    # that forgets a prime hands over witnesses the re-check rejects, through
-    # the norm filter and through the per-ideal test of the largest cells
+    # the strips read _forbidden_cosets of the k-free sieve and the re-check
+    # does not, so a finder that forgets a coset hands over witnesses the
+    # re-check rejects, through the norm filter and through the per-ideal test
+    # of the largest cells; the class mask (an empty tail) is left whole
     if not by_norm:
         monkeypatch.setattr(localglobal, "_NORM_RECHECK_CLASSES", 0)
-    prime_lattices = localglobal._prime_lattices
-    monkeypatch.setattr(
-        localglobal,
-        "_prime_lattices",
-        lambda sieve, skip_p, max_norm: [
-            h for i, h in enumerate(prime_lattices(sieve, skip_p, max_norm)) if i != drop
-        ],
-    )
+    forbidden_cosets = localglobal._forbidden_cosets
+
+    def broken(sieve, i, max_norm):
+        cosets, points = forbidden_cosets(sieve, i, max_norm)
+        if sieve.tail.kind == "classes":
+            cosets = [c for j, c in enumerate(cosets) if j != drop]
+        return cosets, points
+
+    monkeypatch.setattr(localglobal, "_forbidden_cosets", broken)
     cells = [([-1], 2, 13), ([2], 3, 11), ([-7], 3, 7), ([None], 2, 13)]
     for spec, k, p in cells:
         with pytest.raises(VerificationFailed, match="non-k-free witness"):
@@ -240,11 +243,11 @@ def test_broken_finder_is_caught_by_the_recheck(monkeypatch, drop, by_norm):
         check_local_surjectivity(make_algebra([13]), 3, 13)
 
 
-def _flagged_by_each_ideal(spec, sieve, skip_p, sa, sb):
-    """The re-check `_non_kfree_witnesses` replaced: every prime lattice against every witness."""
-    nrm = localglobal._norms(spec, sa, sb)
+def _flagged_by_each_ideal(spec, sieve, sa, sb):
+    """The re-check `_non_kfree_witnesses` replaced: every tail prime's q^k against every witness."""
     good = np.ones(sa.size, dtype=bool)
-    for (alpha, _), (beta, gamma) in localglobal._prime_lattices(sieve, skip_p, int(nrm.max(initial=0))):
+    for q in sieve_mod._tail_primes(sieve, int(np.abs(spec.norm((sa, sb))).max(initial=0))):
+        (alpha, _), (beta, gamma) = lattices.grid_hnf(ideal_power(q, sieve.tail.exponent).hnf)
         good &= ~((sb % gamma == 0) & ((sa - (sb // gamma) * beta) % alpha == 0))
     return np.flatnonzero(~good)
 
@@ -253,18 +256,17 @@ def _flagged_by_each_ideal(spec, sieve, skip_p, sa, sb):
 @given(
     spec=st.sampled_from([None, 2, 13, -1, -7]),
     k=st.sampled_from([2, 3]),
-    skip_p=st.sampled_from([2, 3, 5, 7, 11, 13]),
     seed=st.integers(0, 2**32 - 1),
     by_norm=st.booleans(),
 )
-def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, skip_p, seed, by_norm):
+def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, seed, by_norm):
     K = make_algebra([spec])
     field, sieve = K.components[0], kfree_sieve(K, k)
     rng = np.random.default_rng(seed)
     n = 400
     sa = rng.integers(-3000, 3000, n)
     sb = np.zeros(n, dtype=np.int64) if field.is_rational else rng.integers(-3000, 3000, n)
-    # points of q^k for small q, some above skip_p, and the zero witness
+    # points of q^k for small q, and the zero witness
     ideals = [q for q in rings.prime_ideals(K, 13) if q.norm**k <= 3000]
     for i in rng.choice(n, n // 2, replace=False).tolist():
         (alpha, _), (beta, gamma) = lattices.grid_hnf(ideal_power(ideals[rng.integers(len(ideals))], k).hnf)
@@ -273,8 +275,23 @@ def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, skip_p, seed, by_nor
             v = 0
         sa[i], sb[i] = u * alpha + v * beta, v * gamma
     sa[0] = sb[0] = 0
-    flagged = localglobal._non_kfree_witnesses(field, sieve, skip_p, sa, sb, by_norm)
-    assert flagged.tolist() == _flagged_by_each_ideal(field, sieve, skip_p, sa, sb).tolist()
+    flagged = localglobal._non_kfree_witnesses(field, sieve, sa, sb, by_norm)
+    assert flagged.tolist() == _flagged_by_each_ideal(field, sieve, sa, sb).tolist()
+
+
+@pytest.mark.parametrize("by_norm", [True, False])
+def test_non_kfree_witnesses_flag_the_primes_above_p(by_norm):
+    # every prime is tested, those above the cell's p too: over Q, 9 and 18 lie
+    # in 3^2; over Q(sqrt 13), where 3 splits, an HNF row of one prime square
+    # above 3 lies in it, while 1 + w is a unit and 2 is inert
+    K = make_algebra([13])
+    _, (beta, gamma) = ideal_power(split_prime(K, 3)[1], 2).hnf
+    for field, sieve, sa, sb, flagged in (
+        (QQ.components[0], kfree_sieve(QQ, 2), [9, 10, 18, 7], [0, 0, 0, 0], [0, 2]),
+        (K.components[0], kfree_sieve(K, 2), [1, beta, 2], [1, gamma, 0], [1]),
+    ):
+        got = localglobal._non_kfree_witnesses(field, sieve, np.array(sa), np.array(sb), by_norm)
+        assert got.tolist() == flagged
 
 
 def quotient_walk_compatible(sieve, c):

@@ -88,6 +88,27 @@ def test_membership_refuses_a_prime_scan_past_its_budget():
     assert membership(kfree_sieve(k2, 4), x).member
 
 
+def test_membership_of_huge_integers_is_refused_at_once(squarefree_q):
+    # the scan limit is an exact integer root: no float rounding to walk off, no overflow
+    for x in (3**200, 10**400):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="primes up to"):
+            membership(squarefree_q, QQ.from_int(x))
+        assert time.perf_counter() - t0 < 0.5
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 10**600), k=st.integers(2, 5))
+@example(n=0, k=3)
+@example(n=1, k=5)
+@example(n=2**300 - 1, k=3)
+@example(n=2**300, k=3)
+@example(n=10**600, k=2)
+def test_iroot_is_the_exact_integer_root(n, k):
+    r = sieve_mod._iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
 def test_membership_translation_coherence(squarefree_q, k13):
     rng = random.Random(3)
     for sieve in (squarefree_q, kfree_sieve(k13, 2)):
@@ -322,6 +343,92 @@ def test_enumerate_refuses_a_box_over_budget(squarefree_q, k2, monkeypatch):
     for sv, bound in ((squarefree_q, sieve_mod._MAX_BOX_POINTS // 2), (kfree_sieve(k2, 2), 1024)):
         with pytest.raises(BudgetExceeded, match="budget"):
             enumerate_V(sv, bound)
+
+
+def test_box_readers_refuse_a_box_over_budget(squarefree_q, k2, monkeypatch):
+    # a component box over 2^28 points, or a tail-prime scan past 10^7, is
+    # refused before any prime is listed or any band is marked (building a
+    # sieve lists the primes of norm up to 1: none)
+    tail_primes = sieve_mod._tail_primes
+
+    def no_scan(sieve, max_norm, component=None):
+        assert max_norm <= 1, "a prime scan started"
+        return tail_primes(sieve, max_norm, component)
+
+    monkeypatch.setattr(sieve_mod, "_tail_primes", no_scan)
+    for name in ("_member_mask", "coset_points"):
+        monkeypatch.setattr(sieve_mod, name, None)
+    big = build_sieve(make_algebra([2_000_003]), TailRule.kfree(2))
+    for sv, bound, error in (
+        (squarefree_q, sieve_mod._MAX_GRID_CLASSES // 2, "budget"),  # 2^28 + 1 points
+        (kfree_sieve(k2, 2), 10**9, "budget"),
+        (big, 8000, "primes up to"),  # |N| up to about 1.3e14, sqrt past 10^7
+        (build_sieve(QQ, TailRule.classes_mod_p([0])), 10**7 + 1, "primes up to"),
+    ):
+        for fn in (count_members, empirical_density):
+            with pytest.raises(BudgetExceeded, match=error):
+                fn(sv, bound)
+        if sv.tail.exponent >= 2:
+            with pytest.raises(BudgetExceeded, match=error):
+                tail_count(sv.algebra, 2, bound, 10)
+
+
+def _box_oracle(sieve, i, a0, b0, H, W):
+    """Component i's members of the box, one `membership` call per point.
+
+    The other components hold a fixed member, so x is a member iff its
+    component i is.
+    """
+    base = next(x for x in sieve.algebra.box(3) if membership(sieve, x).member)
+    n = sieve.algebra.components[i].degree
+    out = []
+    for a in range(a0, a0 + H):
+        for b in range(b0, b0 + W):
+            coords = list(base.coords)
+            coords[i] = lattices.grid_coords(a, b, n)
+            out.append(membership(sieve, sieve.algebra.element(coords)).member)
+    return out
+
+
+def _mask_sieves():
+    k2, ki, q_k2 = make_algebra([2]), make_algebra([-1]), make_algebra([None, 2])
+    ram, inert, split = split_prime(k2, 2)[0], split_prime(k2, 3)[0], split_prime(k2, 7)[1]
+    return [
+        kfree_sieve(QQ, 2),
+        build_sieve(QQ, TailRule.shifted_kfree(2, [0, 2, -5]), {q_prime(3): (1, ((1,),))}),
+        build_sieve(k2, TailRule.kfree(2), {ram: (3, ((0, 0), (1, 1))), inert: (1, ((1, 2),)), split: (1, ((3, 0),))}),
+        build_sieve(ki, TailRule.shifted_kfree(2, [(0, 0), (1, 1), (-3, 2)]), {split_prime(ki, 5)[0]: (1, ())}),
+        build_sieve(q_k2, TailRule.shifted_kfree(2, [0, 1]), {split_prime(q_k2, 3)[1]: (1, ((2, 1),))}),
+        build_sieve(q_k2, TailRule.shifted_kfree(3, [(0, 0, 0), (4, -3, 2)])),
+        build_sieve(make_algebra([-1, 2]), TailRule.kfree(2), {split_prime(make_algebra([-1, 2]), 2)[0]: (1, ())}),
+        build_sieve(k2, TailRule.empty(), {inert: (2, ((0, 0), (3, 1)))}),
+    ]
+
+
+MASK_SIEVES = _mask_sieves()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    which=st.integers(0, len(MASK_SIEVES) - 1),
+    comp=st.integers(0, 1),
+    a0=st.integers(-60, 20),
+    b0=st.integers(-40, 40),
+    H=st.integers(1, 40),
+    W=st.integers(1, 40),
+)
+def test_member_mask_matches_membership_off_origin(which, comp, a0, b0, H, W):
+    sv = MASK_SIEVES[which]
+    i = comp % len(sv.algebra.components)
+    spec = sv.algebra.components[i]
+    b0, W = lattices.grid_columns(spec.degree, b0, W)
+    labels = sieve_mod._forbidden_cosets(sv, i, 0)[1]
+    reach = max(abs(a0), abs(a0 + H - 1), abs(b0), abs(b0 + W - 1)) + max(
+        (abs(v) for c in labels for v in c), default=0
+    )
+    forbidden = sieve_mod._forbidden_cosets(sv, i, sieve_mod._norm_bound(spec, reach, reach))
+    mask = sieve_mod._member_mask(forbidden, a0, b0, H, W, np.zeros(H * W + 7, dtype=bool))
+    assert mask.tolist() == _box_oracle(sv, i, a0, b0, H, W)
 
 
 def test_enumerate_spot_check_catches_a_wrong_mask(squarefree_q, monkeypatch):
