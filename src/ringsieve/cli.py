@@ -446,6 +446,10 @@ def _selftest_lg(rep):
     # Q x Q(sqrt -1): the zero class is forbidden at 3 on both components
     rp = localglobal.check_local_surjectivity(make_algebra([None, -1]), 2, 3)
     wp = dict((c, w.flat()) for c, w in rp.items())
+    # 7 ramifies in Q(sqrt 105); the class (42, 15) finds its witness in strip 10,
+    # the eleventh, congruent mod 49 O, not only mod the square of the prime above 7
+    r105 = localglobal.check_local_surjectivity(make_algebra([105]), 2, 7)
+    w105 = dict((c, w.flat()) for c, w in r105.items())[(42, 15)]
     checks = [
         ("classes mod 4", r.v_classes == 3),
         ("witnesses", wit == {1: 1, 2: 2, 3: 3}),
@@ -454,6 +458,9 @@ def _selftest_lg(rep):
                             rp.fallback_classes) == (729, 640, 47, 640, 0)),
         ("product witnesses", len(wp) == 640 and wp[(1, 2, 2)] == (1, 47, 2) and wp[(8, 8, 8)] == (17, 17, 8)
          and sum(map(sum, wp.values())) == 12168),
+        ("ramified report", (r105.n_classes, r105.v_classes, r105.max_witness_height, r105.reverified,
+                             r105.fallback_classes) == (2401, 2352, 532, 2352, 0)),
+        ("ramified witness mod 49", w105 == (532, 15) and all((a - c) % 49 == 0 for a, c in zip(w105, (42, 15)))),
         ("k=1 rejected", _raises(RingsieveError, localglobal.check_local_surjectivity, QQ, 1, 5)),
     ]
     return checks

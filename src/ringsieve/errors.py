@@ -32,10 +32,10 @@ class InvalidConstraint(RingsieveError):
 class NotFoundWithinBound(RingsieveError):
     """The scan exhausted the coordinate budget without finding a witness."""
 
-    def __init__(self, bound: int, checked: int = 0):
+    def __init__(self, bound: int, checked: int = 0, message: str | None = None):
         self.bound = bound
         self.checked = checked
-        super().__init__(f"no witness with coordinate height <= {bound} ({checked} candidates checked)")
+        super().__init__(message or f"no witness with coordinate height <= {bound} ({checked} candidates checked)")
 
 
 class BudgetExceeded(RingsieveError):

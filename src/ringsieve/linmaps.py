@@ -36,7 +36,9 @@ from .rings import (
 )
 from .sieve import SieveSpec, local_set
 
-DEFAULT_CLASS_BUDGET = 2_000_000
+# classes of O_K/p^m an exhaustive local check walks, matrices a preserver scan walks
+_CLASS_BUDGET = 2_000_000
+_MATRIX_BUDGET = 20_000_000
 
 
 def _det(m: Sequence[Sequence[int]]) -> int:
@@ -163,7 +165,6 @@ def check_local_condition(
     r_sieve: SieveSpec,
     s_sieve: SieveSpec,
     p: int,
-    budget: int = DEFAULT_CLASS_BUDGET,
 ) -> LocalCheck:
     """Exhaustively test A(V_p(K, R)) inside V_p(L, S).
 
@@ -182,8 +183,8 @@ def check_local_condition(
     m = max(_needed_exponent(r_sieve, src_primes), _needed_exponent(s_sieve, dst_primes))
     q = p**m
     n = a.source.degree
-    if q**n > budget:
-        raise BudgetExceeded(f"{q**n} classes exceed budget {budget}")
+    if q**n > _CLASS_BUDGET:
+        raise BudgetExceeded(f"{q**n} classes exceed budget {_CLASS_BUDGET}")
     r_sets = [local_set(r_sieve, pr) for pr in src_primes]
     s_sets = [local_set(s_sieve, pr) for pr in dst_primes]
     for flat in itertools.product(range(q), repeat=n):
@@ -260,7 +261,6 @@ def scan_primes(
     r_sieve: SieveSpec,
     s_sieve: SieveSpec,
     cutoff: int,
-    budget: int = DEFAULT_CLASS_BUDGET,
 ) -> LocalCheck | None:
     """First p <= cutoff violating the local condition, or None.
 
@@ -290,7 +290,7 @@ def scan_primes(
         ):
             res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
         else:
-            res = check_local_condition(a, r_sieve, s_sieve, p, budget)
+            res = check_local_condition(a, r_sieve, s_sieve, p)
         if not res.ok:
             return res
     return None
@@ -329,7 +329,7 @@ class PreserverScan:
         return all(mono for _, mono in self.preservers)
 
 
-def preserver_scan(q: int, n: int, m: int, budget: int = 20_000_000) -> PreserverScan:
+def preserver_scan(q: int, n: int, m: int) -> PreserverScan:
     """All F_q-matrices mapping vectors with nonzero coordinates to the same.
 
     For n = m only invertible matrices are scanned; each survivor is flagged
@@ -340,8 +340,8 @@ def preserver_scan(q: int, n: int, m: int, budget: int = 20_000_000) -> Preserve
         raise PreconditionFailed("q must be a prime <= 7")
     if n > 3 or m > 3 or n < 1 or m < 1:
         raise PreconditionFailed("dimensions must be in 1..3")
-    if q ** (n * m) > budget:
-        raise BudgetExceeded(f"{q**(n*m)} matrices exceed budget {budget}")
+    if q ** (n * m) > _MATRIX_BUDGET:
+        raise BudgetExceeded(f"{q**(n*m)} matrices exceed budget {_MATRIX_BUDGET}")
     units = list(range(1, q))
     test_vectors = list(itertools.product(units, repeat=n))
     out = []

@@ -3,18 +3,19 @@
 `solve` finds an element of V(K, R) in prescribed residue classes by walking
 the CRT base point plus multiples of the combined modulus lattice in a fixed
 radial order.  `check_local_surjectivity` exhibits a k-free preimage for
-every k-free residue class modulo p^k with one vectorized strip sieve per
+every k-free residue class modulo p^k O_K with one vectorized strip sieve per
 field component: Q is a one-column grid whose strips follow the radial order
 of `solve`, a quadratic field the p^k x p^k class grid.  The strip sieve is
 two sieves read through `sieve._member_mask`, the package's one member mask:
 the classes are the members of the sieve of the primes above p alone, and a
 strip's witnesses the members of the k-free sieve with nothing forbidden at
-those primes.  The grid is walked in row bands of about 2^21 classes
-(`lattices.row_bands`), so memory is bounded by the band, not by the grid.
-Witnesses are re-checked on a prime list of their own, every prime included,
-through their norms and then their coordinates in cells of up to 2^24
-classes, by their coordinates alone beyond.  A product algebra is assembled
-from its components.
+those primes.  Every witness is (a + t*p^k, b) for its class (a, b), so it
+is congruent to the class mod p^k O_K by construction; a class with no
+witness in the first 64 strips raises NotFoundWithinBound.  The grid is
+walked in row bands of about 2^21 classes (`lattices.row_bands`), so memory
+is bounded by the band, not by the grid.  Witnesses are re-checked on a
+prime list of their own, every prime included, through their norms and then
+their coordinates.  A product algebra is assembled from its components.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .rings import (
     FieldSpec,
     PrimeIdeal,
     ideal_power,
-    reduce_mod,
     split_prime,
 )
 from .sieve import (
@@ -167,7 +167,12 @@ def solve(
 
 @dataclass
 class SurjectivityReport:
-    """Witness table for the reduction map V_{K,k} -> V_{K,k,p}."""
+    """Witness table for the reduction map V_{K,k} -> V_{K,k,p}.
+
+    `fallback_classes` is always 0: every witness comes from the strip sieve,
+    and a class it cannot lift raises instead.  The field stays because
+    `bench/worker.py` and the tests read it.
+    """
 
     algebra: EtaleAlgebra
     k: int
@@ -190,39 +195,34 @@ class SurjectivityReport:
         return len(self._witnesses)
 
 
-# Strip-sieve limits: strips walked before a class falls back to `solve`, and
-# witness rows kept in a report's table.  The largest class grid p^(k*degree)
-# of one component the kernel will walk is the box budget _MAX_GRID_CLASSES.
-_MAX_STRIPS = 10
+# Strip-sieve limits: strips walked per class, the reach of the old
+# `solve(..., bound=64 * p^k)` search (a class with no witness in them raises
+# NotFoundWithinBound; the count fits the int8 strip map), and witness rows
+# kept in a report's table.  The largest class grid p^(k*degree) of one
+# component the kernel will walk is the box budget _MAX_GRID_CLASSES.
+_MAX_STRIPS = 64
 _TABLE_ROWS = 4096
 # Re-verification checks every witness up to _FULL_VERIFY_CLASSES classes and
 # about _SAMPLE_CAP evenly spaced ones beyond.
 _FULL_VERIFY_CLASSES = 4_000_000
-_SAMPLE_CAP = 200_000
-# The re-check goes through the witnesses' norms in cells of up to
-# _NORM_RECHECK_CLASSES classes; larger cells (such as k=3 at p=17 and 19
-# over a quadratic field) test every prime ideal on every sampled witness,
-# for the reason given under ROADMAP item 3.
-_NORM_RECHECK_CLASSES = 1 << 24
+_SAMPLE_CAP = 550_000
 
 
-def _non_kfree_witnesses(spec: FieldSpec, sieve: SieveSpec, sa: np.ndarray, sb: np.ndarray, by_norm: bool = True) -> np.ndarray:
+def _non_kfree_witnesses(spec: FieldSpec, sieve: SieveSpec, sa: np.ndarray, sb: np.ndarray) -> np.ndarray:
     """Ascending indices i with (sa[i], sb[i]) in q^k for some prime q.
 
-    Ideal norms are multiplicative, so q^k | w implies Nm(q)^k | N(w).  With
-    by_norm, one `N(w) % Nm(q)^k` per distinct Nm(q)^k (the primes above one
-    rational prime share it) finds the only witnesses q can hold, and the
-    coordinate test decides just those; without it, every witness is tested
-    against every q^k.  The norms must be exact, so every |N(w)| must be
-    below 2^63 (`check_local_surjectivity` refuses larger cells).
+    Ideal norms are multiplicative, so q^k | w implies Nm(q)^k | N(w): one
+    `N(w) % Nm(q)^k` per distinct Nm(q)^k (the primes above one rational
+    prime share it) finds the only witnesses q can hold, and the coordinate
+    test decides just those.  The norms must be exact, so every |N(w)| must
+    be below 2^63 (`check_local_surjectivity` refuses larger cells).
     """
     k = sieve.tail.exponent
     nrm = np.abs(spec.norm((sa, sb)))
     bad = np.zeros(sa.size, dtype=bool)
-    idx, a, b = slice(None), sa, sb
     modulus = 0
     for q in _tail_primes(sieve, int(nrm.max(initial=0))):
-        if by_norm and q.norm**k != modulus:
+        if q.norm**k != modulus:
             modulus = q.norm**k
             idx = np.flatnonzero(nrm % modulus == 0)
             a, b = sa[idx], sb[idx]
@@ -242,8 +242,9 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     class (a, b) gets the witness (a + t*P, b) for the first strip offset t at
     which that point is a member of `off_p`, k-free at every prime not above p
     and free at those above it.  Offsets run 0, 1, -1, 2, -2, ... over Q, the
-    radial order of `solve`, and 0, 1, 2, ... over a quadratic field; a class
-    still pending after _MAX_STRIPS strips falls back to `solve`.  Each strip's
+    radial order of `solve`, and 0, 1, 2, ... over a quadratic field, so every
+    witness is congruent to its class mod P O by construction; a class still
+    pending after _MAX_STRIPS strips raises NotFoundWithinBound.  Each strip's
     cosets, over its box [t*P, (t+1)*P) x [0, W), are listed once.  Each band
     (`row_bands`) holds about 2^21 classes and shares one mask buffer.  Classes
     are ranked in row-major order across bands; sampled re-verification picks
@@ -284,7 +285,6 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
 
     max_h = 0
     reverified = 0
-    n_fallback = 0
     reps: list[Coords] = []
     wits: list[AlgebraicInt] = []
     rank0 = 0
@@ -301,35 +301,23 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
             # todo &= ~members, without a temporary
             np.greater(todo, _member_mask(strip_cosets(s), offsets[s] * P + r0, 0, h, W, buf), out=todo)
             strips += todo
-
-        fallback: dict[int, AlgebraicInt] = {}
-        for i in np.flatnonzero(todo).tolist():
-            x = algebra.element([grid_coords(r0 + i // W, i % W, n)])
-            cons = [
-                CongruenceConstraint(q, k, reduce_mod(x, ideal_power(q, k))) for q in primes
-            ]
-            y = solve(sieve, cons, bound=64 * P)
-            for c in cons:
-                if reduce_mod(y, ideal_power(c.prime, k)) != c.target:
-                    raise VerificationFailed(
-                        f"fallback witness {y} is not congruent to {x} mod {c.prime}^{k}"
-                    )
-            if not membership(sieve, y).member:
-                raise VerificationFailed(f"fallback witness {y} is not {k}-free")
-            fallback[i] = y
-            max_h = max(max_h, y.height)
-        n_fallback += len(fallback)
+        if todo.any():
+            i = int(np.flatnonzero(todo)[0])
+            x = grid_coords(r0 + i // W, i % W, n)
+            raise NotFoundWithinBound(
+                (max(map(abs, offsets)) + 1) * P - 1, _MAX_STRIPS,
+                f"class {x} has no {k}-free lift (a + t*{P}, b) in {_MAX_STRIPS} strips",
+            )
 
         # witness (a + offsets[s]*P, b) heights: strips in falling order of
         # reach, the last column
-        have = in_v & ~todo
-        if have.any():
-            max_h = max(max_h, int(np.flatnonzero(have.reshape(h, W).any(axis=0))[-1]))
-            top = int(np.max(strips, where=have, initial=0))
+        if pos.size:
+            max_h = max(max_h, int(np.flatnonzero(in_v.reshape(h, W).any(axis=0))[-1]))
+            top = int(np.max(strips, where=in_v, initial=0))
             for s in sorted(range(top + 1), key=lambda s: -reach(s, r0, h)):
                 if reach(s, r0, h) <= max_h:
                     break
-                hit = np.flatnonzero(((strips == s) & have).reshape(h, W).any(axis=1))
+                hit = np.flatnonzero(((strips == s) & in_v).reshape(h, W).any(axis=1))
                 if hit.size:
                     lo = offsets[s] * P + r0
                     max_h = max(max_h, lo + int(hit[-1]) if lo >= 0 else -lo - int(hit[0]))
@@ -340,13 +328,12 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         # cosets.  Witnesses are congruent to their class by construction:
         # a = class + t*P
         ranks = np.arange((-rank0) % stride, pos.size, stride)
-        ranks = ranks[have[pos[ranks]]]
         sel = pos[ranks]
         sa = r0 + sel // W + offset_arr[strips[sel]] * P
         sb = sel % W
-        if _non_kfree_witnesses(spec, sieve, sa, sb, P**n <= _NORM_RECHECK_CLASSES).size:
+        if _non_kfree_witnesses(spec, sieve, sa, sb).size:
             raise VerificationFailed("strip sieve produced a non-k-free witness")
-        reverified += int(sel.size) + len(fallback)
+        reverified += int(sel.size)
         # scalar spot check through the standard membership path
         for j in np.flatnonzero((rank0 + ranks) % spot_stride == 0).tolist():
             y = algebra.element([grid_coords(int(sa[j]), int(sb[j]), n)])
@@ -356,10 +343,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         for i in pos[: max(0, _TABLE_ROWS - rank0)].tolist():
             a, b = r0 + i // W, i % W
             reps.append(grid_coords(a, b, n))
-            if i in fallback:
-                wits.append(fallback[i])
-            else:
-                wits.append(algebra.element([grid_coords(a + offsets[strips[i]] * P, b, n)]))
+            wits.append(algebra.element([grid_coords(a + offsets[strips[i]] * P, b, n)]))
         rank0 += int(pos.size)
     if rank0 != v_classes:
         raise VerificationFailed(f"the bands hold {rank0} {k}-free classes, the product formula {v_classes}")
@@ -373,7 +357,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         True,
         max_h,
         reverified=reverified,
-        fallback_classes=n_fallback,
+        fallback_classes=0,
         _class_reps=reps,
         _witnesses=wits,
     )
@@ -389,17 +373,18 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
     a componentwise condition, so a product algebra's report is assembled from
     its components': class counts multiply, the height is the largest, and
     the witness table is the lex product of the components' tables.  Every
-    report keeps the first 4096 rows of its table.  Strip witnesses are
-    re-verified (all of them up to 4e6 classes of a component, about 200k
-    evenly spaced samples beyond) through their norms, then their
-    coordinates: every prime q^k is tested, those above p too (q^k contains
-    p^k, so the witness of a class outside q^k stays outside it), and only
-    on the witnesses whose norm Nm(q)^k divides.  In a component of more
-    than 2^24 classes every q^k is tested on every sampled witness.
-    Fallback witnesses are re-verified by membership and congruence; a
-    failed re-check raises VerificationFailed.  A component grid of more
-    than 2^28 classes, or one whose witness norms could pass int64 (2^63),
-    raises BudgetExceeded before anything is allocated.  Requires k >= 2.
+    report keeps the first 4096 rows of its table.  Every witness is
+    (a + t*p^k, b) for its class (a, b), so it is congruent to the class mod
+    p^k O_K; a class with no k-free lift in the first 64 strips raises
+    NotFoundWithinBound.  Witnesses are re-verified (all of them up to 4e6
+    classes of a component, about 550k evenly spaced samples beyond)
+    through their norms, then their coordinates: every prime q^k is tested,
+    those above p too (q^k contains p^k, so the witness of a class outside
+    q^k stays outside it), and only on the witnesses whose norm Nm(q)^k
+    divides.  A failed re-check raises VerificationFailed.  A component grid
+    of more than 2^28 classes, or one whose witness norms could pass int64
+    (2^63), raises BudgetExceeded before anything is allocated.  Requires
+    k >= 2.
     """
     if k < 2:
         raise TailNotBoundable("local-global surjectivity requires k >= 2")
@@ -430,7 +415,7 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
         True,
         max(r.max_witness_height for r in parts),
         reverified=math.prod(r.reverified for r in parts),
-        fallback_classes=v_classes - math.prod(r.v_classes - r.fallback_classes for r in parts),
+        fallback_classes=0,
         _class_reps=reps,
         _witnesses=wits,
     )

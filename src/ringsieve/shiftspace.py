@@ -161,7 +161,11 @@ def is_admissible(sieve: SieveSpec, pattern: Pattern) -> AdmissibilityResult:
     return AdmissibilityResult(True, tuple(witnesses), threshold, None)
 
 
-def count_admissible(sieve: SieveSpec, box_size: int, budget: int = 1 << 24) -> int:
+# subsets of {0, ..., N-1} that count_admissible enumerates
+_SUBSET_BUDGET = 1 << 24
+
+
+def count_admissible(sieve: SieveSpec, box_size: int) -> int:
     """Number of admissible subsets of {0, ..., N-1} over Q.
 
     Subsets are enumerated as bitmasks and tested at the exceptions and the
@@ -175,8 +179,8 @@ def count_admissible(sieve: SieveSpec, box_size: int, budget: int = 1 << 24) -> 
         raise PreconditionFailed("count_admissible requires a non-large sieve")
     if box_size < 0:
         raise PreconditionFailed(f"box size must be >= 0, got {box_size}")
-    if (1 << box_size) > budget:
-        raise BudgetExceeded(f"2^{box_size} subsets exceed budget {budget}")
+    if (1 << box_size) > _SUBSET_BUDGET:
+        raise BudgetExceeded(f"2^{box_size} subsets exceed budget {_SUBSET_BUDGET}")
     n_sets = 1 << box_size
     dtype = np.uint32 if box_size <= 31 else np.uint64
     masks = np.arange(n_sets, dtype=dtype)
@@ -609,9 +613,12 @@ class SymmetryCandidate:
         return f"code[{pats}]"
 
 
-def symmetry_scan(
-    sieve: SieveSpec, radius: int, budget: int = 4096
-) -> list[SymmetryCandidate]:
+# symmetry_scan refuses more than 32x this many pattern families and stops
+# after checking 64x this many
+_SCAN_BUDGET = 4096
+
+
+def symmetry_scan(sieve: SieveSpec, radius: int) -> list[SymmetryCandidate]:
     """Enumerate block-code symmetry candidates with window [-W, W] over Q.
 
     Families of non-empty admissible patterns are filtered by the necessary
@@ -627,7 +634,7 @@ def symmetry_scan(
         raise PreconditionFailed(f"window radius must be >= 0, got {radius}")
     window = int_pattern(range(-radius, radius + 1))
     subsets = _admissible_patterns(sieve, range(-radius, radius + 1), 1)
-    if 2 ** len(subsets) > budget * 32:
+    if 2 ** len(subsets) > _SCAN_BUDGET * 32:
         raise BudgetExceeded(f"2^{len(subsets)} families exceed the scan budget")
 
     # probe data: admissible patches on a box two steps wider than the window
@@ -654,7 +661,7 @@ def symmetry_scan(
     survivors: list[SymmetryCandidate] = []
     n_checked = 0
     for r in range(1, len(subsets) + 1):
-        if n_checked > budget * 64:
+        if n_checked > _SCAN_BUDGET * 64:
             raise BudgetExceeded("family enumeration exceeded the scan budget")
         for family in itertools.combinations(subsets, r):
             n_checked += 1

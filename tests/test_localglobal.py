@@ -156,7 +156,7 @@ def test_surjectivity_segment_boundaries(monkeypatch):
     # sampled re-verification: 150-row bands, 97-row last band (2197 = 14*150 + 97)
     monkeypatch.setattr(lattices, "_SEGMENT_CLASSES", 2197 * 150)
     rep = check_local_surjectivity(make_algebra([13]), 3, 13)
-    assert _summary(rep) == (4824612, 201026, 8761, 0)
+    assert _summary(rep) == (4824612, 603077, 8761, 0)
 
 
 def _radial_kfree(c, P, k):
@@ -195,14 +195,31 @@ def test_surjectivity_rational_witness_is_solve_answer(p, k, c):
     assert _rational_table(k, p)[(c,)] == y
 
 
-def test_surjectivity_wrong_class_witness_raises(monkeypatch):
-    # no strips, so every class falls back to solve; a k-free witness of the
-    # wrong class must fail the congruence check with a typed error (not
-    # assert, so the check survives python -O)
-    monkeypatch.setattr(localglobal, "_MAX_STRIPS", 0)
-    monkeypatch.setattr(localglobal, "solve", lambda sieve, cons, bound: sieve.algebra.one)
-    for algebra, p in ((QQ, 5), (make_algebra([13]), 3)):
-        with pytest.raises(VerificationFailed, match="not congruent"):
+@pytest.mark.parametrize(
+    "spec, k, p",
+    [([105], 2, 7), ([-231], 2, 7), ([13], 2, 3), ([2], 2, 5)],
+    ids=["ramified-105", "ramified-minus231", "split-13", "inert-2"],
+)
+def test_surjectivity_witnesses_are_congruent_mod_pk(spec, k, p):
+    # the reduction map works on classes mod p^k O_K: every witness differs
+    # from its class by an element of p^k O_K, so by p^k in each coordinate;
+    # a congruence mod q^k at each q | p alone is coarser at a ramified p
+    # (7 ramifies in Q(sqrt 105) and Q(sqrt -231), 3 splits in Q(sqrt 13),
+    # 5 is inert in Q(sqrt 2))
+    K = make_algebra(spec)
+    rep = check_local_surjectivity(K, k, p)
+    assert rep.fallback_classes == 0
+    for cls, w in rep.items():
+        assert all((a - c) % p**k == 0 for a, c in zip(w.flat(), cls)), (cls, w)
+
+
+def test_surjectivity_strip_cap_raises(monkeypatch):
+    # one strip: 4 = 2^2 mod 25, and 4w mod 9 over Q(sqrt 13) (the first
+    # non-squarefree classes), need a second, so the cell raises a typed
+    # error (not assert, so the check survives python -O)
+    monkeypatch.setattr(localglobal, "_MAX_STRIPS", 1)
+    for algebra, p, cls in ((QQ, 5, r"\(4,\)"), (make_algebra([13]), 3, r"\(0, 4\)")):
+        with pytest.raises(NotFoundWithinBound, match=rf"class {cls} has no 2-free lift .* in 1 strips"):
             check_local_surjectivity(algebra, 2, p)
 
 
@@ -216,14 +233,11 @@ def test_surjectivity_refuses_int64_norms():
     assert time.perf_counter() - t0 < 0.5
 
 
-@pytest.mark.parametrize("drop, by_norm", [(0, True), (1, True), (3, True), (1, False)])
-def test_broken_finder_is_caught_by_the_recheck(monkeypatch, drop, by_norm):
+@pytest.mark.parametrize("drop", [0, 1, 3])
+def test_broken_finder_is_caught_by_the_recheck(monkeypatch, drop):
     # the strips read _forbidden_cosets of the k-free sieve and the re-check
     # does not, so a finder that forgets a coset hands over witnesses the
-    # re-check rejects, through the norm filter and through the per-ideal test
-    # of the largest cells; the class mask (an empty tail) is left whole
-    if not by_norm:
-        monkeypatch.setattr(localglobal, "_NORM_RECHECK_CLASSES", 0)
+    # re-check rejects; the class mask (an empty tail) is left whole
     forbidden_cosets = localglobal._forbidden_cosets
 
     def broken(sieve, i, max_norm):
@@ -257,9 +271,8 @@ def _flagged_by_each_ideal(spec, sieve, sa, sb):
     spec=st.sampled_from([None, 2, 13, -1, -7]),
     k=st.sampled_from([2, 3]),
     seed=st.integers(0, 2**32 - 1),
-    by_norm=st.booleans(),
 )
-def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, seed, by_norm):
+def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, seed):
     K = make_algebra([spec])
     field, sieve = K.components[0], kfree_sieve(K, k)
     rng = np.random.default_rng(seed)
@@ -275,12 +288,11 @@ def test_non_kfree_witnesses_match_each_ideal_loop(spec, k, seed, by_norm):
             v = 0
         sa[i], sb[i] = u * alpha + v * beta, v * gamma
     sa[0] = sb[0] = 0
-    flagged = localglobal._non_kfree_witnesses(field, sieve, sa, sb, by_norm)
+    flagged = localglobal._non_kfree_witnesses(field, sieve, sa, sb)
     assert flagged.tolist() == _flagged_by_each_ideal(field, sieve, sa, sb).tolist()
 
 
-@pytest.mark.parametrize("by_norm", [True, False])
-def test_non_kfree_witnesses_flag_the_primes_above_p(by_norm):
+def test_non_kfree_witnesses_flag_the_primes_above_p():
     # every prime is tested, those above the cell's p too: over Q, 9 and 18 lie
     # in 3^2; over Q(sqrt 13), where 3 splits, an HNF row of one prime square
     # above 3 lies in it, while 1 + w is a unit and 2 is inert
@@ -290,7 +302,7 @@ def test_non_kfree_witnesses_flag_the_primes_above_p(by_norm):
         (QQ.components[0], kfree_sieve(QQ, 2), [9, 10, 18, 7], [0, 0, 0, 0], [0, 2]),
         (K.components[0], kfree_sieve(K, 2), [1, beta, 2], [1, gamma, 0], [1]),
     ):
-        got = localglobal._non_kfree_witnesses(field, sieve, np.array(sa), np.array(sb), by_norm)
+        got = localglobal._non_kfree_witnesses(field, sieve, np.array(sa), np.array(sb))
         assert got.tolist() == flagged
 
 
