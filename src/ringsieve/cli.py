@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / verified, 1 mathematical negative (counterexample,
 not found, not conjugate), 2 usage error or malformed input file (printed
-as `error: <file>:<line>: <message>`), 3 missing file, 4 domain error.
+as `error: <file>:<line>: <message>`), 3 a file that cannot be read
+(missing, a directory, ...), 4 domain error.
 Output is deterministic; --json emits a single structured document.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -28,6 +30,7 @@ from .rings import (
     make_algebra,
     parse_algebra,
     parse_element,
+    prime_at,
     split_prime,
     units_up_to,
 )
@@ -72,19 +75,25 @@ class _Report:
                 print(f"{k}: {vv}")
 
 
-def _read_file(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except FileNotFoundError:
-        print(f"error: file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_NOFILE)
-
-
 def _parse_file(path: str, parse, *args):
-    """parse(text of the file, *args), with the path attached to a FormatError."""
+    """parse(the file's text, *args), with the path attached to a FormatError.
+
+    A byte that is not UTF-8 is a FormatError at its line; a path that cannot
+    be read, missing or not, exits EXIT_NOFILE.
+    """
     try:
-        return parse(_read_file(path), *args)
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
+        raise SystemExit(EXIT_NOFILE)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise FormatError(f"byte 0x{data[e.start]:02x} is not UTF-8", line, path) from None
+    try:
+        return parse(text, *args)
     except FormatError as e:
         e.path = path
         raise
@@ -94,20 +103,13 @@ def _load_sieve(path: str) -> sieve_mod.SieveSpec:
     return _parse_file(path, sieve_mod.parse_sieve_file)
 
 
-def _parse_cong(text: str, algebra):
-    # p[idx]^k=literal
-    import re
-
+def _parse_cong(text: str, algebra) -> localglobal.CongruenceConstraint:
+    """A --cong value p[idx]^k=element; idx counts the primes above p (`rings.prime_at`)."""
     m = re.match(r"^(\d+)(?:\[(\d+)\])?\^(\d+)=(.+)$", text.strip())
     if m is None:
         raise ValueError(f"bad congruence {text!r}; expected p[idx]^k=element")
-    p, idx, k = int(m.group(1)), int(m.group(2) or 0), int(m.group(3))
-    primes = split_prime(algebra, p)
-    if idx >= len(primes):
-        raise ValueError(f"prime index {idx} out of range for p={p}")
-    return localglobal.CongruenceConstraint(
-        primes[idx], k, parse_element(m.group(4), algebra)
-    )
+    prime = prime_at(algebra, int(m.group(1)), int(m.group(2) or 0))
+    return localglobal.CongruenceConstraint(prime, int(m.group(3)), parse_element(m.group(4), algebra))
 
 
 def _linear_map(args) -> linmaps.ZLinearMap:
@@ -115,11 +117,7 @@ def _linear_map(args) -> linmaps.ZLinearMap:
     source = parse_algebra(args.source)
     target = parse_algebra(args.target) if args.target else source
     vals = [int(v) for v in args.matrix.replace(" ", "").split(",") if v != ""]
-    n, m = source.degree, target.degree
-    if len(vals) != n * m:
-        raise ValueError(f"matrix needs {n * m} entries (row-major), got {len(vals)}")
-    rows = tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(m))
-    return linmaps.ZLinearMap(source, target, rows)
+    return linmaps.ZLinearMap.from_row_major(source, target, vals)
 
 
 _CONFIG_SKIP = {"handler", "required", "group", "sub", "selftest", "json"}
@@ -427,6 +425,11 @@ def _selftest_sieve(rep):
         )),
         ("huge membership refused", _raises(BudgetExceeded, sieve_mod.membership, sq, QQ.from_int(10**400))),
         ("density box refused", _raises(BudgetExceeded, sieve_mod.empirical_density, sq2, 10**9)),
+        ("duplicate exception at its line", _format_error_line(
+            sieve_mod.parse_sieve_file, "algebra Q\ntail kfree 2\nexception 3 2 : 0\nexception 3 2 : 1\n") == 4),
+        # every Nm^(10^6) past the endpoints' reach is read as one power of 2
+        ("huge tail exponent", _on_grid(sieve_mod.density_interval(sieve_mod.kfree_sieve(sq2.algebra, 10**6), 100))
+         == (2**192 - 26, 2**192)),
     ]
     return checks
 
@@ -437,6 +440,15 @@ def _raises(error: type[Exception], fn, *args) -> bool:
     except error:
         return True
     return False
+
+
+def _format_error_line(fn, *args) -> int | None:
+    """The line of the FormatError that fn(*args) raises, None if it raises none."""
+    try:
+        fn(*args)
+    except FormatError as e:
+        return e.line
+    return None
 
 
 def _selftest_lg(rep):
@@ -524,6 +536,8 @@ def _selftest_entropy(rep):
             6326544456367554998604576405655606649406173973325385865313,
             6326544456367555000713424557778124982801578146574550998617,
         )),
+        # 1 + 1/(Nm^(10^6) - 1) rounds up by one grid step at each of the 1229 primes, then the tail's
+        ("zeta s=10^6", _on_grid(entropy_mod.zeta_K(QQ, 10**6, 10**4)) == (2**192, 2**192 + 1230)),
     ]
     return checks
 

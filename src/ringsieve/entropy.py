@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionFailed, TailNotBoundable
-from .intervals import RationalInterval, _round_up, directed_product, log2_interval
+from .intervals import RationalInterval, _round_up, cap_bits, directed_product, log2_interval, power_bits
 from .rings import EtaleAlgebra, norms_upto
 from .sieve import SieveSpec, _check_cutoff, _power_runs, density_interval
 from .shiftspace import count_admissible
@@ -30,8 +30,16 @@ def _product_tail_upper(degree: int, s: int, cutoff: int) -> Fraction:
 
     Dominated by the product over all integers m > cutoff, taken degree-fold;
     explicit leading factors are split off until the remaining sum bound
-    drops below 1/4.
+    drops below 1/4.  A bound 1 + t with t provably at most 2^-(193 + degree)
+    comes back as 1 + 2^-(193 + degree), still an upper bound: since
+    `zeta_K`'s upper end is below 2^(degree + 1), it rounds the same for
+    either (ceil(H + H*t) = H + 1 for 0 < H*t <= 1), and no power m^s is
+    formed.
     """
+    # 1 + t = (1 - rem)^-degree with rem <= cutoff^-(s - 1), so t <= 4 * degree * rem
+    bits = 193 + degree
+    if power_bits(cutoff, s - 1) >= bits + (4 * degree).bit_length():
+        return 1 + Fraction(1, 1 << bits)
     u = Fraction(1)
     m = cutoff
     while True:
@@ -59,7 +67,9 @@ def zeta_K(algebra: EtaleAlgebra, s: int, cutoff: int) -> RationalInterval:
     _, _, norms = norms_upto(algebra, cutoff)
     norms = norms[norms <= cutoff]
     # the local factor Nm^s/(Nm^s - 1) is 1 + 1/(Nm^s - 1)
-    lo, hi = directed_product(Fraction(1), _power_runs(np.ones_like(norms), norms, s, -1))
+    # every product of the factors is below zeta(2)^degree < 2^degree
+    cap = cap_bits(Fraction(1), algebra.degree, 1)
+    lo, hi = directed_product(Fraction(1), _power_runs(np.ones_like(norms), norms, s, -1, cap))
     hi = _round_up(hi * _product_tail_upper(algebra.degree, s, max(cutoff, 1)))
     return RationalInterval(lo, hi)
 

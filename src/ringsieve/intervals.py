@@ -31,6 +31,25 @@ def _round_up(x: Fraction) -> Fraction:
     return Fraction(-((-x.numerator * _GRID) // x.denominator), _GRID)
 
 
+def power_bits(base: int, e: int) -> int:
+    """e * floor(log2 base), a lower bound on log2(base^e) found without forming base^e (base >= 1)."""
+    return e * (base.bit_length() - 1)
+
+
+def cap_bits(start: Fraction, growth_bits: int, max_a: int) -> int:
+    """Bits T such that `directed_product(start, runs)` is unchanged when a b >= 2^T is passed as 2^T.
+
+    Needs |start| <= 1, factors >= 0 whose consecutive products are at most
+    2^growth_bits, every |a| <= max_a and fewer than 2^64 factors.  Then each
+    endpoint stays below 2^(growth_bits + 1), so every numerator x a step
+    divides, the first's included, has |x*a| < 2^T.  For |x*a| < b,
+    floor(x*a/b) is 0 or -1 by the sign of x*a alone, and the first factor's
+    floor(x(b + a)/(bd)) is x // d, less 1 when d | x and x*a < 0: neither
+    depends on b.
+    """
+    return max(abs(start.numerator).bit_length(), growth_bits + 1) + _GRID_BITS + max_a.bit_length()
+
+
 def directed_product(start: Fraction, runs: Iterable[tuple[int, Iterable[int]]]) -> tuple[Fraction, Fraction]:
     """(lo, hi): start times 1 + a/b for each run (a, bs) and each b > 0 in bs; lo rounded down, hi up.
 

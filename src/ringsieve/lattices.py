@@ -241,6 +241,7 @@ def coset_points(h: Hnf, c: Vec, a0: int, b0: int, H: int, W: int) -> Iterator[n
     O(H/g + points), however large alpha is; chunks hold at most _CHUNK_POINTS
     points (or one row), which bounds the temporaries.  When every marked row
     holds one point in a fixed column, the one indexer is a strided slice.
+    The row arithmetic runs on Python ints where int64 could wrap.
     """
     (alpha, _), (beta, gamma) = h
     a0 -= c[0]
@@ -254,14 +255,17 @@ def coset_points(h: Hnf, c: Vec, a0: int, b0: int, H: int, W: int) -> Iterator[n
         if (-b0) % period < W:
             yield slice((-a0) % g * W + (-b0) % period, H * W, g * W)
         return
+    # bounds every product below: (a0 + row) * inv and flat indices
+    dtype = np.int64 if (abs(a0) + H) * m + period + (H + 1) * W < 1 << 63 else object
     step = g * max(1, _CHUNK_POINTS // nb)
-    cols = np.arange(nb, dtype=np.int64) * period
+    cols = np.arange(nb, dtype=dtype) * period
     for r in range((-a0) % g, H, step):
-        rows = np.arange(r, min(H, r + step), g, dtype=np.int64)
+        rows = np.arange(r, min(H, r + step), g, dtype=dtype)
         b = ((a0 + rows) // g * inv % m * gamma - b0) % period
         b = b[:, None] + cols
         flat = rows[:, None] * W + b
-        yield flat[b < W]
+        flat = flat[b < W]
+        yield flat if dtype is np.int64 else flat.astype(np.int64)
 
 
 def _layer_values(h: int) -> list[int]:

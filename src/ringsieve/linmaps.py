@@ -97,6 +97,14 @@ class ZLinearMap:
         return _det(self.matrix)
 
     @classmethod
+    def from_row_major(cls, source: EtaleAlgebra, target: EtaleAlgebra, vals: Sequence[int]) -> "ZLinearMap":
+        """The map whose matrix rows, one per target coordinate, are read in turn from vals."""
+        n = source.degree
+        if len(vals) != n * target.degree:
+            raise ValueError("matrix length does not match degrees")
+        return cls(source, target, tuple(tuple(vals[i : i + n]) for i in range(0, len(vals), n)))
+
+    @classmethod
     def identity(cls, algebra: EtaleAlgebra) -> "ZLinearMap":
         n = algebra.degree
         return cls(algebra, algebra, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))

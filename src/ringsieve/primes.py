@@ -12,6 +12,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen bases above (Sorenson & Webster,
 # Math. Comp. 86, 2017): below it the strong test on those bases is exact
 _PSI13 = 3317044064679887385961981
+# Largest rational prime a scan may reach.  Sieving to 10^7 already takes
+# about 0.5 s and 70 MB, and a scan then visits its 664,579 primes in Python.
+_MAX_PRIME_BOUND = 10**7
 
 # (limit, every prime <= limit ascending), rebound as one pair so that a
 # concurrent caller never sees a limit its table lacks; empty until the first call
@@ -38,6 +41,22 @@ def primes_upto(n: int) -> tuple[int, ...]:
         table = tuple(compress(range(limit + 1), sieve))
         _sieved = limit, table
     return table[: bisect_right(table, n)]
+
+
+def _iroot(n: int, k: int) -> int:
+    """Largest r >= 0 with r^k <= n."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if k == 1 or n < 2:
+        return n
+    if n.bit_length() <= k:  # 1 <= n < 2^k
+        return 1
+    if k == 2:
+        return isqrt(n)
+    r = 1 << -(-n.bit_length() // k)  # above the root; Newton's steps fall to it
+    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = s
+    return r
 
 
 def is_prime(n: int) -> bool:

@@ -18,29 +18,39 @@ import re
 import threading
 from bisect import bisect_right
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed
+from .errors import BudgetExceeded, ComponentMismatch, FormatError, InvalidDiscriminant, PreconditionFailed, RingsieveError
 from .lattices import Hnf, identity_hnf, lat_contains, lat_reduce, lat_scale, residues
-from .primes import is_prime, legendre, primes_upto, sqrt_mod
+from .primes import _MAX_PRIME_BOUND, _iroot, is_prime, legendre, primes_upto, sqrt_mod
 
 Coords = tuple[int, ...]
 
 
 def _is_squarefree(n: int) -> bool:
+    """Whether no square > 1 divides n, by trial division up to |n|^(1/3).
+
+    Once the primes up to |n|^(1/3) are divided out, at most two prime factors
+    are left, so the cofactor is squarefree unless it is a square > 1.  An n
+    whose cube root passes _MAX_PRIME_BOUND raises BudgetExceeded.
+    """
     n = abs(n)
     if n == 0:
         return False
-    q = 2
-    while q * q <= n:
-        if n % (q * q) == 0:
-            return False
-        q += 1
-    return True
+    if (limit := _iroot(n, 3)) > _MAX_PRIME_BOUND:
+        raise BudgetExceeded(f"deciding that {n} is squarefree would scan primes up to {limit}, "
+                             f"over the limit {_MAX_PRIME_BOUND}")
+    for p in primes_upto(limit):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 @dataclass(frozen=True)
@@ -370,6 +380,8 @@ class _NormTable:
         if spec.is_rational:
             return np.array(_RESIDUE_DEGREES["rational"])
         disc = abs(spec.disc)
+        if disc >= 1 << 63:
+            raise BudgetExceeded(f"the norm table reads p mod |disc| in int64, and |disc| = {disc} passes 2^63")
         out = np.empty((len(ps), 2), np.int8)
         regular = (ps != 2) & (disc % ps != 0)
         for j in np.flatnonzero(~regular).tolist():
@@ -479,7 +491,7 @@ class Modulus:
     k: int
     hnf: Hnf
 
-    @property
+    @cached_property
     def norm(self) -> int:
         return math.prod(row[i] for i, row in enumerate(self.hnf))
 
@@ -503,12 +515,26 @@ class Modulus:
         return f"{self.prime}^{self.k}"
 
 
+# Bits of the largest rational p^k an ideal power is built on (512 KB), and of
+# the largest at a split prime: lifting its root (`_hensel_root`) takes about
+# 0.1 s at 2^15 bits, and grows quadratically.
+_MAX_MODULUS_BITS = 1 << 22
+_MAX_SPLIT_BITS = 1 << 15
+
+
 @lru_cache(maxsize=200_000)
 def ideal_power(prime: PrimeIdeal, k: int) -> Modulus:
-    """The ideal p^k as an explicit HNF lattice with norm Nm(p)^k."""
+    """The ideal p^k as an explicit HNF lattice with norm Nm(p)^k.
+
+    A p^k of more than _MAX_MODULUS_BITS bits, or _MAX_SPLIT_BITS at a split
+    prime, raises BudgetExceeded.
+    """
     if k < 1:
         raise ValueError("exponent must be >= 1")
     p = prime.p
+    limit = _MAX_SPLIT_BITS if prime.kind == "split" else _MAX_MODULUS_BITS
+    if k * p.bit_length() > limit:
+        raise BudgetExceeded(f"{prime}^{k} passes the modulus limit of {limit} bits")
     if prime.kind == "rational":
         return Modulus(prime, k, ((p**k,),))
     if prime.kind == "inert":
@@ -730,6 +756,38 @@ def fundamental_unit(spec: FieldSpec) -> Coords:
 
 # ---------------------------------------------------------------------------
 # text formats
+
+
+def uncommented(text: str) -> list[str]:
+    """The lines of text, each cut at its first `#` and stripped; line n is entry n - 1."""
+    return [line.split("#", 1)[0].strip() for line in text.splitlines()]
+
+
+def directives(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number from 1, first word, the rest stripped) of each line `uncommented` leaves non-blank."""
+    for n, line in enumerate(uncommented(text), 1):
+        head, _, rest = line.partition(" ")
+        if head:
+            yield n, head, rest.strip()
+
+
+@contextmanager
+def at_line(n: int) -> Iterator[None]:
+    """A ValueError or RingsieveError raised in the body, as FormatError(its message, n)."""
+    try:
+        yield
+    except FormatError as e:  # a nested reader's line gives way to n
+        raise FormatError(e.message, n) from e
+    except (ValueError, RingsieveError) as e:
+        raise FormatError(str(e), n) from e
+
+
+def prime_at(algebra: EtaleAlgebra, p: int, idx: int) -> PrimeIdeal:
+    """The prime `p [idx]` of the text formats: entry idx of `split_prime(algebra, p)`."""
+    primes = split_prime(algebra, p)
+    if not 0 <= idx < len(primes):
+        raise ValueError(f"prime index {idx} out of range for p={p}")
+    return primes[idx]
 
 
 _ALGEBRA_RE = re.compile(r"^\s*Q\s*(?:\(\s*sqrt\s*(-?\d+)\s*\))?\s*$")

@@ -21,13 +21,14 @@ from .errors import (
     FormatError,
     PreconditionFailed,
     RegionTooSmall,
-    RingsieveError,
     VerificationFailed,
 )
 from .lattices import crt_pair
 from .linmaps import ZLinearMap
 from .localglobal import CongruenceConstraint, solve
+from .primes import _iroot
 from .rings import (
+    QQ,
     AlgebraicInt,
     Coords,
     EtaleAlgebra,
@@ -35,12 +36,17 @@ from .rings import (
     PrimeIdeal,
     _roots_of_unity,
     algebra_isomorphisms,
+    at_line,
+    directives,
+    format_algebra,
     fundamental_unit,
     ideal_power,
+    parse_algebra,
     parse_element,
     prime_ideals,
     reduce_mod,
     split_prime,
+    uncommented,
 )
 from .sieve import (
     LocalSet,
@@ -101,8 +107,6 @@ class Pattern:
 
 
 def int_pattern(values: Iterable[int]) -> Pattern:
-    from .rings import QQ
-
     return Pattern.from_ints(QQ, values)
 
 
@@ -654,7 +658,7 @@ def symmetry_scan(sieve: SieveSpec, radius: int) -> list[SymmetryCandidate]:
             next(
                 q
                 for q in prime_ideals(algebra)
-                if q.norm**k > 2 * radius + 1 and sieve.exception_at(q) is None
+                if q.norm > _iroot(2 * radius + 1, k) and sieve.exception_at(q) is None
             )
         )
 
@@ -781,23 +785,18 @@ def orbit_approximation(
 
 
 def parse_pattern_file(text: str, algebra: EtaleAlgebra) -> Pattern:
-    """Comma-separated element literals; `#` comments allowed.
+    """Comma-separated element literals; `#` comments allowed (`rings.uncommented`).
 
     A literal that does not parse raises FormatError with the 1-based
-    number of the line it starts on.
+    number of the line it starts on (`rings.at_line`).
     """
-    body = "\n".join(line.split("#", 1)[0].strip() for line in text.splitlines())
     elements = []
-    pos = 0
-    for token in body.split(","):
-        literal = token.strip()
-        if literal:
-            try:
+    line = 1  # the line each token starts on
+    for token in "\n".join(uncommented(text)).split(","):
+        if literal := token.strip():
+            with at_line(line + token[: token.index(literal)].count("\n")):
                 elements.append(parse_element(literal.replace("\n", " "), algebra))
-            except (ValueError, RingsieveError) as e:
-                line = body.count("\n", 0, pos + token.index(literal)) + 1
-                raise FormatError(str(e), line) from e
-        pos += len(token) + 1
+        line += token.count("\n")
     return Pattern.of(algebra, elements)
 
 
@@ -806,71 +805,47 @@ def format_pattern(pattern: Pattern) -> str:
 
 
 def parse_code_file(text: str) -> WindowCode:
-    """Block-code format: `source`, `target`, `matrix`, `window`, `pattern` lines.
+    """Block-code format: `source`, `target`, `matrix`, `window`, `pattern` lines (`rings.directives`).
 
-    A malformed line raises FormatError with its 1-based number; a missing
-    line is reported at the last line.
+    The matrix is row-major (`ZLinearMap.from_row_major`).  A malformed line
+    raises FormatError with its 1-based number; a missing line is reported at
+    the last line.
     """
-    from .rings import parse_algebra
-
     source = target = None
-    matrix_vals: list[int] | None = None
-    matrix_line = 0
-    window_txt: tuple[int, str] | None = None
-    pattern_txts: list[tuple[int, str]] = []
-    lines = text.splitlines()
-    last = max(1, len(lines))
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        try:
+    matrix: tuple[int, list[int]] | None = None
+    window: tuple[int, str] | None = None
+    patterns: list[tuple[int, str]] = []
+    for lineno, head, rest in directives(text):
+        with at_line(lineno):
             if head == "source":
                 source = parse_algebra(rest)
             elif head == "target":
                 target = parse_algebra(rest)
             elif head == "matrix":
-                matrix_vals = [int(v) for v in rest.split(",")]
-                matrix_line = lineno
+                matrix = lineno, [int(v) for v in rest.split(",")]
             elif head == "window":
-                window_txt = (lineno, rest)
+                window = lineno, rest
             elif head == "pattern":
-                pattern_txts.append((lineno, rest))
+                patterns.append((lineno, rest))
             else:
                 raise ValueError(f"unknown directive {head!r}")
-        except (ValueError, RingsieveError) as e:
-            raise FormatError(str(e), lineno) from e
+    last = max(1, len(text.splitlines()))
     if source is None:
         raise FormatError("code file needs a `source` line", last)
-    target = target or source
-    if window_txt is None or not pattern_txts:
+    if window is None or not patterns:
         raise FormatError("code file needs `window` and `pattern` lines", last)
-
-    def pattern_at(lineno: int, txt: str) -> Pattern:
-        try:
-            return parse_pattern_file(txt, source)
-        except FormatError as e:
-            raise FormatError(e.message, lineno) from e
-
-    window = pattern_at(*window_txt)
-    pats = tuple(pattern_at(*t) for t in pattern_txts)
-    if matrix_vals is None:
-        lin = ZLinearMap.identity(source)
-    else:
-        n, m = source.degree, target.degree
-        if len(matrix_vals) != n * m:
-            raise FormatError("matrix length does not match degrees", matrix_line)
-        lin = ZLinearMap(
-            source, target, tuple(tuple(matrix_vals[i * n : (i + 1) * n]) for i in range(m))
-        )
-    return WindowCode(lin, window, pats)
+    pats = []
+    for lineno, rest in (window, *patterns):
+        with at_line(lineno):
+            pats.append(parse_pattern_file(rest, source))
+    lin = ZLinearMap.identity(source)
+    if matrix is not None:
+        with at_line(matrix[0]):
+            lin = ZLinearMap.from_row_major(source, target or source, matrix[1])
+    return WindowCode(lin, pats[0], tuple(pats[1:]))
 
 
 def format_code(code: WindowCode) -> str:
-    from .rings import format_algebra
-
     lines = [
         f"source {format_algebra(code.source)}",
         f"target {format_algebra(code.target)}",

@@ -26,9 +26,9 @@ from .errors import (
     TailNotBoundable,
     VerificationFailed,
 )
-from .intervals import RationalInterval, _round_down, _round_up, directed_product
+from .intervals import _GRID_BITS, RationalInterval, _round_down, _round_up, cap_bits, directed_product, power_bits
 from .lattices import Hnf, Vec, coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
-from .primes import primes_upto
+from .primes import _MAX_PRIME_BOUND, _iroot, primes_upto
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -36,11 +36,15 @@ from .rings import (
     FieldSpec,
     Modulus,
     PrimeIdeal,
+    _format_component,
     _parse_component,
+    at_line,
+    directives,
     format_algebra,
     ideal_power,
     norms_upto,
     parse_algebra,
+    prime_at,
     prime_ideals,
     split_prime,
 )
@@ -264,23 +268,6 @@ def kfree_sieve(algebra: EtaleAlgebra, k: int) -> SieveSpec:
     return build_sieve(algebra, TailRule.kfree(k))
 
 
-def _iroot(n: int, k: int) -> int:
-    """Largest r >= 0 with r^k <= n."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    r = 1 << -(-n.bit_length() // k)  # above the root; Newton's steps fall to it
-    while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-        r = s
-    return r
-
-
-# Largest rational prime a scan may reach.  Sieving to 10^7 already takes
-# about 0.5 s and 70 MB, and the scan then visits its 664,579 primes in Python.
-_MAX_PRIME_BOUND = 10**7
 # Largest box of one component (points) that a box reader or the strip sieve walks.
 _MAX_GRID_CLASSES = 1 << 28
 
@@ -405,6 +392,28 @@ def _forbidden_cosets(sieve: SieveSpec, i: int, max_norm: int) -> tuple[list[tup
     return cosets, points
 
 
+def _lone_points(sieve: SieveSpec, i: int, labels: list[Vec], max_norm: int, lo: int, hi: int) -> set[Vec]:
+    """Grid points (x, 0) with lo <= x <= hi and x = c (mod p^k) for a label (c, 0)
+    and a non-exception tail prime p of Q component i with hi - lo < p^k <= max_norm.
+
+    Each such p^k holds at most one x per label, x = lo + (c - lo) mod p^k, so
+    the primes are walked as one array, not one prime at a time.
+    """
+    k = sieve.tail.exponent
+    if not labels or max_norm <= hi - lo or _iroot(max_norm, k) < 2:
+        return set()  # no such p^k; a k past int64 would not fit ps**k
+    skip = [ls.prime.p for ls in sieve.exceptions if ls.modulus.component == i]
+    fits = max_norm + max((abs(c - lo) for c, _ in labels), default=0) < 1 << 63
+    ps = np.array(primes_upto(_iroot(max_norm, k)), dtype=np.int64 if fits else object)
+    mods = ps**k
+    mods = mods[(mods > hi - lo) & ~np.isin(ps, skip)]
+    found = set()
+    for c, _ in labels:
+        x = (c - lo) % mods + lo
+        found.update((a, 0) for a in x[x <= hi].tolist())
+    return found
+
+
 def _member_mask(forbidden, a0: int, b0: int, H: int, W: int, buf: np.ndarray) -> np.ndarray:
     """buf[:H*W] as the flat row-major box [a0, a0+H) x [b0, b0+W), a `_forbidden_cosets` pair's members True."""
     cosets, points = forbidden
@@ -422,11 +431,17 @@ def _member_mask(forbidden, a0: int, b0: int, H: int, W: int, buf: np.ndarray) -
 def _member_bands(sieve: SieveSpec, i: int, bound: int, max_norm: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Row bands (a0, b0, `_member_mask` shaped (rows, W)) of component i's box [-bound, bound]^degree.
 
-    A Q component is the one-column grid b = 0.  Bands share one buffer, so
-    each is read before the next is made.
+    A Q component is the one-column grid b = 0: only tail primes with
+    p^k <= 2*bound mark cosets there, and the others meet the box at most once
+    per label (`_lone_points`).  Bands share one buffer, so each is read
+    before the next is made.
     """
     spec = sieve.algebra.components[i]
-    forbidden = _forbidden_cosets(sieve, i, max_norm)
+    if spec.is_rational:
+        cosets, labels = _forbidden_cosets(sieve, i, min(max_norm, 2 * bound))
+        forbidden = cosets, sorted(_lone_points(sieve, i, labels, max_norm, -bound, bound).union(labels))
+    else:
+        forbidden = _forbidden_cosets(sieve, i, max_norm)
     b0, W = grid_columns(spec.degree, -bound, 2 * bound + 1)
     bands = row_bands(-bound, 2 * bound + 1, W)
     buf = np.empty(bands[0][1] * W, dtype=bool)
@@ -489,11 +504,24 @@ def empirical_density(sieve: SieveSpec, bound: int) -> Fraction:
     return Fraction(count_members(sieve, bound), (2 * bound + 1) ** n)
 
 
-def _tail_sum_bound(degree: int, n_labels: int, k: int, cutoff: int) -> Fraction:
-    """Rigorous upper bound for sum of measures over tail primes of norm > P."""
+def _tail_sum_bound(degree: int, n_labels: int, k: int, cutoff: int, bits: int) -> Fraction:
+    """Rigorous upper bound for sum of measures over tail primes of norm > P.
+
+    A bound provably at most 2^-bits comes back as 2^-bits, still an upper
+    bound, and no power m^k is formed.  `density_interval`'s lower end lo <= 1
+    rounds the same for either when lo is on the 2^-192 grid or has a
+    denominator below 2^(bits - 192): lo * 2^192 minus anything in
+    (0, 2^(192 - bits)] then has one floor.
+    """
     if k < 2:
         raise TailNotBoundable("tail exponent 1 admits no summable measure bound")
+    if cutoff == 0:  # between its m = 1 term, 1, and zeta(2) < 2: the lower end is 0 either way
+        return Fraction(2 * n_labels * degree)
     extra = 64 if cutoff < 64 else 0
+    # each term is at most least^-(k - 1), least the smallest base of the sum
+    least = cutoff + 1 if extra else cutoff
+    if power_bits(least, k - 1) >= bits + (n_labels * degree * (extra + 1)).bit_length():
+        return Fraction(1, 1 << bits)
     s = Fraction(0)
     for m in range(cutoff + 1, cutoff + extra + 1):
         s += Fraction(1, m**k)
@@ -516,24 +544,27 @@ def _survivors(ls: LocalSet) -> tuple[int, int]:
 _RUN_ROWS = 4096  # table rows per chunk of Euler factors: no list grows with the cutoff
 
 
-def _power_runs(a: np.ndarray, nm: np.ndarray, e: int, shift: int) -> Iterator[tuple[int, list[int]]]:
+def _power_runs(a: np.ndarray, nm: np.ndarray, e: int, shift: int, cap: int) -> Iterator[tuple[int, list[int]]]:
     """`directed_product` runs (a, [Nm^e + shift, ...]) over table rows sharing one a, in row order.
 
+    A b that is surely at least 2^cap, since e * floor(log2 Nm) > cap, is
+    passed as 2^cap (`intervals.cap_bits`), so Nm^e is never formed past it.
     A chunk's powers are taken in int64 when its largest Nm^e fits, and as
-    Python ints otherwise.
+    Python ints otherwise.  Norms stay below 2^53, where float64 holds them exactly.
     """
     for i in range(0, len(nm), _RUN_ROWS):
         chunk_a, chunk = a[i : i + _RUN_ROWS], nm[i : i + _RUN_ROWS]
-        if int(chunk.max()) ** e < 1 << 63:
+        logs = np.frexp(chunk)[1] - 1  # floor(log2 Nm)
+        if e * int(logs.max()) < 63 and int(chunk.max()) ** e < 1 << 63:
             bs = (chunk**e + shift).tolist()
         else:
-            bs = [q**e + shift for q in chunk.tolist()]
+            bs = [1 << cap if e * g > cap else q**e + shift for q, g in zip(chunk.tolist(), logs.tolist())]
         edges = [0, *(np.flatnonzero(np.diff(chunk_a)) + 1).tolist(), len(bs)]
         for j, k in itertools.pairwise(edges):
             yield int(chunk_a[j]), bs[j:k]
 
 
-def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, list[int]]]:
+def _tail_factors(sieve: SieveSpec, cutoff: int, cap: int) -> Iterator[tuple[int, list[int]]]:
     """Runs (-c, [Nm^k, ...]): factors 1 - c/Nm^k of non-exception primes of norm <= cutoff, ascending p.
 
     c is the number of forbidden classes.  Distinct label projections x != y
@@ -541,8 +572,9 @@ def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, list[int
     every rational p with p^k above the largest such |N(x - y)|, c is the
     number of distinct projections on q's component and the norms are read
     from the columns of `rings.norms_upto`.  The finitely many other primes
-    (those up to that bound and those below exceptions) go through
-    `_tail_local_set` and are spliced in at their place in p order.
+    (those up to that bound and those below exceptions) are spliced in at
+    their place in p order, through `_tail_local_set` up to that bound.  The
+    runs' b past 2^cap are passed as 2^cap (`_power_runs`).
     """
     algebra, k = sieve.algebra, sieve.tail.exponent
     a_by_component = np.zeros(len(algebra.components), np.int64)
@@ -552,21 +584,25 @@ def _tail_factors(sieve: SieveSpec, cutoff: int) -> Iterator[tuple[int, list[int
         a_by_component[i] = -len(proj)
         for x, y in itertools.combinations(proj, 2):
             reach = max(reach, abs(spec.norm(tuple(a - b for a, b in zip(x, y)))))
+    small = _iroot(reach, k)
     special = {ls.prime.p for ls in sieve.exceptions if ls.prime.p <= cutoff}
-    special.update(itertools.takewhile(lambda p: p**k <= reach, primes_upto(cutoff)))
+    special.update(primes_upto(min(cutoff, small)))
     ps, components, norms = norms_upto(algebra, cutoff)
     keep = norms <= cutoff
     ps, a, norms = ps[keep], a_by_component[components[keep]], norms[keep]
     start = 0
     for p in sorted(special):
         stop = np.searchsorted(ps, p)
-        yield from _power_runs(a[start:stop], norms[start:stop], k, 0)
+        yield from _power_runs(a[start:stop], norms[start:stop], k, 0, cap)
         for prime in split_prime(algebra, p):
             if prime.norm <= cutoff and sieve.exception_at(prime) is None:
-                free, n = _survivors(_tail_local_set(sieve, prime))
-                yield free - n, [n]
+                if p > small:
+                    yield from _power_runs(a_by_component[[prime.component]], np.array([prime.norm]), k, 0, cap)
+                else:
+                    free, n = _survivors(_tail_local_set(sieve, prime))
+                    yield free - n, [n]
         start = np.searchsorted(ps, p, "right")
-    yield from _power_runs(a[start:], norms[start:], k, 0)
+    yield from _power_runs(a[start:], norms[start:], k, 0, cap)
 
 
 def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
@@ -593,10 +629,11 @@ def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
     partial = Fraction(num, den)
     if sieve.tail.kind == "empty":
         return RationalInterval(_round_down(partial), _round_up(partial))
-    lo, hi = directed_product(partial, _tail_factors(sieve, cutoff))
-    tail = _tail_sum_bound(
-        sieve.algebra.degree, len(sieve.tail.labels), sieve.tail.exponent, cutoff
-    )
+    # factors 1 - c/Nm^k lie in [0, 1], and c is at most the number of labels
+    lo, hi = directed_product(partial, _tail_factors(sieve, cutoff, cap_bits(partial, 0, len(sieve.tail.labels))))
+    # lo is on the grid, or is partial itself when no factor was taken
+    tail = _tail_sum_bound(sieve.algebra.degree, len(sieve.tail.labels), sieve.tail.exponent, cutoff,
+                           _GRID_BITS + partial.denominator.bit_length())
     lo = _round_down(lo * max(Fraction(0), 1 - tail))
     return RationalInterval(lo, hi)
 
@@ -655,25 +692,20 @@ def tail_count(algebra: EtaleAlgebra, k: int, coord_bound: int, norm_cutoff: int
 
 
 def parse_sieve_file(text: str) -> SieveSpec:
-    """Parse the plain-text sieve format.
+    """Parse the plain-text sieve format (`rings.directives`).
 
     Lines: `algebra <spec>`, `tail empty|kfree K|classes c1,c2,...`, and
-    `exception <p> [<index>] <k> : c1,c2,...` with `-` for an empty class
-    list; `#` starts a comment.  A malformed line raises FormatError with
-    its 1-based number; a missing `algebra` or `tail` line is reported at
-    the last line.
+    `exception <p> [<index>] <k> : c1,c2,...` (`rings.prime_at`) with `-` for
+    an empty class list; `#` starts a comment.  Exception lines are resolved
+    once the file is read.  A malformed line, a repeated exception prime's
+    second line included, raises FormatError with its 1-based number; a
+    missing `algebra` or `tail` line is reported at the last line.
     """
     algebra: EtaleAlgebra | None = None
     tail: TailRule | None = None
     pending: list[tuple[int, int, int, int, str]] = []
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        try:
+    for lineno, head, rest in directives(text):
+        with at_line(lineno):
             if head == "algebra":
                 algebra = parse_algebra(rest)
             elif head == "tail":
@@ -688,37 +720,23 @@ def parse_sieve_file(text: str) -> SieveSpec:
                     raise ValueError(f"unknown tail rule {rest!r}")
             elif head == "exception":
                 spec_part, _, classes_part = rest.partition(":")
-                nums = spec_part.split()
-                if len(nums) == 2:
-                    p, idx, k = int(nums[0]), 0, int(nums[1])
-                elif len(nums) == 3:
-                    p, idx, k = int(nums[0]), int(nums[1]), int(nums[2])
-                else:
-                    raise ValueError(f"bad exception line: {raw!r}")
-                pending.append((lineno, p, idx, k, classes_part.strip()))
+                nums = [int(v) for v in spec_part.split()]
+                if len(nums) not in (2, 3):
+                    raise ValueError(f"bad exception line: {rest!r}")
+                pending.append((lineno, nums[0], nums[1] if len(nums) == 3 else 0, nums[-1], classes_part.strip()))
             else:
                 raise ValueError(f"unknown directive {head!r}")
-        except (ValueError, RingsieveError) as e:
-            raise FormatError(str(e), lineno) from e
     if algebra is None or tail is None:
-        raise FormatError("sieve file needs `algebra` and `tail` lines", max(1, len(lines)))
-    locs = []
+        raise FormatError("sieve file needs `algebra` and `tail` lines", max(1, len(text.splitlines())))
+    locs: dict[PrimeIdeal, LocalSet] = {}
     for lineno, p, idx, k, classes_part in pending:
-        try:
-            primes = split_prime(algebra, p)
-            if idx >= len(primes):
-                raise ValueError(f"prime index {idx} out of range for p={p}")
-            prime = primes[idx]
-            mod = ideal_power(prime, k)
-            classes: list[Coords] = []
-            if classes_part not in ("", "-"):
-                spec = prime.spec
-                for lit in classes_part.split(","):
-                    classes.append(_parse_component(lit.strip(), spec))
-            locs.append(LocalSet(mod, tuple(classes)))
-        except (ValueError, RingsieveError) as e:
-            raise FormatError(str(e), lineno) from e
-    return build_sieve(algebra, tail, locs)
+        with at_line(lineno):
+            prime = prime_at(algebra, p, idx)
+            if prime in locs:
+                raise ClassOutOfRange(f"duplicate exception at {prime}")
+            lits = [] if classes_part in ("", "-") else classes_part.split(",")
+            locs[prime] = LocalSet(ideal_power(prime, k), tuple(_parse_component(lit.strip(), prime.spec) for lit in lits))
+    return build_sieve(algebra, tail, locs.values())
 
 
 def format_sieve(sieve: SieveSpec) -> str:
@@ -726,8 +744,6 @@ def format_sieve(sieve: SieveSpec) -> str:
     for ls in sieve.exceptions:
         prime = ls.prime
         idx = split_prime(sieve.algebra, prime.p).index(prime)
-        from .rings import _format_component
-
         body = ",".join(_format_component(c) for c in ls.classes) or "-"
         lines.append(f"exception {prime.p} {idx} {ls.modulus.k} : {body}")
     return "\n".join(lines) + "\n"

@@ -252,7 +252,7 @@ def _density_by_local_sets(sieve, cutoff):
             if prime.norm <= cutoff and sieve.exception_at(prime) is None:
                 f = 1 - _tail_local_set(sieve, prime).measure
                 lo, hi = _round_down(lo * f), _round_up(hi * f)
-    tail = _tail_sum_bound(sieve.algebra.degree, len(sieve.tail.labels), sieve.tail.exponent, cutoff)
+    tail = _tail_sum_bound(sieve.algebra.degree, len(sieve.tail.labels), sieve.tail.exponent, cutoff, 192)
     return _round_down(lo * max(Fraction(0), 1 - tail)), hi
 
 
@@ -335,6 +335,20 @@ def test_count_members_with_exceptions_and_class_tails(monkeypatch):
             m.setattr(lattices, "_SEGMENT_CLASSES", 20)
             m.setattr(lattices, "_CHUNK_POINTS", 3)
             assert count_members(sv, bound) == len(brute) and enumerate_V(sv, bound) == brute
+
+
+def test_box_readers_with_tail_labels_past_the_box():
+    # on a Q component, a tail prime with q^k past the box height marks at most one point per label
+    q_k2 = make_algebra([None, 2])
+    cases = [
+        (build_sieve(QQ, TailRule.shifted_kfree(2, [-20807]), {}), 8),
+        (build_sieve(QQ, TailRule.classes_mod_p([1, 997]), {q_prime(2): (1, ()), q_prime(3): (1, ())}), 6),
+        (build_sieve(QQ, TailRule.classes_mod_p([0, 1, 9]), {q_prime(2): (1, ()), q_prime(3): (1, ())}), 3),
+        (build_sieve(q_k2, TailRule.shifted_kfree(2, [-2000, (5, 3, -1)]), {split_prime(q_k2, 5)[0]: (1, ())}), 2),
+    ]
+    for sv, bound in cases:
+        brute = box_filter(sv, bound)
+        assert count_members(sv, bound) == len(brute) and enumerate_V(sv, bound) == brute
 
 
 def test_enumerate_refuses_a_box_over_budget(squarefree_q, k2, monkeypatch):
