@@ -487,6 +487,9 @@ def _selftest_lg(rep):
                              r105.fallback_classes) == (2401, 2352, 532, 2352, 0)),
         ("ramified witness mod 49", w105 == (532, 15) and all((a - c) % 49 == 0 for a, c in zip(w105, (42, 15)))),
         ("k=1 rejected", _raises(RingsieveError, localglobal.check_local_surjectivity, QQ, 1, 5)),
+        # the first strip's cosets would list primes toward 6.45e7: the prime table refuses them
+        ("prime scan refused", _raises(BudgetExceeded, localglobal.check_local_surjectivity, make_algebra([40000003]),
+                                       2, 101)),
     ]
     return checks
 
@@ -551,6 +554,7 @@ def _selftest_entropy(rep):
         )),
         # 1 + 1/(Nm^(10^6) - 1) rounds up by one grid step at each of the 1229 primes, then the tail's
         ("zeta s=10^6", _on_grid(entropy_mod.zeta_K(QQ, 10**6, 10**4)) == (2**192, 2**192 + 1230)),
+        ("cutoff past the prime limit", _raises(BudgetExceeded, entropy_mod.zeta_K, QQ, 2, 10**7 + 1)),
     ]
     return checks
 
@@ -592,10 +596,20 @@ def _positive(text: str) -> int:
     return _at_least(text, 1)
 
 
+# an interval's decimals print as one int, and Python's default limit on str() of an int is 4300 digits
+_MAX_DIGITS = 4300
+
+
+def _digits(text: str) -> int:
+    if _nonnegative(text) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"must be <= {_MAX_DIGITS}, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ringsieve", description=__doc__, allow_abbrev=False)
     top.add_argument("--json", action="store_true", help="structured output")
-    top.add_argument("--digits", type=_nonnegative, default=12, help="decimal digits for intervals")
+    top.add_argument("--digits", type=_digits, default=12, help="decimal digits for intervals")
     groups = top.add_subparsers(dest="group", required=True)
 
     def sub(group, name, handler, required=()):
@@ -604,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler, required=required)
         p.add_argument("--selftest", action="store_true", help="run the module's built-in examples")
         p.add_argument("--json", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        p.add_argument("--digits", type=_nonnegative, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        p.add_argument("--digits", type=_digits, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         return p
 
     g = groups.add_parser("sieve").add_subparsers(dest="sub", required=True)

@@ -59,7 +59,8 @@ def zeta_K(algebra: EtaleAlgebra, s: int, cutoff: int) -> RationalInterval:
     primes with norm <= cutoff, one run with a = 1 (`directed_product`; norms
     from the columns of `rings.norms_upto`), and widens upward by the tail
     bound; the lower end needs no correction since every omitted factor
-    exceeds 1.
+    exceeds 1.  A cutoff past the prime limit 10^7 raises BudgetExceeded
+    (`primes_upto`).
     """
     _check_cutoff(cutoff)
     if s < 2:

@@ -25,6 +25,7 @@ from .lattices import (
 )
 from .primes import primes_upto
 from .rings import (
+    _MAX_MODULUS_BITS,
     AlgebraHom,
     AlgebraicInt,
     EtaleAlgebra,
@@ -242,7 +243,6 @@ def _check_local_condition_kfree(
     src_primes = split_prime(a.source, p)
     dst_primes = split_prime(a.target, p)
     src_lattices = [(pr.component, ideal_power(pr, k).hnf) for pr in src_primes]
-    fine = lat_scale(identity_hnf(a.source.degree), p**m)
 
     mat = [list(row) for row in a.matrix]
     for q_prime in dst_primes:
@@ -252,7 +252,8 @@ def _check_local_condition_kfree(
         pre = preimage_lattice(mat, target_lat)
         if _inside_one(a.source, pre, src_lattices):
             continue
-        for rep in quotient_residues(pre, fine):
+        # p^m is formed only after ideal_power has passed both exponents
+        for rep in quotient_residues(pre, lat_scale(identity_hnf(a.source.degree), p**m)):
             x = a.source.from_flat(rep)
             if not any(lat_contains(x.coords[ci], h) for ci, h in src_lattices):
                 y = a.apply(x)
@@ -279,7 +280,8 @@ def scan_primes(
     Anything else (other sieves, or more than p source primes above p, as
     at p = 2 over Q x Q(sqrt 17)) falls back to exhaustive class
     enumeration.  A negative cutoff raises PreconditionFailed rather than
-    pass vacuously.
+    pass vacuously, and one past the prime limit 10^7 BudgetExceeded
+    (`primes_upto`).
 
     The witness depends on the route.  The kernel-lattice route returns the
     first violating preimage residue of the first failing target prime
@@ -390,6 +392,10 @@ def cover_witness(
     n = len(x)
     if len(a) != n or len(class_sets) != n:
         raise PreconditionFailed("x, a, and class sets must have equal length")
+    if p < 2 or k < 1:
+        raise PreconditionFailed(f"cover_witness requires p >= 2 and k >= 1, got p = {p}, k = {k}")
+    if k * p.bit_length() > _MAX_MODULUS_BITS:
+        raise BudgetExceeded(f"{p}^{k} passes the modulus limit of {_MAX_MODULUS_BITS} bits")
     q = p**k
     sets = [frozenset(c % q for c in cs) for cs in class_sets]
     if any(xi % p == 0 for xi in x):

@@ -37,6 +37,7 @@ from .errors import (
     VerificationFailed,
 )
 from .lattices import Hnf, crt_pair, gen_multipliers, grid_columns, grid_coords, grid_hnf, identity_hnf, row_bands
+from .primes import is_prime
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -185,16 +186,13 @@ class SurjectivityReport:
     v_classes: int
     max_witness_height: int
     reverified: int
-    _class_reps: list[Coords] = field(default_factory=list, repr=False)
-    _witnesses: list[AlgebraicInt] = field(default_factory=list, repr=False)
+    _table: list[tuple[Coords, AlgebraicInt]] = field(default_factory=list, repr=False)
 
     def items(self, limit: int | None = None) -> Iterator[tuple[Coords, AlgebraicInt]]:
-        n = len(self._class_reps) if limit is None else min(limit, len(self._class_reps))
-        for i in range(n):
-            yield self._class_reps[i], self._witnesses[i]
+        return itertools.islice(self._table, limit)
 
     def witness_count(self) -> int:
-        return len(self._witnesses)
+        return len(self._table)
 
 
 # Strip-sieve limits: strips walked per class, the reach of the old
@@ -234,9 +232,11 @@ def _non_kfree_witnesses(spec: FieldSpec, sieve: SieveSpec, sa: np.ndarray, sb: 
     return np.flatnonzero(bad)
 
 
-def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityReport:
-    """Strip sieve over the class grid of a one-component algebra, one row band at a time.
+def _surjectivity_field(spec: FieldSpec, k: int, p: int) -> tuple[int, int, int, int, list[tuple[Coords, Coords]]]:
+    """Strip sieve over the class grid of one field, one row band at a time.
 
+    Returns (classes, k-free classes, largest witness height, witnesses
+    re-verified, the first _TABLE_ROWS (class, witness) coordinate pairs).
     With P = p^k the classes are the points (a, b) of a P x W grid: W = P over a
     quadratic field, W = 1 over Q.  Two sieves do the work, both read through
     `sieve._member_mask`: the k-free classes are the members of `at_p`, which
@@ -252,7 +252,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
     are ranked in row-major order across bands; sampled re-verification picks
     every stride-th rank.
     """
-    spec = algebra.components[0]
+    algebra = EtaleAlgebra((spec,))
     P = p**k
     n = spec.degree
     _, W = grid_columns(n, 0, P)
@@ -274,11 +274,6 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
         amax = max(offsets[s] + 1, -offsets[s]) * P
         return _forbidden_cosets(off_p, 0, _norm_bound(spec, amax, W))
 
-    def reach(s: int, r0: int, h: int) -> int:
-        # the largest |a + offsets[s]*P| over the band's rows
-        lo = offsets[s] * P + r0
-        return lo + h - 1 if lo >= 0 else -lo
-
     # the k-free classes P^n * prod over q | p of (1 - Nm(q)^-k), checked against the bands below
     v_classes = P**n * math.prod(q.norm**k - 1 for q in primes) // math.prod(q.norm**k for q in primes)
     stride = 1 if v_classes <= _FULL_VERIFY_CLASSES else max(1, v_classes // _SAMPLE_CAP)
@@ -287,8 +282,7 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
 
     max_h = 0
     reverified = 0
-    reps: list[Coords] = []
-    wits: list[AlgebraicInt] = []
+    table: list[tuple[Coords, Coords]] = []
     rank0 = 0
     for r0, h in bands:
         in_v = _member_mask(_forbidden_cosets(at_p, 0, 0), r0, 0, h, W, np.empty(h * W, dtype=bool))
@@ -311,18 +305,21 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
                 f"class {x} has no {k}-free lift (a + t*{P}, b) in {_MAX_STRIPS} strips",
             )
 
-        # witness (a + offsets[s]*P, b) heights: strips in falling order of
-        # reach, the last column
+        # witness (a + offsets[s]*P, b) heights.  Offsets only grow along a
+        # quadratic row and a Q row holds one class, so a row's largest |a|
+        # is at its last witness's strip; over the rows sharing that strip,
+        # |a| is largest at the last row when the strip lies at or above 0,
+        # at the first row when below.  Then the last column.  An int8 copy,
+        # not a masked max (`np.max(..., where=...)`): the same rows, but with
+        # the masked max the Q(sqrt 29), k=3, p=19 cell peaked at 91 MB of RSS
+        # instead of 77 MB, through the allocator's reuse of freed buffers.
         if pos.size:
             max_h = max(max_h, int(np.flatnonzero(in_v.reshape(h, W).any(axis=0))[-1]))
-            top = int(np.max(strips, where=in_v, initial=0))
-            for s in sorted(range(top + 1), key=lambda s: -reach(s, r0, h)):
-                if reach(s, r0, h) <= max_h:
-                    break
-                hit = np.flatnonzero(((strips == s) & in_v).reshape(h, W).any(axis=1))
-                if hit.size:
-                    lo = offsets[s] * P + r0
-                    max_h = max(max_h, lo + int(hit[-1]) if lo >= 0 else -lo - int(hit[0]))
+            last = np.where(in_v, strips, np.int8(-1)).reshape(h, W).max(axis=1)
+            for s in np.unique(last[last >= 0]).tolist():
+                rows = np.flatnonzero(last == s)
+                lo = offsets[s] * P + r0
+                max_h = max(max_h, lo + int(rows[-1]) if lo >= 0 else -lo - int(rows[0]))
 
         # independent re-verification of the sampled witnesses, through their
         # norms and then their coordinates (`_non_kfree_witnesses`); it reads
@@ -344,23 +341,11 @@ def _surjectivity_field(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityRe
 
         for i in pos[: max(0, _TABLE_ROWS - rank0)].tolist():
             a, b = r0 + i // W, i % W
-            reps.append(grid_coords(a, b, n))
-            wits.append(algebra.element([grid_coords(a + offsets[strips[i]] * P, b, n)]))
+            table.append((grid_coords(a, b, n), grid_coords(a + offsets[strips[i]] * P, b, n)))
         rank0 += int(pos.size)
     if rank0 != v_classes:
         raise VerificationFailed(f"the bands hold {rank0} {k}-free classes, the product formula {v_classes}")
-
-    return SurjectivityReport(
-        algebra,
-        k,
-        p,
-        P * W,
-        v_classes,
-        max_h,
-        reverified=reverified,
-        _class_reps=reps,
-        _witnesses=wits,
-    )
+    return P * W, v_classes, max_h, reverified, table
 
 
 def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> SurjectivityReport:
@@ -370,10 +355,11 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
     component is a one-column grid whose strips follow the radial order of
     `solve`, a quadratic field a p^k x p^k grid walked in row bands of a fixed
     number of classes, so peak memory does not grow with p^k.  Being k-free is
-    a componentwise condition, so a product algebra's report is assembled from
-    its components': class counts multiply, the height is the largest, and
-    the witness table is the lex product of the components' tables.  Every
-    report keeps the first 4096 rows of its table.  Every witness is
+    a componentwise condition, so every report is assembled from its
+    components' results, a field being a product of one: class counts
+    multiply, the height is the largest, and the witness table is the lex
+    product of the components' tables.  Every report keeps the first 4096
+    rows of its table.  Every witness is
     (a + t*p^k, b) for its class (a, b), so it is congruent to the class mod
     p^k O_K; a class with no k-free lift in the first 64 strips raises
     NotFoundWithinBound.  Witnesses are re-verified (all of them up to 4e6
@@ -384,36 +370,25 @@ def check_local_surjectivity(algebra: EtaleAlgebra, k: int, p: int) -> Surjectiv
     divides.  A failed re-check raises VerificationFailed.  A component grid
     of more than 2^28 classes, or one whose witness norms could pass int64
     (2^63), raises BudgetExceeded before anything is allocated.  Requires
-    k >= 2.
+    k >= 2 and p prime (ValueError otherwise).
     """
     if k < 2:
         raise TailNotBoundable("local-global surjectivity requires k >= 2")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     for spec in algebra.components:
-        if p ** (k * spec.degree) > _MAX_GRID_CLASSES:
-            raise BudgetExceeded(
-                f"{p ** (k * spec.degree)} classes of {spec} exceed the budget {_MAX_GRID_CLASSES}"
-            )
+        # p >= 2, so an exponent past the budget's bit length is over it without forming the power
+        e = k * spec.degree
+        if e >= _MAX_GRID_CLASSES.bit_length() or p**e > _MAX_GRID_CLASSES:
+            raise BudgetExceeded(f"{p}^{e} classes of {spec} exceed the budget {_MAX_GRID_CLASSES}")
         # a witness (a, b) has |a| < (_MAX_STRIPS + 1) * p^k and 0 <= b < p^k
         norm_bound = _norm_bound(spec, (_MAX_STRIPS + 1) * p**k, p**k)
         if norm_bound >= 2**63:
             raise BudgetExceeded(f"witness norms over {spec} reach {norm_bound}, past int64")
-    if len(algebra.components) == 1:
-        return _surjectivity_field(algebra, k, p)
-    parts = [_surjectivity_field(EtaleAlgebra((spec,)), k, p) for spec in algebra.components]
-    reps: list[Coords] = []
-    wits: list[AlgebraicInt] = []
-    for row in itertools.islice(itertools.product(*(list(r.items()) for r in parts)), _TABLE_ROWS):
-        reps.append(tuple(a for c, _ in row for a in c))
-        wits.append(algebra.element([w.coords[0] for _, w in row]))
-    v_classes = math.prod(r.v_classes for r in parts)
-    return SurjectivityReport(
-        algebra,
-        k,
-        p,
-        math.prod(r.n_classes for r in parts),
-        v_classes,
-        max(r.max_witness_height for r in parts),
-        reverified=math.prod(r.reverified for r in parts),
-        _class_reps=reps,
-        _witnesses=wits,
-    )
+    n_classes, v_classes, heights, reverified, tables = zip(*(_surjectivity_field(spec, k, p)
+                                                             for spec in algebra.components))
+    # the coordinates come from the kernel, not from outside, so the table skips `algebra.element`
+    table = [(tuple(a for c, _ in row for a in c), AlgebraicInt(algebra, tuple(w for _, w in row)))
+             for row in itertools.islice(itertools.product(*tables), _TABLE_ROWS)]
+    return SurjectivityReport(algebra, k, p, math.prod(n_classes), math.prod(v_classes), max(heights),
+                              math.prod(reverified), table)

@@ -6,14 +6,15 @@ from bisect import bisect_right
 from itertools import compress
 from math import isqrt
 
-from .errors import PreconditionFailed
+from .errors import BudgetExceeded, PreconditionFailed
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen bases above (Sorenson & Webster,
 # Math. Comp. 86, 2017): below it the strong test on those bases is exact
 _PSI13 = 3317044064679887385961981
-# Largest rational prime a scan may reach.  Sieving to 10^7 already takes
-# about 0.5 s and 70 MB, and a scan then visits its 664,579 primes in Python.
+# Largest rational prime a scan may reach, enforced where every scan lists
+# its primes (`primes_upto`).  Sieving to 10^7 already takes about 0.5 s and
+# 70 MB, and a scan then visits its 664,579 primes in Python.
 _MAX_PRIME_BOUND = 10**7
 
 # (limit, every prime <= limit ascending), rebound as one pair so that a
@@ -25,14 +26,18 @@ def primes_upto(n: int) -> tuple[int, ...]:
     """All primes <= n, ascending.
 
     A slice of one module-level table.  Asked past its end, the table is
-    re-sieved with a quarter of headroom, to 5n/4: bounds within 25% of
-    each other share one sieve, and a rising run of bounds costs at most
-    about five times its last sieve.
+    re-sieved with a quarter of headroom, to 5n/4 but not past
+    _MAX_PRIME_BOUND: bounds within 25% of each other share one sieve, and
+    a rising run of bounds costs at most about five times its last sieve.
+    An n past _MAX_PRIME_BOUND raises BudgetExceeded before anything is
+    sieved.
     """
     global _sieved
+    if n > _MAX_PRIME_BOUND:
+        raise BudgetExceeded(f"listing the primes up to {n} is over the limit {_MAX_PRIME_BOUND}")
     limit, table = _sieved
     if n > limit:
-        limit = n + n // 4
+        limit = min(n + n // 4, _MAX_PRIME_BOUND)
         sieve = bytearray([1]) * (limit + 1)
         sieve[0] = sieve[1] = 0
         for p in range(2, isqrt(limit) + 1):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ComponentMismatch, FormatError, InvalidDiscriminant, PreconditionFailed, RingsieveError
 from .lattices import Hnf, identity_hnf, lat_contains, lat_reduce, lat_scale, residues
-from .primes import _MAX_PRIME_BOUND, _iroot, is_prime, legendre, primes_upto, sqrt_mod
+from .primes import _iroot, is_prime, legendre, primes_upto, sqrt_mod
 
 Coords = tuple[int, ...]
 
@@ -37,15 +37,12 @@ def _is_squarefree(n: int) -> bool:
 
     Once the primes up to |n|^(1/3) are divided out, at most two prime factors
     are left, so the cofactor is squarefree unless it is a square > 1.  An n
-    whose cube root passes _MAX_PRIME_BOUND raises BudgetExceeded.
+    whose cube root passes the prime limit raises BudgetExceeded (`primes_upto`).
     """
     n = abs(n)
     if n == 0:
         return False
-    if (limit := _iroot(n, 3)) > _MAX_PRIME_BOUND:
-        raise BudgetExceeded(f"deciding that {n} is squarefree would scan primes up to {limit}, "
-                             f"over the limit {_MAX_PRIME_BOUND}")
-    for p in primes_upto(limit):
+    for p in primes_upto(_iroot(n, 3)):
         if n % p == 0:
             n //= p
             if n % p == 0:
@@ -452,8 +449,9 @@ def split_prime(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
 def prime_ideals(algebra: EtaleAlgebra, upto: int | None = None) -> Iterator[PrimeIdeal]:
     """The primes above every rational prime p <= upto: ascending p, then split_prime order.
 
-    With upto=None the walk never ends; it reads the prime table in
-    stretches that double in length.
+    With upto=None the walk reads the prime table in stretches that double
+    in length, 64, 128, ..., and ends in BudgetExceeded (`primes_upto`) at
+    the first stretch past the prime limit 10^7, after the primes up to 2^23.
     """
     bound = 64 if upto is None else upto
     start = 0

@@ -182,7 +182,7 @@ def count_admissible(sieve: SieveSpec, box_size: int) -> int:
         raise PreconditionFailed("count_admissible requires a non-large sieve")
     if box_size < 0:
         raise PreconditionFailed(f"box size must be >= 0, got {box_size}")
-    if (1 << box_size) > _SUBSET_BUDGET:
+    if box_size >= _SUBSET_BUDGET.bit_length():  # 2^box_size > _SUBSET_BUDGET, without forming it
         raise BudgetExceeded(f"2^{box_size} subsets exceed budget {_SUBSET_BUDGET}")
     n_sets = 1 << box_size
     dtype = np.uint32 if box_size <= 31 else np.uint64
@@ -635,13 +635,17 @@ def symmetry_scan(sieve: SieveSpec, radius: int) -> list[SymmetryCandidate]:
         raise PreconditionFailed("symmetry scan runs over the rationals")
     if radius < 0:
         raise PreconditionFailed(f"window radius must be >= 0, got {radius}")
+    # n admissible patterns make 2^n families and the budget admits 2^most, so the listing
+    # stops at one past most.  Every point is admissible alone in a non-large sieve, so a
+    # wider window is over budget on its first most + 1 points
+    most = (_SCAN_BUDGET * 32).bit_length() - 1
+    subsets = list(itertools.islice(_admissible_patterns(sieve, range(-radius, radius + 1)[: most + 1], 1), most + 1))
+    if len(subsets) > most:
+        raise BudgetExceeded(f"more than {most} admissible window patterns: their families exceed the scan budget")
     window = int_pattern(range(-radius, radius + 1))
-    subsets = _admissible_patterns(sieve, range(-radius, radius + 1), 1)
-    if 2 ** len(subsets) > _SCAN_BUDGET * 32:
-        raise BudgetExceeded(f"2^{len(subsets)} families exceed the scan budget")
 
     # probe data: admissible patches on a box two steps wider than the window
-    probe_sets = _admissible_patterns(sieve, range(-radius - 2, radius + 3), 0)
+    probe_sets = list(_admissible_patterns(sieve, range(-radius - 2, radius + 3), 0))
     core_vals = list(range(-radius - 1, radius + 2))
     core_keys = {algebra.from_int(v).flat() for v in core_vals}
     admissible_core = set()
@@ -686,10 +690,10 @@ def symmetry_scan(sieve: SieveSpec, radius: int) -> list[SymmetryCandidate]:
     return survivors
 
 
-def _admissible_patterns(sieve: SieveSpec, values: range, smallest: int) -> list[Pattern]:
-    """The admissible patterns of at least `smallest` of the values, by size, then lex."""
+def _admissible_patterns(sieve: SieveSpec, values: range, smallest: int) -> Iterator[Pattern]:
+    """The admissible patterns of at least `smallest` of the values, by size, then lex, as they are tested."""
     combos = (c for size in range(smallest, len(values) + 1) for c in itertools.combinations(values, size))
-    return [pat for pat in map(int_pattern, combos) if is_admissible(sieve, pat).admissible]
+    return (pat for pat in map(int_pattern, combos) if is_admissible(sieve, pat).admissible)
 
 
 def _passes_probe(code, sieve, probe_sets, core_keys, admissible_core) -> bool:

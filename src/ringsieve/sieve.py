@@ -272,12 +272,6 @@ def kfree_sieve(algebra: EtaleAlgebra, k: int) -> SieveSpec:
 _MAX_GRID_CLASSES = 1 << 28
 
 
-def _check_scan(max_norm: int, k: int, what: str) -> None:
-    """BudgetExceeded if the tail primes with Nm(q)^k <= max_norm run past _MAX_PRIME_BOUND."""
-    if (limit := _iroot(max_norm, k)) > _MAX_PRIME_BOUND:
-        raise BudgetExceeded(f"{what} would scan primes up to {limit}, over the limit {_MAX_PRIME_BOUND}")
-
-
 def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
     """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending."""
     k = sieve.tail.exponent
@@ -303,8 +297,8 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     Nm(p)^k divides the norm of x - c for one of the tail labels c, so the
     scan is bounded by those norms; when x equals a label on some component,
     every tail prime of that component catches it, and the first one whose q^k
-    is built (`rings.power_fits`) is named.  A scan past the prime
-    _MAX_PRIME_BOUND raises BudgetExceeded before any prime is listed.
+    is built (`rings.power_fits`) is named.  A scan past the prime limit
+    raises BudgetExceeded before its primes are listed (`primes_upto`).
     """
     if x.algebra != sieve.algebra:
         raise PreconditionFailed("element of a different algebra")
@@ -331,7 +325,6 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
                     raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
                 return Verdict(False, prime, hit, tuple(checked))
             bound = max(bound, nm)
-        _check_scan(bound, k, "membership")
         for prime in _tail_primes(sieve, bound, i):
             checked.append(prime)
             hit = _tail_local_set(sieve, prime).hits(x)
@@ -367,8 +360,8 @@ def _box_norm_bounds(sieve: SieveSpec, bound: int) -> list[int]:
         labels = sieve.label_points[i]
         reach = bound + max((abs(v) for c in labels for v in c), default=0)
         norms.append(_norm_bound(spec, reach, reach))
-        if labels:
-            _check_scan(norms[-1], sieve.tail.exponent, "the box")
+        if labels and (limit := _iroot(norms[-1], sieve.tail.exponent)) > _MAX_PRIME_BOUND:
+            raise BudgetExceeded(f"the box would scan primes up to {limit}, over the limit {_MAX_PRIME_BOUND}")
     return norms
 
 
@@ -595,7 +588,8 @@ def density_interval(sieve: SieveSpec, cutoff: int) -> RationalInterval:
     `intervals.directed_product`, integer directed rounding on the 2^-192
     grid, bit-identical to rounding each `Fraction` product, in runs
     (-c, [Nm^k, ...]) of primes with one forbidden count c (`_tail_factors`).
-    Raises TailNotBoundable for exponent-1 tails.
+    Raises TailNotBoundable for exponent-1 tails, and BudgetExceeded for a
+    tail's cutoff past the prime limit 10^7 (`primes_upto`).
     """
     _check_cutoff(cutoff)
     if not sieve.non_large:

@@ -1,4 +1,5 @@
-"""Malformed and oversized input files: each named defect pinned, then a mutation sweep over the three formats."""
+"""Malformed and oversized input: each named defect pinned, a mutation sweep over the three file formats,
+and a sweep of the numeric flags' edge values."""
 
 import io
 import re
@@ -6,6 +7,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +20,14 @@ from ringsieve.sieve import membership, parse_sieve_file
 
 
 def run(argv):
-    """(exit code, stdout, stderr, seconds) of one in-process CLI call."""
+    """(exit code, stdout, stderr, seconds) of one in-process CLI call; argparse's usage errors exit 2."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
 
 
@@ -167,6 +172,33 @@ def test_tail_labels_far_past_the_box_enumerate_at_once(tmp_path):
     assert code == 0 and "count: 2\nmembers: -2, 2\n" in out and seconds < 1, (out, err, seconds)
 
 
+def test_refusals_answer_before_they_work(tmp_path):
+    sq = write(tmp_path, "sq.sv", "algebra Q\ntail kfree 2\n")
+    for argv, code, error in (
+        # 17 points of the window are admissible alone, so the 18th pattern, a pair, ends the listing
+        (["shift", "symmetries", "--window", "8"], 4,
+         "BudgetExceeded: more than 17 admissible window patterns: their families exceed the scan budget"),
+        (["entropy", "empirical", "--spec", sq, "--box", "100000000000"], 4,
+         "BudgetExceeded: 2^100000000000 subsets exceed budget 16777216"),
+        (["--digits", "4400", "entropy", "zeta"], 2, "argument --digits: must be <= 4300, got 4400"),
+    ):
+        got, out, err, seconds = run(argv)
+        assert got == code and error in out + err and "Traceback" not in out + err and seconds < 1, (
+            argv, got, out, err, seconds)
+    # the largest --digits still prints: 4300 places after the point
+    code, out, err, _ = run(["--digits", "4300", "entropy", "zeta", "--cutoff", "10"])
+    assert code == 0 and re.search(r"\ninterval: 1\.\d{4300}, 1\.\d{4300}\n", out), (code, err)
+
+
+def test_euler_cutoffs_and_scans_refuse_past_the_prime_limit(tmp_path):
+    sq = write(tmp_path, "sq.sv", "algebra Q\ntail kfree 2\n")
+    for argv in (["sieve", "density", "--spec", sq], ["entropy", "product", "--spec", sq], ["entropy", "zeta"],
+                 ["linmap", "scan"]):
+        code, out, err, seconds = run(argv + ["--cutoff", "10000001"])
+        assert code == 4 and err == "" and seconds < 1, (argv, code, err, seconds)
+        assert "error: BudgetExceeded: listing the primes up to 10000001 is over the limit 10000000\n" in out, out
+
+
 def test_unreadable_spec_exits_3(tmp_path):
     code, out, err, _ = run(["sieve", "density", "--spec", str(tmp_path)])
     assert code == 3 and out == "" and err.startswith(f"error: cannot read {tmp_path}: ")
@@ -274,3 +306,61 @@ def test_mutated_code_files(tmp_path, data):
     f = write(tmp_path, "m.code", data)
     pat = write(tmp_path, "p.pat", "-3,-2,-1,2,3,4,9\n")
     _documented_end(["shift", "apply", "--code", f, "--pattern", pat, "--known=-4:20"], f, data)
+
+
+# ---------------------------------------------------------------------------
+# numeric-flag sweep: every edge value of every numeric flag ends with a documented exit code, no traceback
+
+EDGES = [0, 1, -1, 2, 10**7 - 1, 10**7 + 1, 2**63, 10**30]
+# Work that is linear in the count asked for, by design, takes in-budget values that keep a case under
+# 2 s: --trials, --bound of `lg solve` and `shift orbit` (a scan to the bound when no witness exists),
+# and --cutoff, where `linmap scan` and the Euler products walk every prime up to the cutoff.  The
+# cutoffs past the prime limit stay in, since those must be refused.
+LINEAR = [0, 1, -1, 2, 3, 100]
+CUTOFFS = LINEAR + [10**7 + 1, 2**63, 10**30]
+FLAGS = {
+    "--k": [(["lg", "surjectivity"], EDGES), (["linmap", "check"], EDGES), (["linmap", "scan"], EDGES),
+            (["linmap", "cover"], EDGES), (["shift", "symmetries"], EDGES),
+            (["shift", "orbit", "--pattern", "--window-pattern"], EDGES)],
+    "--l": [(["linmap", "check"], EDGES), (["linmap", "scan"], EDGES)],
+    "--s": [(["entropy", "zeta"], EDGES)],
+    "--p": [(["lg", "surjectivity"], EDGES), (["linmap", "check"], EDGES), (["linmap", "cover"], EDGES)],
+    "--q": [(["linmap", "preservers"], EDGES)],
+    "--n": [(["linmap", "preservers"], EDGES)],
+    "--m": [(["linmap", "preservers"], EDGES)],
+    "--cutoff": [(["sieve", "density", "--spec"], CUTOFFS), (["entropy", "product", "--spec"], CUTOFFS),
+                 (["entropy", "zeta"], CUTOFFS), (["linmap", "scan"], CUTOFFS)],
+    "--bound": [(["sieve", "enumerate", "--spec"], EDGES), (["sieve", "density", "--spec"], EDGES),
+                (["sieve", "tail", "--spec"], EDGES), (["lg", "solve", "--spec"], LINEAR),
+                (["shift", "orbit", "--pattern", "--window-pattern"], LINEAR)],
+    "--norm-cutoff": [(["sieve", "tail", "--spec"], EDGES)],
+    "--window": [(["shift", "symmetries"], EDGES)],
+    "--box": [(["entropy", "empirical", "--spec"], EDGES)],
+    "--limit": [(["lg", "surjectivity"], EDGES)],
+    "--height": [(["linmap", "units"], EDGES)],
+    "--trials": [(["shift", "verify", "--code", "--source-sieve"], LINEAR)],
+    "--digits": [(["entropy", "zeta", "--cutoff", "100"], EDGES)],
+}
+
+
+@pytest.mark.parametrize("flag", list(FLAGS))
+def test_numeric_flag_edges(tmp_path, flag):
+    sq = write(tmp_path, "sq.sv", "algebra Q\ntail kfree 2\n")
+    files = {  # a file flag in a command is followed by its file's path
+        "--spec": sq,
+        "--source-sieve": sq,
+        "--pattern": write(tmp_path, "p.pat", "0, 1\n"),
+        "--window-pattern": write(tmp_path, "w.pat", "0, 1, 2\n"),
+        "--code": write(tmp_path, "flip.code", format_code(neighbor_flip_code())),
+    }
+
+    @settings(max_examples=60, deadline=None)  # at least every case of the flag: the sweep exhausts them
+    @given(case=st.sampled_from(FLAGS[flag]).flatmap(lambda c: st.tuples(st.just(c[0]), st.sampled_from(c[1]))))
+    def sweep(case):
+        command, value = case
+        argv = [a for word in command for a in ([word, files[word]] if word in files else [word])]
+        code, out, err, seconds = run(argv + [f"{flag}={value}"])
+        assert code in (0, 1, 2, 4) and "Traceback" not in out + err and seconds < 2, (argv, value, code, out, err,
+                                                                                      seconds)
+
+    sweep()

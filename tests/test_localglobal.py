@@ -231,6 +231,28 @@ def test_surjectivity_refuses_int64_norms():
     with pytest.raises(BudgetExceeded, match=r"100000000003.*past int64"):
         check_local_surjectivity(make_algebra([10**11 + 3]), 2, 101)
     assert time.perf_counter() - t0 < 0.5
+    # over Q(sqrt 40000003) the norms fit, but the first strip's cosets would
+    # list the primes up to 64,516,792: the prime table refuses them
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="primes up to 64516792 is over the limit 10000000"):
+        check_local_surjectivity(make_algebra([40000003]), 2, 101)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize(
+    "spec, k, p, segment",
+    [([-7], 3, 7, 1), ([None], 3, 19, None), ([None, 2], 2, 3, None)],
+    ids=["one-row-bands", "negative-offsets", "product"],
+)
+def test_surjectivity_height_is_the_tallest_witness(monkeypatch, spec, k, p, segment):
+    # the height is read per row from its last witness's strip; with the whole
+    # table kept, it must be the height of the tallest witness
+    monkeypatch.setattr(localglobal, "_TABLE_ROWS", 10**6)
+    if segment is not None:
+        monkeypatch.setattr(lattices, "_SEGMENT_CLASSES", segment)
+    rep = check_local_surjectivity(make_algebra(spec), k, p)
+    assert rep.witness_count() == rep.v_classes
+    assert rep.max_witness_height == max(w.height for _, w in rep.items())
 
 
 @pytest.mark.parametrize("drop", [0, 1, 3])

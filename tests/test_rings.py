@@ -27,7 +27,7 @@ from ringsieve import (
 )
 from ringsieve import primes, rings
 from ringsieve.entropy import zeta_K
-from ringsieve.errors import ComponentMismatch, InvalidDiscriminant, PreconditionFailed
+from ringsieve.errors import BudgetExceeded, ComponentMismatch, InvalidDiscriminant, PreconditionFailed
 from ringsieve.primes import is_prime, primes_upto
 from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, valuation
 from ringsieve.sieve import LocalSet, TailRule, build_sieve, density_interval, kfree_sieve
@@ -154,6 +154,21 @@ def test_tables_match_sieve_and_split_prime(bounds):
             for K in TABLE_ALGEBRAS:
                 expected = [(q.p, q.component, q.norm) for p in primes_upto(n) for q in split_prime(K, p)]
                 assert table_rows(K, n) == expected
+
+
+def test_prime_table_refuses_past_the_limit(monkeypatch):
+    # every scan lists its primes here, so this one check bounds them all
+    before = primes._sieved
+    with pytest.raises(BudgetExceeded, match="primes up to 10000001 is over the limit 10000000"):
+        primes_upto(10**7 + 1)
+    assert primes._sieved is before
+    # the headroom stops at the limit: no prime past it can be read
+    monkeypatch.setattr(primes, "_MAX_PRIME_BOUND", 100)
+    with fresh_tables():
+        assert primes_upto(90) == tuple(primerange(91)) and primes._sieved[0] == 100
+        assert primes_upto(100) == tuple(primerange(101))
+        with pytest.raises(BudgetExceeded):
+            primes_upto(101)
 
 
 def test_tables_grow_safely_under_threads():
