@@ -410,6 +410,9 @@ def _selftest_sieve(rep):
     sq2 = sieve_mod.kfree_sieve(make_algebra([2]), 2)
     shifted = sieve_mod.build_sieve(QQ, sieve_mod.TailRule.shifted_kfree(2, (0, 2, 30)))
     huge_k = sieve_mod.parse_sieve_file("algebra Q x Q(sqrt -7)\ntail kfree 1000000\nexception 2 1 : -\n")
+    gauss = sieve_mod.kfree_sieve(make_algebra([-1]), 2)
+    nine = sieve_mod.membership(gauss, gauss.algebra.from_int(9))
+    above_5 = sieve_mod.membership(gauss, gauss.algebra.element([(10, 5)]))
     checks = [
         ("degree add", make_algebra([None, 2]).degree == 3),
         ("omega basis", make_algebra([13]).components[0].omega_poly == (1, 3)),
@@ -443,6 +446,10 @@ def _selftest_sieve(rep):
         # component 1's first tail prime splits, and its 2^1000000 lift is refused
         ("label past a refused lift", str(sieve_mod.membership(huge_k, huge_k.algebra.element([(1,), (0, 0)])).prime)
          == "(3)#1[inert]"),
+        # N(9) = 3^4: the inert (3) passes the norm filter and rejects, after (1 + w)
+        ("prefilter at an inert prime", (str(nine.prime), len(nine.checked)) == ("(3)[inert]", 2)),
+        # 10 + 5w = (2 + w)^2 (2 - w): both primes above 5 pass the filter, and the second rejects
+        ("prefilter at a split prime", (str(above_5.prime), len(above_5.checked)) == ("(5, w-3)[split]", 4)),
     ]
     return checks
 

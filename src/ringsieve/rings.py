@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ComponentMismatch, FormatError, InvalidDiscriminant, PreconditionFailed, RingsieveError
 from .lattices import Hnf, identity_hnf, lat_contains, lat_reduce, lat_scale, residues
-from .primes import _iroot, is_prime, legendre, primes_upto, sqrt_mod
+from .primes import _MAX_PRIME_BOUND, _iroot, is_prime, legendre, primes_upto, sqrt_mod
 
 Coords = tuple[int, ...]
 
@@ -450,8 +450,8 @@ def prime_ideals(algebra: EtaleAlgebra, upto: int | None = None) -> Iterator[Pri
     """The primes above every rational prime p <= upto: ascending p, then split_prime order.
 
     With upto=None the walk reads the prime table in stretches that double
-    in length, 64, 128, ..., and ends in BudgetExceeded (`primes_upto`) at
-    the first stretch past the prime limit 10^7, after the primes up to 2^23.
+    in length, 64, 128, ..., the last one ending at the prime limit 10^7, and
+    then ends in BudgetExceeded (`primes_upto`).
     """
     bound = 64 if upto is None else upto
     start = 0
@@ -461,7 +461,8 @@ def prime_ideals(algebra: EtaleAlgebra, upto: int | None = None) -> Iterator[Pri
             yield from split_prime(algebra, p)
         if upto is not None:
             return
-        start, bound = len(primes), 2 * bound
+        # once a stretch has reached the limit, the next bound is refused
+        start, bound = len(primes), max(min(2 * bound, _MAX_PRIME_BOUND), bound + 1)
 
 
 @lru_cache(maxsize=200_000)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,6 +168,57 @@ def _prime_key(p: PrimeIdeal) -> tuple:
     return (p.p, p.component, -1 if p.root is None else p.root)
 
 
+_TAIL_ROWS_GROWING = threading.Lock()  # two threads must not extend one list twice
+
+
+class _TailPrimeRows:
+    """One sieve's non-exception primes q, as rows p, q, Nm(q) in `prime_ideals` order, for every p <= limit.
+
+    The rows are only appended to, so the rows of p <= n a reader has
+    counted stay valid while another thread grows the list.
+    """
+
+    def __init__(self, algebra: EtaleAlgebra, exceptions: tuple[LocalSet, ...]):
+        self.algebra = algebra
+        self.skip: dict[int, list[PrimeIdeal]] = {}
+        for ls in exceptions:
+            self.skip.setdefault(ls.prime.p, []).append(ls.prime)
+        self.limit = 0
+        self.ps: list[int] = []
+        self.primes: list[PrimeIdeal] = []
+        self.norms: list[int] = []
+
+    def upto(self, n: int) -> int:
+        """The number of rows with p <= n.
+
+        Past its end the list grows by appending a stretch at least as long
+        as what it holds, so a rising run of bounds lists each prime once.
+        A stretch stops at the prime limit unless n passes it, and then
+        `primes_upto` refuses n.
+        """
+        if n > self.limit:
+            with _TAIL_ROWS_GROWING:
+                if n > self.limit:
+                    self._extend(max(n, min(2 * self.limit, _MAX_PRIME_BOUND)))
+        return bisect_right(self.ps, n)
+
+    def _extend(self, n: int) -> None:
+        ps, primes, norms = [], [], []
+        listed = primes_upto(n)
+        for p in listed[bisect_right(listed, self.limit) :]:
+            skip = self.skip.get(p, ())
+            for q in split_prime(self.algebra, p):
+                if q not in skip:
+                    ps.append(p)
+                    primes.append(q)
+                    norms.append(q.norm)
+        # the rows before the limit: a reader that sees the new limit finds its rows
+        self.ps += ps
+        self.primes += primes
+        self.norms += norms
+        self.limit = n
+
+
 @dataclass(frozen=True)
 class SieveSpec:
     """A finitely specified sieve: tail rule plus finitely many exceptions."""
@@ -185,6 +238,11 @@ class SieveSpec:
         elems = [self.algebra.from_int(c) if isinstance(c, int) else self.algebra.from_flat(c)
                  for c in self.tail.labels]
         return tuple(tuple(sorted({x.coords[i] for x in elems})) for i in range(len(self.algebra.components)))
+
+    @cached_property
+    def tail_rows(self) -> _TailPrimeRows:
+        """The non-exception primes, listed once per sieve and grown as scans reach further (`_tail_primes`)."""
+        return _TailPrimeRows(self.algebra, self.exceptions)
 
     def exception_at(self, prime: PrimeIdeal) -> LocalSet | None:
         for ls in self.exceptions:
@@ -273,12 +331,18 @@ _MAX_GRID_CLASSES = 1 << 28
 
 
 def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
-    """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending."""
-    k = sieve.tail.exponent
-    for prime in prime_ideals(sieve.algebra, _iroot(max_norm, k)):
-        if prime.norm**k <= max_norm and component in (None, prime.component):
-            if sieve.exception_at(prime) is None:
-                yield prime
+    """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending.
+
+    Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so the
+    sieve's rows (`SieveSpec.tail_rows`) of the primes p <= n are read and no
+    power is formed.
+    """
+    n = _iroot(max_norm, sieve.tail.exponent)
+    rows = sieve.tail_rows
+    end = rows.upto(n)
+    for prime, norm in itertools.islice(zip(rows.primes, rows.norms), end):
+        if norm <= n and component in (None, prime.component):
+            yield prime
 
 
 def _tail_local_sets(sieve: SieveSpec, n: int) -> list[LocalSet]:
@@ -293,12 +357,16 @@ def _tail_local_sets(sieve: SieveSpec, n: int) -> list[LocalSet]:
 def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     """Decide x in V(K, R), checking only the finitely many relevant primes.
 
-    Exception primes are always checked.  A tail prime can only catch x when
-    Nm(p)^k divides the norm of x - c for one of the tail labels c, so the
-    scan is bounded by those norms; when x equals a label on some component,
-    every tail prime of that component catches it, and the first one whose q^k
-    is built (`rings.power_fits`) is named.  A scan past the prime limit
-    raises BudgetExceeded before its primes are listed (`primes_upto`).
+    Exception primes are always checked.  Ideal norms are multiplicative,
+    so q^k | x - c implies Nm(q)^k = Nm(q^k) | |N(x - c)|: a tail prime q can
+    only catch x when Nm(q)^k divides the norm of x - c for one of the tail
+    labels c.  The scan is bounded by the largest of those norms, and a tail
+    prime's local set is tested only where Nm(q)^k divides one of them; the
+    primes it skips were still examined, so they stay in `checked`.  When x
+    equals a label on some component, every tail prime of that component
+    catches it, and the first one whose q^k is built (`rings.power_fits`) is
+    named.  A scan past the prime limit raises BudgetExceeded before its
+    primes are listed (`primes_upto`).
     """
     if x.algebra != sieve.algebra:
         raise PreconditionFailed("element of a different algebra")
@@ -310,26 +378,28 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
             return Verdict(False, ls.prime, hit, tuple(checked))
     k = sieve.tail.exponent
     for i, spec in enumerate(sieve.algebra.components):
-        bound = 0
-        for c in sieve.label_points[i]:
-            nm = abs(spec.norm(tuple(a - b for a, b in zip(x.coords[i], c))))
-            if nm == 0:
-                # only split primes have the tighter limit, so none is built past a refused non-split one
-                prime = next(
-                    q for q in prime_ideals(sieve.algebra) if q.component == i and sieve.exception_at(q) is None
-                    and (q.kind != "split" or power_fits(q, k))
-                )
-                ls = _tail_local_set(sieve, prime)
-                hit = ls.hits(x)
-                if hit is None:
-                    raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
-                return Verdict(False, prime, hit, tuple(checked))
-            bound = max(bound, nm)
-        for prime in _tail_primes(sieve, bound, i):
+        norms = [abs(spec.norm(tuple(a - b for a, b in zip(x.coords[i], c)))) for c in sieve.label_points[i]]
+        if 0 in norms:
+            # only split primes have the tighter limit, so none is built past a refused non-split one
+            prime = next(
+                q for q in prime_ideals(sieve.algebra) if q.component == i and sieve.exception_at(q) is None
+                and (q.kind != "split" or power_fits(q, k))
+            )
+            ls = _tail_local_set(sieve, prime)
+            hit = ls.hits(x)
+            if hit is None:
+                raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
+            return Verdict(False, prime, hit, tuple(checked))
+        for prime in _tail_primes(sieve, max(norms, default=0), i):
             checked.append(prime)
-            hit = _tail_local_set(sieve, prime).hits(x)
-            if hit is not None:
-                return Verdict(False, prime, hit, tuple(checked))
+            m = prime.norm**k
+            # the norm filter: the local set can only hit x where Nm(q)^k divides some |N(x - c)|
+            for nm in norms:
+                if nm % m == 0:
+                    hit = _tail_local_set(sieve, prime).hits(x)
+                    if hit is not None:
+                        return Verdict(False, prime, hit, tuple(checked))
+                    break
     return Verdict(True, checked=tuple(checked))
 
 

@@ -30,7 +30,7 @@ from ringsieve.entropy import zeta_K
 from ringsieve.errors import BudgetExceeded, ComponentMismatch, InvalidDiscriminant, PreconditionFailed
 from ringsieve.primes import is_prime, primes_upto
 from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, valuation
-from ringsieve.sieve import LocalSet, TailRule, build_sieve, density_interval, kfree_sieve
+from ringsieve.sieve import LocalSet, TailRule, _tail_primes, build_sieve, density_interval, kfree_sieve
 
 TEST_FIELDS = [2, 3, 5, 13, -1, -3, -5, 17]
 
@@ -178,17 +178,23 @@ def test_tables_grow_safely_under_threads():
     expected = {
         n: [(q.p, q.component, q.norm) for p in primerange(n + 1) for q in split_prime(K, p)] for n in bounds
     }
+    # and the tail-prime rows of one fresh sieve per bound: norm <= n, without its exception at (3)#1
+    tail = {n: [row for row in expected[n] if row[2] <= n and row[:2] != (3, 1)] for n in bounds}
     start = threading.Barrier(8)
     wrong = []
 
     def work():
         start.wait()
         for n in bounds:
+            if [(q.p, q.component, q.norm) for q in _tail_primes(sieves[n], n)] != tail[n]:
+                wrong.append(n)
             if table_rows(K, n) != expected[n]:
                 wrong.append(n)
 
     interval = sys.getswitchinterval()
     with fresh_tables():
+        exception = LocalSet(ideal_power(split_prime(K, 3)[1], 1), ())
+        sieves = {n: build_sieve(K, TailRule.kfree(1), [exception]) for n in bounds}
         sys.setswitchinterval(1e-6)
         try:
             threads = [threading.Thread(target=work) for _ in range(8)]
@@ -574,6 +580,18 @@ def test_prime_ideals_match_split_prime_walk(spec):
     walk = list(itertools.islice(rings.prime_ideals(K), 400))
     assert walk[-1].p > 256
     assert walk == old_prime_walk(K, walk[-1].p)[:400]
+
+
+def test_unbounded_prime_walk_stops_its_last_stretch_at_the_limit(monkeypatch):
+    # stretches 64, then 100 (not 128, which the limit refuses), then the refusal
+    K = make_algebra([None, 2])
+    for module in (primes, rings):
+        monkeypatch.setattr(module, "_MAX_PRIME_BOUND", 100)
+    walk = []
+    with fresh_tables(), pytest.raises(BudgetExceeded):
+        for q in rings.prime_ideals(K):
+            walk.append(q)
+    assert walk == old_prime_walk(K, 100) and walk[-1].p == 97
 
 
 def test_embed_and_lattice_rows_on_a_product():

@@ -420,6 +420,109 @@ def test_membership_and_boxes_match_labels_projected_per_call():
             assert count_members(sv, 2) == len(brute) and enumerate_V(sv, 2) == brute, str(sv)
 
 
+def _full_scan_tail_primes(sieve, max_norm, component=None):
+    """The scan the tail-prime rows replaced: the prime-ideal walk, each prime looked up among the exceptions."""
+    k = sieve.tail.exponent
+    return [q for q in prime_ideals(sieve.algebra, integer_nthroot(max_norm, k)[0])
+            if q.norm**k <= max_norm and component in (None, q.component) and sieve.exception_at(q) is None]
+
+
+def _prefilter_sieve(rng):
+    """A shifted or vector-label sieve with k = 2-5 and up to three exceptions at primes above 2-7."""
+    K = make_algebra(rng.choice([[None], [2], [-1], [-7], [13], [None, -7], [5, None], [2, -1]]))
+    labels = [rng.randint(-6, 6) if rng.random() < 0.5 else tuple(rng.randint(-5, 5) for _ in range(K.degree))
+              for _ in range(rng.randint(1, 3))]
+    exceptions = []
+    for q in rng.sample([q for p in (2, 3, 5, 7) for q in split_prime(K, p)], rng.randint(0, 3)):
+        mod = ideal_power(q, rng.choice([1, 2]))
+        exceptions.append(LocalSet(mod, tuple(sorted(rng.sample(list(mod.residues()), rng.randint(0, 2))))))
+    return build_sieve(K, TailRule.shifted_kfree(rng.randint(2, 5), labels), exceptions)
+
+
+def _prefilter_elements(sieve, rng):
+    """Per label c, c plus a multiple of q^k at rational, inert or ramified primes q, and c plus a
+    small element; on a product, one element equal to a label on one component only."""
+    K, k = sieve.algebra, sieve.tail.exponent
+    labels = [K.from_int(c) if isinstance(c, int) else K.from_flat(c) for c in sieve.tail.labels]
+    # Nm(q)^k | N(x - c) exactly when q^k | x - c at such q, so their rows pass the norm filter
+    divisors = [q for p in (2, 3, 5, 7) for q in split_prime(K, p) if q.kind != "split"]
+
+    def small():
+        return K.from_flat([rng.randint(-9, 9) for _ in range(K.degree)])
+
+    xs = []
+    for c in labels:
+        for q in rng.sample(divisors, min(3, len(divisors))):
+            hnf = ideal_power(q, k).hnf
+            coefs = [rng.randint(-2, 2) for _ in hnf]
+            x = c + K.embed(q.component, [sum(a * row[j] for a, row in zip(coefs, hnf)) for j in range(len(hnf))])
+            for j in range(len(K.components)):
+                if j != q.component and rng.random() < 0.7:
+                    x = x + K.embed(j, small().coords[j])
+            xs.append(x)
+        xs.append(c + small())
+    if len(K.components) > 1:
+        c, other, i = rng.choice(labels), small(), rng.randrange(len(K.components))
+        xs.append(K.element([c.coords[j] if j == i else other.coords[j] for j in range(len(K.components))]))
+    return xs
+
+
+def test_norm_prefilter_and_tail_rows_match_the_full_scan():
+    rng = random.Random(2501)
+    kinds, exponents, verdicts = set(), set(), set()
+    for _ in range(60):
+        sv = _prefilter_sieve(rng)
+        kinds.update(ls.prime.kind for ls in sv.exceptions)
+        exponents.add(sv.tail.exponent)
+        # rising bounds first, so the rows grow through several stretches
+        for max_norm in (1, 40, 3000, 10**5, rng.randint(0, 10**4)):
+            for component in (None, *range(len(sv.algebra.components))):
+                assert list(sieve_mod._tail_primes(sv, max_norm, component)) == _full_scan_tail_primes(
+                    sv, max_norm, component), (str(sv), max_norm, component)
+        for x in _prefilter_elements(sv, rng):
+            v = membership(sv, x)
+            assert (v.member, v.prime, v.class_rep, list(v.checked)) == _membership_projecting_labels(sv, x), (str(sv), x)
+            verdicts.add((v.member, v.prime is not None and sv.exception_at(v.prime) is None, bool(v.checked)))
+    assert {"split", "inert", "ramified"} <= kinds and exponents == {2, 3, 4, 5}
+    # members with primes checked, and rejections by a tail prime
+    assert (True, False, True) in verdicts and (False, True, True) in verdicts
+
+
+def test_membership_builds_local_sets_only_where_the_norm_filter_passes(monkeypatch):
+    builds = []
+    tail_local_set = sieve_mod._tail_local_set
+    monkeypatch.setattr(sieve_mod, "_tail_local_set", lambda sv, q: builds.append(q) or tail_local_set(sv, q))
+
+    def flagged(sv, x, primes):
+        """The tail primes among `primes` whose Nm(q)^k divides some |N(x - c)|."""
+        k = sv.tail.exponent
+        return [q for q in primes if sv.exception_at(q) is None and any(
+            q.spec.norm(tuple(a - b for a, b in zip(x.coords[q.component], c))) % q.norm**k == 0
+            for c in sv.label_points[q.component])]
+
+    K = make_algebra([-1])
+    gauss = kfree_sieve(K, 2)
+    far = parse_sieve_file("algebra Q\ntail classes 0,531443\nexception 2 1 : -\nexception 3 1 : -\n")
+    shifted = build_sieve(make_algebra([None, -7]), TailRule.shifted_kfree(3, [0, (2, 1, 1), 27]))
+    cases = [
+        (gauss, K.from_int(5), 2),  # both primes above 5 pass the filter, and neither divides 5 twice
+        (gauss, K.element([[10, 5]]), 2),  # (2 + w)^2 (2 - w): the second prime above 5 rejects
+        (gauss, K.from_int(9), 1),
+        (far, QQ.from_int(2), 0),  # 43,932 tail primes, and no |N(2 - c)| has one of them
+        # members with 8 primes checked, and a rejection at the ramified prime above 7 after 5
+        (shifted, shifted.algebra.from_flat([-34, -11, -10]), 2),
+        (shifted, shifted.algebra.from_flat([-34, -12, -9]), 0),
+        (shifted, shifted.algebra.from_flat([-34, 6, -7]), 1),
+    ]
+    for sv, x, expected in cases:
+        builds.clear()
+        v = membership(sv, x)
+        assert builds == flagged(sv, x, v.checked) and len(builds) == expected, (str(sv), x)
+    # every prime up to |N(2 - 531443)| = 3^12 is checked
+    v = membership(far, QQ.from_int(2))
+    assert v.member and len(v.checked) == 43_934
+
+
 def test_enumerate_refuses_a_box_over_budget(squarefree_q, k2, monkeypatch):
     # boxes of 2^22 + 1 and 2049^2 points: refused before any band is marked
     monkeypatch.setattr(sieve_mod, "_member_bands", None)
