@@ -411,7 +411,7 @@ class _NormTable:
 
 
 _NORM_TABLES: defaultdict[EtaleAlgebra, _NormTable] = defaultdict(_NormTable)
-_NORM_TABLES_GROWING = threading.Lock()  # two threads must not extend one table twice
+_NORM_TABLES_GROWING = threading.Lock()  # two threads must not extend one table (or row list) twice
 
 
 def norms_upto(algebra: EtaleAlgebra, n: int) -> np.ndarray:
@@ -433,9 +433,14 @@ def norms_upto(algebra: EtaleAlgebra, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=200_000)
 def split_prime(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
-    """All primes above p, ordered by component then ascending root."""
-    if p < 2 or not is_prime(p):
+    """All primes above p, ordered by component then ascending root; ValueError if p is not prime."""
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _splitting(algebra, p)
+
+
+def _splitting(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
+    """`split_prime` for a p known to be prime."""
     out = []
     for i, spec in enumerate(algebra.components):
         if spec.is_rational:
@@ -446,23 +451,84 @@ def split_prime(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
     return tuple(out)
 
 
+class _PrimeRows:
+    """An algebra's primes q above every prime p <= limit, as rows p, q, Nm(q) in `prime_ideals` order.
+
+    Only appended to: the rows of p <= n a reader has counted stay valid while
+    the list grows.  At most _MAX_KEPT_ROWS rows over all algebras outlive
+    their readers (`_forget_oldest_rows`).
+    """
+
+    def __init__(self, algebra: EtaleAlgebra):
+        self.algebra = algebra
+        self.limit = 0
+        self.ps: list[int] = []
+        self.primes: list[PrimeIdeal] = []
+        self.norms: list[int] = []
+
+    def upto(self, n: int) -> int:
+        """The number of rows with p <= n.
+
+        Past its end the list grows, under the norm tables' lock, by a
+        stretch at least as long as what it holds, so a rising run of bounds
+        lists each prime once.  A stretch stops at the prime limit unless n
+        passes it, and then `primes_upto` refuses n.
+        """
+        if n > self.limit:
+            with _NORM_TABLES_GROWING:
+                if n > self.limit:
+                    self._extend(max(n, min(2 * self.limit, _MAX_PRIME_BOUND)))
+                    _forget_oldest_rows()
+        return bisect_right(self.ps, n)
+
+    def _extend(self, n: int) -> None:
+        listed = primes_upto(n)
+        new = [q for p in listed[bisect_right(listed, self.limit) :] for q in _splitting(self.algebra, p)]
+        # the rows before the limit: a reader that sees the new limit finds its rows
+        self.ps += [q.p for q in new]
+        self.primes += new
+        self.norms += [q.norm for q in new]
+        self.limit = n
+
+
+_PRIME_ROWS: dict[EtaleAlgebra, _PrimeRows] = {}
+_MAX_KEPT_ROWS = 1 << 18  # about 56 MB of rows at some 215 bytes each
+
+
+def prime_rows(algebra: EtaleAlgebra) -> _PrimeRows:
+    """The algebra's one row table, which `prime_ideals` and every sieve over the algebra read."""
+    return _PRIME_ROWS.get(algebra) or _PRIME_ROWS.setdefault(algebra, _PrimeRows(algebra))
+
+
+def _forget_oldest_rows() -> None:
+    """Drop the oldest algebras' tables until at most _MAX_KEPT_ROWS rows are kept.
+
+    A scan that holds a dropped table reads it to its end, and the next
+    `prime_rows` call starts a new one, so a scan far past the budget keeps
+    its rows only while it runs.
+    """
+    kept = sum(len(rows.ps) for rows in list(_PRIME_ROWS.values()))
+    for algebra in list(_PRIME_ROWS):
+        if kept <= _MAX_KEPT_ROWS:
+            return
+        kept -= len(_PRIME_ROWS.pop(algebra).ps)
+
+
 def prime_ideals(algebra: EtaleAlgebra, upto: int | None = None) -> Iterator[PrimeIdeal]:
     """The primes above every rational prime p <= upto: ascending p, then split_prime order.
 
-    With upto=None the walk reads the prime table in stretches that double
-    in length, 64, 128, ..., the last one ending at the prime limit 10^7, and
-    then ends in BudgetExceeded (`primes_upto`).
+    Read from the algebra's rows (`prime_rows`), in stretches that double in
+    length, 64, 128, ..., when upto=None: the last one ends at the prime
+    limit 10^7, and then the walk ends in BudgetExceeded (`primes_upto`).
     """
-    bound = 64 if upto is None else upto
-    start = 0
+    rows, start, bound = prime_rows(algebra), 0, 64 if upto is None else upto
     while True:
-        primes = primes_upto(bound)
-        for p in primes[start:]:
-            yield from split_prime(algebra, p)
+        end = rows.upto(bound)
+        yield from itertools.islice(rows.primes, start, end)
         if upto is not None:
             return
         # once a stretch has reached the limit, the next bound is refused
-        start, bound = len(primes), max(min(2 * bound, _MAX_PRIME_BOUND), bound + 1)
+        start, bound = end, max(min(2 * bound, _MAX_PRIME_BOUND), bound + 1)
 
 
 @lru_cache(maxsize=200_000)

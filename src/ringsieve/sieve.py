@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +23,6 @@ from .errors import (
     ClassOutOfRange,
     FormatError,
     PreconditionFailed,
-    RingsieveError,
     TailNotBoundable,
     VerificationFailed,
 )
@@ -50,6 +47,7 @@ from .rings import (
     power_fits,
     prime_at,
     prime_ideals,
+    prime_rows,
     split_prime,
 )
 
@@ -168,60 +166,13 @@ def _prime_key(p: PrimeIdeal) -> tuple:
     return (p.p, p.component, -1 if p.root is None else p.root)
 
 
-_TAIL_ROWS_GROWING = threading.Lock()  # two threads must not extend one list twice
-
-
-class _TailPrimeRows:
-    """One sieve's non-exception primes q, as rows p, q, Nm(q) in `prime_ideals` order, for every p <= limit.
-
-    The rows are only appended to, so the rows of p <= n a reader has
-    counted stay valid while another thread grows the list.
-    """
-
-    def __init__(self, algebra: EtaleAlgebra, exceptions: tuple[LocalSet, ...]):
-        self.algebra = algebra
-        self.skip: dict[int, list[PrimeIdeal]] = {}
-        for ls in exceptions:
-            self.skip.setdefault(ls.prime.p, []).append(ls.prime)
-        self.limit = 0
-        self.ps: list[int] = []
-        self.primes: list[PrimeIdeal] = []
-        self.norms: list[int] = []
-
-    def upto(self, n: int) -> int:
-        """The number of rows with p <= n.
-
-        Past its end the list grows by appending a stretch at least as long
-        as what it holds, so a rising run of bounds lists each prime once.
-        A stretch stops at the prime limit unless n passes it, and then
-        `primes_upto` refuses n.
-        """
-        if n > self.limit:
-            with _TAIL_ROWS_GROWING:
-                if n > self.limit:
-                    self._extend(max(n, min(2 * self.limit, _MAX_PRIME_BOUND)))
-        return bisect_right(self.ps, n)
-
-    def _extend(self, n: int) -> None:
-        ps, primes, norms = [], [], []
-        listed = primes_upto(n)
-        for p in listed[bisect_right(listed, self.limit) :]:
-            skip = self.skip.get(p, ())
-            for q in split_prime(self.algebra, p):
-                if q not in skip:
-                    ps.append(p)
-                    primes.append(q)
-                    norms.append(q.norm)
-        # the rows before the limit: a reader that sees the new limit finds its rows
-        self.ps += ps
-        self.primes += primes
-        self.norms += norms
-        self.limit = n
-
-
 @dataclass(frozen=True)
 class SieveSpec:
-    """A finitely specified sieve: tail rule plus finitely many exceptions."""
+    """A finitely specified sieve: tail rule plus finitely many exceptions.
+
+    Its tail primes are its algebra's one shared row table (`rings.prime_rows`)
+    less its exception primes (`exception_keys`).
+    """
 
     algebra: EtaleAlgebra
     tail: TailRule
@@ -240,9 +191,9 @@ class SieveSpec:
         return tuple(tuple(sorted({x.coords[i] for x in elems})) for i in range(len(self.algebra.components)))
 
     @cached_property
-    def tail_rows(self) -> _TailPrimeRows:
-        """The non-exception primes, listed once per sieve and grown as scans reach further (`_tail_primes`)."""
-        return _TailPrimeRows(self.algebra, self.exceptions)
+    def exception_keys(self) -> frozenset[tuple[int, int, int | None]]:
+        """(p, component, root) of each exception prime, the primes a tail scan skips; empty for a tail-only sieve."""
+        return frozenset((ls.prime.p, ls.prime.component, ls.prime.root) for ls in self.exceptions)
 
     def exception_at(self, prime: PrimeIdeal) -> LocalSet | None:
         for ls in self.exceptions:
@@ -333,15 +284,16 @@ _MAX_GRID_CLASSES = 1 << 28
 def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
     """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending.
 
-    Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so the
-    sieve's rows (`SieveSpec.tail_rows`) of the primes p <= n are read and no
-    power is formed.
+    Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so the rows
+    of the primes p <= n are read from the algebra's one row table
+    (`rings.prime_rows`, shared by every sieve over it) and no power is
+    formed.  The sieve's exception primes are left out (`exception_keys`).
     """
     n = _iroot(max_norm, sieve.tail.exponent)
-    rows = sieve.tail_rows
+    rows, skip = prime_rows(sieve.algebra), sieve.exception_keys
     end = rows.upto(n)
-    for prime, norm in itertools.islice(zip(rows.primes, rows.norms), end):
-        if norm <= n and component in (None, prime.component):
+    for p, prime, norm in itertools.islice(zip(rows.ps, rows.primes, rows.norms), end):
+        if norm <= n and component in (None, prime.component) and not (skip and (p, prime.component, prime.root) in skip):
             yield prime
 
 
@@ -365,8 +317,10 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     primes it skips were still examined, so they stay in `checked`.  When x
     equals a label on some component, every tail prime of that component
     catches it, and the first one whose q^k is built (`rings.power_fits`) is
-    named.  A scan past the prime limit raises BudgetExceeded before its
-    primes are listed (`primes_upto`).
+    named.  The tail primes come from the algebra's shared row table
+    (`_tail_primes`), split without being proved prime again.  A scan past
+    the prime limit raises BudgetExceeded before its primes are listed
+    (`primes_upto`).
     """
     if x.algebra != sieve.algebra:
         raise PreconditionFailed("element of a different algebra")
@@ -382,7 +336,8 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
         if 0 in norms:
             # only split primes have the tighter limit, so none is built past a refused non-split one
             prime = next(
-                q for q in prime_ideals(sieve.algebra) if q.component == i and sieve.exception_at(q) is None
+                q for q in prime_ideals(sieve.algebra)
+                if q.component == i and (q.p, q.component, q.root) not in sieve.exception_keys
                 and (q.kind != "split" or power_fits(q, k))
             )
             ls = _tail_local_set(sieve, prime)

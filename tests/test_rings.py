@@ -77,14 +77,15 @@ def test_splitting_completeness_up_to_1000():
 
 @contextmanager
 def fresh_tables():
-    """Run with an empty prime table and no norm tables, restoring both after."""
-    saved = primes._sieved, rings._NORM_TABLES
+    """Run with an empty prime table and no norm tables or prime rows, restoring all three after."""
+    saved = primes._sieved, rings._NORM_TABLES, rings._PRIME_ROWS
     primes._sieved = (1, ())
     rings._NORM_TABLES = defaultdict(rings._NormTable)
+    rings._PRIME_ROWS = {}
     try:
         yield
     finally:
-        primes._sieved, rings._NORM_TABLES = saved
+        primes._sieved, rings._NORM_TABLES, rings._PRIME_ROWS = saved
 
 
 def table_rows(K, n):
@@ -238,6 +239,13 @@ STRONG_PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
 @given(st.one_of(st.integers(-5, 10**4), st.integers(0, 2**40), st.integers(0, 2**78)))
 def test_is_prime_matches_sympy(n):
     assert is_prime(n) == isprime(n)
+
+
+def test_split_prime_refuses_composites(k2):
+    for n in (91, 1, 0, -7, 1009 * 1013, 2047):
+        with pytest.raises(ValueError, match="not prime"):
+            split_prime(k2, n)
+    assert [q.norm for q in split_prime(k2, 1_000_003)] == [1_000_003**2]  # 2 is not a square mod it
 
 
 def test_is_prime_rejects_strong_pseudoprimes():

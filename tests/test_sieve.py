@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,8 @@ from hypothesis import strategies as st
 from sympy import factorint, integer_nthroot, legendre_symbol, primerange
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
-from ringsieve import QQ, lattices, make_algebra, reduce_mod, split_prime, ideal_power
+import ringsieve
+from ringsieve import QQ, lattices, make_algebra, reduce_mod, rings, split_prime, ideal_power
 from ringsieve import sieve as sieve_mod
 from ringsieve.errors import BudgetExceeded, ClassOutOfRange, PreconditionFailed, TailNotBoundable, VerificationFailed
 from ringsieve.intervals import _round_down, _round_up
@@ -521,6 +527,127 @@ def test_membership_builds_local_sets_only_where_the_norm_filter_passes(monkeypa
     # every prime up to |N(2 - 531443)| = 3^12 is checked
     v = membership(far, QQ.from_int(2))
     assert v.member and len(v.checked) == 43_934
+
+
+def test_sieves_over_one_algebra_share_one_prime_table(monkeypatch):
+    K = make_algebra([-7])
+    monkeypatch.setattr(rings, "_PRIME_ROWS", {})
+    two = split_prime(K, 2)[0]  # 2 splits in Q(sqrt -7)
+    sieves = [kfree_sieve(K, 2), kfree_sieve(K, 3), build_sieve(K, TailRule.kfree(2), [LocalSet(ideal_power(two, 1), ())])]
+    tables = []
+    for sv in sieves:
+        assert list(sieve_mod._tail_primes(sv, 10**6)) == _full_scan_tail_primes(sv, 10**6)
+        assert membership(sv, K.from_int(30)).member
+        tables.append((rings._PRIME_ROWS[K], rings._PRIME_ROWS[K].limit))
+    # one object for all three, listed by the first sieve's scan and never again
+    assert all(table is tables[0][0] for table, _ in tables)
+    assert tables[0][1] >= 1000 and [limit for _, limit in tables] == [tables[0][1]] * 3
+
+
+def test_prime_rows_kept_stay_within_their_budget(monkeypatch):
+    # the oldest algebras' tables are dropped past the budget, and every scan still reads whole rows
+    K, L = make_algebra([-7]), make_algebra([None, 2])
+    small, big = kfree_sieve(K, 2), kfree_sieve(L, 2)
+    expected = {(sv, n): _full_scan_tail_primes(sv, n * n) for sv in (small, big) for n in (100, 1000)}
+    monkeypatch.setattr(rings, "_PRIME_ROWS", {})
+    monkeypatch.setattr(rings, "_MAX_KEPT_ROWS", 300)
+
+    def scan(sv, n):
+        assert list(sieve_mod._tail_primes(sv, n * n)) == expected[sv, n], (str(sv), n)
+        assert sum(len(rows.ps) for rows in rings._PRIME_ROWS.values()) <= 300
+
+    scan(small, 100)
+    first = rings._PRIME_ROWS[K]
+    scan(big, 100)
+    assert list(rings._PRIME_ROWS) == [K, L] and rings._PRIME_ROWS[K] is first
+    # over 300 rows above p <= 1000 in Q x Q(sqrt 2): K's table goes first, then L's own
+    scan(big, 1000)
+    assert rings._PRIME_ROWS == {}
+    scan(small, 100)
+    assert rings._PRIME_ROWS[K] is not first
+    for sv, n in expected:
+        scan(sv, n)
+    assert membership(big, L.from_int(15)).member and not membership(big, L.from_int(12)).member
+
+
+def test_a_sieve_never_yields_its_own_exception_prime():
+    K, P = make_algebra([2]), make_algebra([None, 2])  # in Q(sqrt 2): 2 ramifies, 3 is inert, 7 splits
+    cases = [(K, q) for p in (2, 3, 7) for q in split_prime(K, p)] + [(P, q) for q in split_prime(P, 7)]
+    kinds = set()
+    for algebra, q in cases:
+        kinds.add(q.kind)
+        for tail in (TailRule.kfree(2), TailRule.shifted_kfree(2, [0, 4])):
+            free = build_sieve(algebra, tail)
+            sv = build_sieve(algebra, tail, [LocalSet(ideal_power(q, 1), ())])
+            assert q in _full_scan_tail_primes(free, 10**4)
+            for max_norm in (10, 10**4):
+                assert list(sieve_mod._tail_primes(sv, max_norm)) == [
+                    r for r in sieve_mod._tail_primes(free, max_norm) if r != q], (str(sv), q, max_norm)
+            # 97 splits in Q(sqrt 2), so its primes are scanned too; q is checked once, as the exception
+            v = membership(sv, algebra.from_int(97))
+            assert v.member and v.checked[0] == q and v.checked.count(q) == 1, (str(sv), q)
+    assert kinds == {"rational", "split", "inert", "ramified"}
+
+
+def test_prime_rows_grown_by_threads_match_one_thread(monkeypatch):
+    # four threads race through the same rising bounds on sieves over one algebra
+    K = make_algebra([None, -7])
+    exception = LocalSet(ideal_power(split_prime(K, 2)[1], 1), ())
+    bounds = list(range(20, 3000, 20))
+
+    def scans(sv):
+        return [list(sieve_mod._tail_primes(sv, n * n)) for n in bounds]
+
+    def rows_upto(n):
+        rows = rings.prime_rows(K)
+        end = rows.upto(n)
+        return rows.ps[:end], rows.primes[:end], rows.norms[:end]
+
+    sieves = [kfree_sieve(K, 2), build_sieve(K, TailRule.kfree(2), [exception])]
+    monkeypatch.setattr(rings, "_PRIME_ROWS", {})
+    expected = [scans(sv) for sv in sieves]
+    alone = rows_upto(bounds[-1])
+    monkeypatch.setattr(rings, "_PRIME_ROWS", {})
+    start = threading.Barrier(4)
+    wrong = []
+
+    def work(i):
+        start.wait()
+        if scans(sieves[i % 2]) != expected[i % 2]:
+            wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not wrong and rows_upto(bounds[-1]) == alone
+
+
+def test_cold_membership_scan_in_a_fresh_process():
+    # 43,934 tail primes up to |N(2 - 531443)| = 3^12, read from the prime table and not
+    # re-proved: about 0.25 s in a fresh interpreter, imports included
+    src = str(Path(ringsieve.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import time\n"
+        "start = time.perf_counter()\n"
+        "from ringsieve import QQ\n"
+        "from ringsieve.sieve import membership, parse_sieve_file\n"
+        "sv = parse_sieve_file('algebra Q\\ntail classes 0,531443\\nexception 2 1 : -\\nexception 3 1 : -\\n')\n"
+        "v = membership(sv, QQ.from_int(2))\n"
+        "print(v.member, len(v.checked), time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    member, checked, seconds = proc.stdout.split()
+    assert (member, checked) == ("True", "43934") and float(seconds) < 5, proc.stdout
 
 
 def test_enumerate_refuses_a_box_over_budget(squarefree_q, k2, monkeypatch):
