@@ -413,6 +413,7 @@ def _selftest_sieve(rep):
     gauss = sieve_mod.kfree_sieve(make_algebra([-1]), 2)
     nine = sieve_mod.membership(gauss, gauss.algebra.from_int(9))
     above_5 = sieve_mod.membership(gauss, gauss.algebra.element([(10, 5)]))
+    big_prime = sieve_mod.membership(sq, QQ.from_int(9_999_999_967))
     checks = [
         ("degree add", make_algebra([None, 2]).degree == 3),
         ("omega basis", make_algebra([13]).components[0].omega_poly == (1, 3)),
@@ -450,6 +451,8 @@ def _selftest_sieve(rep):
         ("prefilter at an inert prime", (str(nine.prime), len(nine.checked)) == ("(3)[inert]", 2)),
         # 10 + 5w = (2 + w)^2 (2 - w): both primes above 5 pass the filter, and the second rejects
         ("prefilter at a split prime", (str(above_5.prime), len(above_5.checked)) == ("(5, w-3)[split]", 4)),
+        # a prime: no p^2 divides it, and every p <= 99,999 is checked (pi(99,999) = 9,592)
+        ("member past 10^9", (big_prime.member, len(big_prime.checked)) == (True, 9592)),
     ]
     return checks
 

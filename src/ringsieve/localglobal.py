@@ -316,7 +316,8 @@ def _surjectivity_field(spec: FieldSpec, k: int, p: int) -> tuple[int, int, int,
         if pos.size:
             max_h = max(max_h, int(np.flatnonzero(in_v.reshape(h, W).any(axis=0))[-1]))
             last = np.where(in_v, strips, np.int8(-1)).reshape(h, W).max(axis=1)
-            for s in np.unique(last[last >= 0]).tolist():
+            # the strips used, from counts over the int8 map (0-63); np.unique would import numpy.ma
+            for s in np.flatnonzero(np.bincount(last[last >= 0])).tolist():
                 rows = np.flatnonzero(last == s)
                 lo = offsets[s] * P + r0
                 max_h = max(max_h, lo + int(rows[-1]) if lo >= 0 else -lo - int(rows[0]))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from itertools import compress
-from math import isqrt
+from math import isqrt, prod
+from typing import Iterator
 
 from .errors import BudgetExceeded, PreconditionFailed
 
@@ -46,6 +48,51 @@ def primes_upto(n: int) -> tuple[int, ...]:
         table = tuple(compress(range(limit + 1), sieve))
         _sieved = limit, table
     return table[: bisect_right(table, n)]
+
+
+# Below 2^_FIRST_RANGE_BITS a range starts at 2: there one gcd costs less than
+# the loop around it.
+_FIRST_RANGE_BITS = 10
+
+
+@lru_cache(maxsize=None)
+def prime_range(j: int) -> int:
+    """The product of the primes in [2^j, 2^(j+1)) up to the prime limit.
+
+    For j < _FIRST_RANGE_BITS the range starts at 2: [2, 2^(j+1)).  Only the
+    product is kept, for the life of the process: about 0.18 bytes per unit
+    of the range, some 1.8 MB for every range up to the prime limit.  It is
+    taken as a balanced tree, so its cost is a few large multiplications
+    rather than one per prime.  The prime table grows to the range's end.
+    """
+    top = min((2 << j) - 1, _MAX_PRIME_BOUND)
+    primes_upto(top)
+    table = _sieved[1]
+    ps = table[bisect_left(table, 1 << j) if j >= _FIRST_RANGE_BITS else 0 : bisect_right(table, top)]
+    level = [prod(ps[i : i + 16]) for i in range(0, len(ps), 16)]
+    while len(level) > 1:
+        level = [prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0] if level else 1
+
+
+def range_factors(j: int, g: int) -> Iterator[int]:
+    """The primes dividing g, ascending, for g > 1 a divisor of `prime_range(j)`.
+
+    Trial division by the range's primes, read from the prime table in
+    place; g is squarefree, so once it is below p^2, with every smaller
+    prime divided out, it is prime.
+    """
+    table = _sieved[1]  # past the range's end since prime_range(j)
+    i = bisect_left(table, 1 << j) if j >= _FIRST_RANGE_BITS else 0
+    while g > 1:
+        p = table[i]
+        if g < p * p:
+            yield g
+            return
+        if g % p == 0:
+            yield p
+            g //= p
+        i += 1
 
 
 def _iroot(n: int, k: int) -> int:

@@ -16,10 +16,10 @@ import itertools
 import math
 import re
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -50,15 +50,25 @@ def _is_squarefree(n: int) -> bool:
     return n == 1 or math.isqrt(n) ** 2 != n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldSpec:
-    """One component: the rationals (d is None) or Q(sqrt d)."""
+    """One component: the rationals (d is None) or Q(sqrt d).
+
+    The hash is computed once, from ints alone (0, never a valid d, marks
+    Q), so it is the same in every process and survives pickling.
+    """
 
     d: int | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d is not None and (self.d in (0, 1) or not _is_squarefree(self.d)):
-            raise InvalidDiscriminant(self.d)
+        d = self.d
+        if d is not None and (d in (0, 1) or not _is_squarefree(d)):
+            raise InvalidDiscriminant(d)
+        object.__setattr__(self, "_hash", hash(0 if d is None else d))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_rational(self) -> bool:
@@ -118,15 +128,20 @@ class FieldSpec:
         return "Q" if self.d is None else f"Q(sqrt {self.d})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EtaleAlgebra:
     """Ordered product of field components; component order is part of identity."""
 
     components: tuple[FieldSpec, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.components:
             raise ValueError("algebra needs at least one component")
+        object.__setattr__(self, "_hash", hash(self.components))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def degree(self) -> int:
@@ -149,8 +164,9 @@ class EtaleAlgebra:
         blocks = []
         i = 0
         for c in self.components:
-            blocks.append(tuple(int(v) for v in vec[i : i + c.degree]))
-            i += c.degree
+            j = i + c.degree
+            blocks.append(tuple(map(int, vec[i:j])))
+            i = j
         if i != len(vec):
             raise ComponentMismatch("flat vector length does not match degree")
         return AlgebraicInt(self, tuple(blocks))
@@ -197,7 +213,7 @@ class EtaleAlgebra:
         return " x ".join(str(c) for c in self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraicInt:
     """An element of O_K, one coordinate block per component."""
 
@@ -279,13 +295,16 @@ QQ = make_algebra([None])
 # primes and ideal powers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PrimeIdeal:
     """A prime of the algebra, with splitting data over its rational prime.
 
     kind is one of 'rational', 'split', 'inert', 'ramified'; root is the
     relevant root of the generator's minimal polynomial mod p (None for
-    rational/inert primes).
+    rational/inert primes).  The hash is computed once, on first use, from
+    ints alone (a root of None as -1; kind follows from the rest), so it is
+    the same in every process; a row table's primes, mostly never hashed,
+    carry no hash int.
     """
 
     algebra: EtaleAlgebra
@@ -295,6 +314,13 @@ class PrimeIdeal:
     root: int | None
     e: int
     f: int
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if not self._hash:
+            root = -1 if self.root is None else self.root
+            object.__setattr__(self, "_hash", hash((self.algebra, self.component, self.p, root, self.e, self.f)))
+        return self._hash
 
     @property
     def norm(self) -> int:
@@ -454,9 +480,14 @@ def _splitting(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
 class _PrimeRows:
     """An algebra's primes q above every prime p <= limit, as rows p, q, Nm(q) in `prime_ideals` order.
 
-    Only appended to: the rows of p <= n a reader has counted stay valid while
-    the list grows.  At most _MAX_KEPT_ROWS rows over all algebras outlive
-    their readers (`_forget_oldest_rows`).
+    Per component i, the same rows are also kept as two pairs of lists
+    (p, q): `component_rows[i]`, all of component i's rows, and
+    `norm_p_rows[i]`, those of norm p.  On a Q component the two are one
+    pair, and on a field the first is the table's own, so a reader slices a
+    component's rows of norm <= n instead of walking them.  Only appended
+    to: the rows of p <= n a reader has counted stay valid while the lists
+    grow.  At most _MAX_KEPT_ROWS rows over all algebras outlive their
+    readers (`_forget_oldest_rows`).
     """
 
     def __init__(self, algebra: EtaleAlgebra):
@@ -465,6 +496,9 @@ class _PrimeRows:
         self.ps: list[int] = []
         self.primes: list[PrimeIdeal] = []
         self.norms: list[int] = []
+        pairs = [(self.ps, self.primes)] if len(algebra.components) == 1 else [([], []) for _ in algebra.components]
+        self.component_rows = pairs
+        self.norm_p_rows = [pair if spec.is_rational else ([], []) for spec, pair in zip(algebra.components, pairs)]
 
     def upto(self, n: int) -> int:
         """The number of rows with p <= n.
@@ -487,12 +521,32 @@ class _PrimeRows:
         # the rows before the limit: a reader that sees the new limit finds its rows
         self.ps += [q.p for q in new]
         self.primes += new
-        self.norms += [q.norm for q in new]
+        self.norms += [q.p if q.f == 1 else q.norm for q in new]  # p's own int where Nm(q) = p
+        for i, (pair, norm_p) in enumerate(zip(self.component_rows, self.norm_p_rows)):
+            mine = new if pair[0] is self.ps else [q for q in new if q.component == i]
+            if mine is not new:
+                pair[0].extend(q.p for q in mine)
+                pair[1].extend(mine)
+            if norm_p is not pair:
+                mine = [q for q in mine if q.f == 1]
+                norm_p[0].extend(q.p for q in mine)
+                norm_p[1].extend(mine)
         self.limit = n
 
 
+def _row_index(rows: tuple[list[int], list[PrimeIdeal]], prime: PrimeIdeal) -> int | None:
+    """The index of prime among the (p, q) rows of one component, or None if it is not there."""
+    ps, primes = rows
+    j = bisect_left(ps, prime.p)
+    while j < len(ps) and ps[j] == prime.p:
+        if primes[j].root == prime.root:
+            return j
+        j += 1
+    return None
+
+
 _PRIME_ROWS: dict[EtaleAlgebra, _PrimeRows] = {}
-_MAX_KEPT_ROWS = 1 << 18  # about 56 MB of rows at some 215 bytes each
+_MAX_KEPT_ROWS = 1 << 18  # about 43 MB of rows at some 165 bytes each
 
 
 def prime_rows(algebra: EtaleAlgebra) -> _PrimeRows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .intervals import _GRID_BITS, RationalInterval, _round_down, _round_up, cap_bits, directed_product, power_bits
 from .lattices import Hnf, Vec, coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
-from .primes import _MAX_PRIME_BOUND, _iroot, primes_upto
+from .primes import _FIRST_RANGE_BITS, _MAX_PRIME_BOUND, _iroot, prime_range, primes_upto, range_factors
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -36,8 +37,10 @@ from .rings import (
     FieldSpec,
     Modulus,
     PrimeIdeal,
+    _PrimeRows,
     _format_component,
     _parse_component,
+    _row_index,
     at_line,
     directives,
     format_algebra,
@@ -191,6 +194,11 @@ class SieveSpec:
         return tuple(tuple(sorted({x.coords[i] for x in elems})) for i in range(len(self.algebra.components)))
 
     @cached_property
+    def tail_sets(self) -> dict[PrimeIdeal, LocalSet]:
+        """The tail local sets built so far, one per prime (`_tail_local_set`)."""
+        return {}
+
+    @cached_property
     def exception_keys(self) -> frozenset[tuple[int, int, int | None]]:
         """(p, component, root) of each exception prime, the primes a tail scan skips; empty for a tail-only sieve."""
         return frozenset((ls.prime.p, ls.prime.component, ls.prime.root) for ls in self.exceptions)
@@ -226,11 +234,23 @@ class Verdict:
         return self.member
 
 
+# Tail local sets a sieve keeps (`SieveSpec.tail_sets`); past this many it starts afresh.
+_MAX_TAIL_SETS = 1 << 12
+
+
 def _tail_local_set(sieve: SieveSpec, prime: PrimeIdeal) -> LocalSet:
-    if sieve.tail.kind == "empty":
-        return LocalSet(ideal_power(prime, 1), ())
-    mod = ideal_power(prime, sieve.tail.exponent)
-    return LocalSet(mod, tuple(sorted({mod.reduce_coords(c) for c in sieve.label_points[prime.component]})))
+    """The tail rule's local set at prime, built once per sieve and prime."""
+    ls = sieve.tail_sets.get(prime)
+    if ls is None:
+        if sieve.tail.kind == "empty":
+            ls = LocalSet(ideal_power(prime, 1), ())
+        else:
+            mod = ideal_power(prime, sieve.tail.exponent)
+            ls = LocalSet(mod, tuple(sorted({mod.reduce_coords(c) for c in sieve.label_points[prime.component]})))
+        if len(sieve.tail_sets) >= _MAX_TAIL_SETS:
+            sieve.tail_sets.clear()
+        sieve.tail_sets[prime] = ls
+    return ls
 
 
 def local_set(sieve: SieveSpec, prime: PrimeIdeal) -> LocalSet:
@@ -287,13 +307,19 @@ def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) 
     Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so the rows
     of the primes p <= n are read from the algebra's one row table
     (`rings.prime_rows`, shared by every sieve over it) and no power is
-    formed.  The sieve's exception primes are left out (`exception_keys`).
+    formed.  One component's primes are sliced from its own rows
+    (`_checked_rows`); every component's are the flat rows of norm <= n,
+    less the sieve's exception primes (`exception_keys`).
     """
     n = _iroot(max_norm, sieve.tail.exponent)
-    rows, skip = prime_rows(sieve.algebra), sieve.exception_keys
+    rows = prime_rows(sieve.algebra)
     end = rows.upto(n)
+    if component is not None:
+        yield from _checked_rows(sieve, rows, component, n)
+        return
+    skip = sieve.exception_keys
     for p, prime, norm in itertools.islice(zip(rows.ps, rows.primes, rows.norms), end):
-        if norm <= n and component in (None, prime.component) and not (skip and (p, prime.component, prime.root) in skip):
+        if norm <= n and not (skip and (p, prime.component, prime.root) in skip):
             yield prime
 
 
@@ -306,23 +332,92 @@ def _tail_local_sets(sieve: SieveSpec, n: int) -> list[LocalSet]:
     return [_tail_local_set(sieve, q) for q in _tail_primes(sieve, n * len(sieve.tail.labels))]
 
 
+def _candidate_primes(norms: list[int], k: int, n: int) -> Iterator[int]:
+    """The rational primes p <= n with p^k dividing one of the norms, ascending.
+
+    Range by range, [2, 2^b) for b = min(bits of n, 10), then
+    [2^j, 2^(j+1)) for j = 10, 11, ..., each norm's gcd with the product of
+    the range's primes (`primes.prime_range`) is the product of the range's
+    primes that divide it, and k - 1 further gcds with the norm divided by it
+    keep those whose k-th power divides it; trial division splits that
+    squarefree gcd (`primes.range_factors`).  The ranges are read in
+    ascending order, so a reader that stops at the first catch takes no gcd
+    past its range.
+    """
+    if k == 1:
+        norms = [math.prod(norms)]  # p divides one of them iff it divides their product
+    b = n.bit_length()
+    for j in (min(b, _FIRST_RANGE_BITS) - 1, *range(_FIRST_RANGE_BITS, b)):
+        product = prime_range(j)
+        g = 1
+        for nm in norms:
+            d = math.gcd(nm, product)
+            if d > 1:
+                for _ in range(k - 1):
+                    nm //= d
+                    d = math.gcd(nm, d)
+                    if d == 1:
+                        break
+                g = d if g == 1 else math.lcm(g, d)
+        if g == 1:
+            continue
+        for p in range_factors(j, g):
+            if p > n:
+                return
+            yield p
+
+
+def _checked_rows(sieve: SieveSpec, rows: _PrimeRows, i: int, n: int, last: int | None = None) -> list[PrimeIdeal]:
+    """Component i's non-exception tail primes with Nm(q) <= n, ascending, through row `last` if given.
+
+    Slices of the row table's per-component lists: on a Q component its rows
+    up to n; on a field every row of p <= sqrt(n), then the rows of norm p
+    for sqrt(n) < p <= n (an inert Nm(q) = p^2 passes n there).  `last` is
+    an index into component i's rows.  The sieve's exception rows are then
+    deleted by index, from the back.
+    """
+    every, norm_p = rows.component_rows[i], rows.norm_p_rows[i]
+    if every is norm_p:
+        a = b = 0
+        c = bisect_right(norm_p[0], n) if last is None else last + 1
+    else:
+        r = math.isqrt(n)
+        if last is not None and every[0][last] <= r:
+            a, b, c = last + 1, 0, 0
+        else:
+            a, b = bisect_right(every[0], r), bisect_right(norm_p[0], r)
+            c = bisect_right(norm_p[0], n) if last is None else _row_index(norm_p, every[1][last]) + 1
+    out = every[1][:a] + norm_p[1][b:c]
+    for ls in reversed(sieve.exceptions):
+        q = ls.prime
+        if q.component != i or q.p > n:
+            continue
+        if a and (j := _row_index(every, q)) is not None and j < a:
+            del out[j]
+        elif c > b and (j := _row_index(norm_p, q)) is not None and b <= j < c:
+            del out[a + j - b]
+    return out
+
+
 def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     """Decide x in V(K, R), checking only the finitely many relevant primes.
 
     Exception primes are always checked.  Ideal norms are multiplicative,
     so q^k | x - c implies Nm(q)^k = Nm(q^k) | |N(x - c)|: a tail prime q can
     only catch x when Nm(q)^k divides the norm of x - c for one of the tail
-    labels c.  The scan is bounded by the largest of those norms, and a tail
-    prime's local set is tested only where Nm(q)^k divides one of them; the
-    primes it skips were still examined, so they stay in `checked`.  When x
-    equals a label on some component, every tail prime of that component
-    catches it, and the first one whose q^k is built (`rings.power_fits`) is
-    named.  The tail primes come from the algebra's shared row table
-    (`_tail_primes`), split without being proved prime again.  A scan past
-    the prime limit raises BudgetExceeded before its primes are listed
-    (`primes_upto`).
+    labels c.  Per component, the scan is bounded by n, the k-th root of the
+    largest of those norms: the rows up to n are listed first, so a bound
+    past the prime limit raises BudgetExceeded before anything else
+    (`primes_upto`).  The rational primes p <= n with p^k dividing a norm
+    are found by gcds with products of primes (`_candidate_primes`), in
+    ascending order, and only their rows are tested: the norm filter, then
+    the local set, until one catches x.  Every tail prime of norm <= n was
+    still examined, so `checked` holds all of them up to the catch, sliced
+    from the algebra's row table (`_checked_rows`).  When x equals a label
+    on some component, every tail prime of that component catches it, and
+    the first one whose q^k is built (`rings.power_fits`) is named.
     """
-    if x.algebra != sieve.algebra:
+    if x.algebra is not sieve.algebra and x.algebra != sieve.algebra:
         raise PreconditionFailed("element of a different algebra")
     checked: list[PrimeIdeal] = []
     for ls in sieve.exceptions:
@@ -330,14 +425,19 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
         hit = ls.hits(x)
         if hit is not None:
             return Verdict(False, ls.prime, hit, tuple(checked))
-    k = sieve.tail.exponent
+    k, skip = sieve.tail.exponent, sieve.exception_keys
+    rows = prime_rows(sieve.algebra)
     for i, spec in enumerate(sieve.algebra.components):
-        norms = [abs(spec.norm(tuple(a - b for a, b in zip(x.coords[i], c)))) for c in sieve.label_points[i]]
+        # |N(x - c)| per label (on Q the coordinate itself), the difference built per degree:
+        # a zip over coordinates costs more than the norm
+        u, points = x.coords[i], sieve.label_points[i]
+        norms = ([abs(u[0] - c[0]) for c in points] if spec.d is None
+                 else [abs(spec.norm((u[0] - c[0], u[1] - c[1]))) for c in points])
         if 0 in norms:
             # only split primes have the tighter limit, so none is built past a refused non-split one
             prime = next(
                 q for q in prime_ideals(sieve.algebra)
-                if q.component == i and (q.p, q.component, q.root) not in sieve.exception_keys
+                if q.component == i and (q.p, q.component, q.root) not in skip
                 and (q.kind != "split" or power_fits(q, k))
             )
             ls = _tail_local_set(sieve, prime)
@@ -345,16 +445,31 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
             if hit is None:
                 raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
             return Verdict(False, prime, hit, tuple(checked))
-        for prime in _tail_primes(sieve, max(norms, default=0), i):
-            checked.append(prime)
-            m = prime.norm**k
-            # the norm filter: the local set can only hit x where Nm(q)^k divides some |N(x - c)|
-            for nm in norms:
-                if nm % m == 0:
-                    hit = _tail_local_set(sieve, prime).hits(x)
-                    if hit is not None:
-                        return Verdict(False, prime, hit, tuple(checked))
-                    break
+        n = _iroot(max(norms, default=0), k)
+        if n < 2:
+            continue  # no prime has norm <= n
+        if n > rows.limit:
+            rows.upto(n)
+        ps, every = rows.component_rows[i]
+        for p in _candidate_primes(norms, k, n):
+            if skip and (p, i, None) in skip:
+                continue  # a rational or inert exception is p's one row here
+            # p has one or two rows on a component
+            for j in range(bisect_left(ps, p), min(bisect_right(ps, p), len(every))):
+                q = every[j]
+                nq = q.norm
+                if nq > n or (skip and (p, i, q.root) in skip):
+                    continue
+                m = nq**k
+                # the norm filter: the local set can only hit x where Nm(q)^k divides some |N(x - c)|
+                for nm in norms:
+                    if nm % m == 0:
+                        hit = _tail_local_set(sieve, q).hits(x)
+                        if hit is not None:
+                            checked += _checked_rows(sieve, rows, i, n, j)
+                            return Verdict(False, q, hit, tuple(checked))
+                        break
+        checked += _checked_rows(sieve, rows, i, n)
     return Verdict(True, checked=tuple(checked))
 
 

@@ -1,7 +1,11 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,3 +393,19 @@ def test_constraint_check_enumerates_nothing():
         localglobal._check_constraint_compatible(kfree_sieve(QQ, 2), con(q_prime(2), 40, 2**39))
     localglobal._check_constraint_compatible(kfree_sieve(QQ, 40), con(q_prime(2), 1, 0))
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_surjectivity_does_not_import_numpy_ma():
+    # numpy.ma costs about 14 ms to import on a process's first masked call
+    src = str(Path(localglobal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from ringsieve import QQ\n"
+        "from ringsieve.localglobal import check_local_surjectivity\n"
+        "check_local_surjectivity(QQ, 2, 5)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

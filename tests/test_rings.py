@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
 import sys
 import threading
 from collections import defaultdict
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -73,6 +77,24 @@ def test_splitting_completeness_up_to_1000():
                 if q.root is not None:
                     s, t = spec.omega_poly
                     assert (q.root * q.root - s * q.root - t) % p == 0
+
+
+def test_a_pickled_prime_is_equal_and_hash_equal_in_a_fresh_interpreter():
+    # hashes are cached from ints alone: hash(None) is address-based before Python 3.12
+    src = str(Path(rings.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import pickle, sys\n"
+        "from ringsieve import QQ, split_prime\n"
+        "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+        "built = split_prime(QQ, 7)[0]\n"
+        "print(loaded == built, hash(loaded) == hash(built), loaded.algebra == QQ, hash(loaded.algebra) == hash(QQ))\n"
+    )
+    prime = split_prime(QQ, 7)[0]
+    hash(prime)  # so that the pickle carries the cached value
+    proc = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(prime), capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True"] * 4
 
 
 @contextmanager

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, integer_nthroot, legendre_symbol, primerange
+from sympy import isprime as is_prime_sympy
 from sympy.ntheory import sqrt_mod as sympy_sqrt_mod
 
 import ringsieve
-from ringsieve import QQ, lattices, make_algebra, reduce_mod, rings, split_prime, ideal_power
+from ringsieve import QQ, lattices, make_algebra, presets, reduce_mod, rings, split_prime, ideal_power
 from ringsieve import sieve as sieve_mod
 from ringsieve.errors import BudgetExceeded, ClassOutOfRange, PreconditionFailed, TailNotBoundable, VerificationFailed
 from ringsieve.intervals import _round_down, _round_up
@@ -527,6 +529,176 @@ def test_membership_builds_local_sets_only_where_the_norm_filter_passes(monkeypa
     # every prime up to |N(2 - 531443)| = 3^12 is checked
     v = membership(far, QQ.from_int(2))
     assert v.member and len(v.checked) == 43_934
+
+
+def _fresh_hit(sieve, prime, x):
+    """The tail local set at prime, built anew, applied to x."""
+    mod = ideal_power(prime, sieve.tail.exponent)
+    return LocalSet(mod, tuple(sorted({mod.reduce_coords(c) for c in sieve.label_points[prime.component]}))).hits(x)
+
+
+def _walked_membership(sieve, x):
+    """(member, prime, class_rep, checked) by the walk the candidate primes replaced: every tail
+    prime of norm <= n in turn, as `_full_scan_tail_primes` lists them, the norm filter, then a
+    fresh local set."""
+    K, k = sieve.algebra, sieve.tail.exponent
+    excepted = {ls.prime for ls in sieve.exceptions}
+    checked = []
+    for ls in sieve.exceptions:
+        checked.append(ls.prime)
+        if (hit := ls.hits(x)) is not None:
+            return False, ls.prime, hit, checked
+    for i, spec in enumerate(K.components):
+        norms = [abs(spec.norm(tuple(a - b for a, b in zip(x.coords[i], c)))) for c in sieve.label_points[i]]
+        if 0 in norms:
+            prime = next(q for q in prime_ideals(K) if q.component == i and q not in excepted)
+            return False, prime, _fresh_hit(sieve, prime, x), checked
+        bound = max(norms, default=0)
+        for prime in prime_ideals(K, integer_nthroot(bound, k)[0]):
+            if prime.component != i or prime.norm**k > bound or prime in excepted:
+                continue
+            checked.append(prime)
+            if any(nm % prime.norm**k == 0 for nm in norms) and (hit := _fresh_hit(sieve, prime, x)) is not None:
+                return False, prime, hit, checked
+    return True, None, None, checked
+
+
+def _split_elements(spec, count):
+    """(p, y): y in one quadratic component with |N(y)| = p, for the `count` least split p found in a small box."""
+    found = {}
+    for a in range(-12, 13):
+        for b in range(1, 13):
+            nm = abs(spec.norm((a, b)))
+            if nm > 2 and nm not in found and is_prime_sympy(nm) and spec.disc % nm:
+                found[nm] = (a, b)
+    return sorted(found.items())[:count]
+
+
+def _parity_elements(sieve, rng):
+    """Random elements, and per label c elements c + y where y has a hit and two decoys, in each order.
+
+    At a split p = pi * pi', the factor pi^(k-1) pi' puts p^k into the norm with no q^k dividing it
+    (a decoy); pi^k is caught at pi.  On Q, y is a product of p^k over three primes.
+    """
+    K, k = sieve.algebra, sieve.tail.exponent
+    labels = [K.from_int(c) if isinstance(c, int) else K.from_flat(c) for c in sieve.tail.labels]
+    h = 1000 if k > 1 else 300  # an exponent-1 scan reaches the norm itself
+    xs = [K.from_flat([rng.randint(-h, h) for _ in range(K.degree)]) for _ in range(3)]
+    factors = []  # per component, (p, hit factor, decoy factor)
+    for i, spec in enumerate(K.components):
+        if spec.is_rational:
+            ps = rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31], 3)
+            factors.append([(p, K.embed(i, [p**k]), K.embed(i, [p**k])) for p in ps])
+        else:
+            picked = sorted(rng.sample(_split_elements(spec, 5 if k <= 2 else 4), 3))
+            elems = []
+            for p, y in picked:
+                pi = K.embed(i, y)
+                conj = K.embed(i, spec.conj(y))
+                power = K.one
+                for _ in range(k - 1):
+                    power = power * pi
+                elems.append((p, power * pi, power * conj))
+            factors.append(elems)
+    for c in labels:
+        for i, elems in enumerate(factors):
+            for h in range(3):  # the hit at the first, the middle and the last of the three primes
+                y = K.one
+                for j, (_, hit, decoy) in enumerate(elems):
+                    y = y * (hit if j == h else decoy)
+                for other in range(len(K.components)):
+                    if other != i:
+                        y = y + K.embed(other, [rng.randint(-30, 30) for _ in range(K.components[other].degree)])
+                xs.append(c + y)
+            # one decoy, no hit
+            xs.append(c + elems[0][2] * elems[1][2])
+    return xs
+
+
+def _parity_sieves(rng):
+    """Q, Q(sqrt d) for d in 2, -1, -7, 13, 5, and products: k-free and shifted tails, k = 2-5, exceptions at
+    split, inert and ramified primes above 2-7; the k = 1 presets and a k = 1 multi-label tail."""
+    sieves = [kfree_sieve(QQ, 2), kfree_sieve(QQ, 3), *presets.pair_sieves(), presets.two_class_sieve(),
+              *presets.exceptional_factor_sieves(),
+              build_sieve(make_algebra([-1]), TailRule.shifted_kfree(1, [(0, 0), (1, 1), (-3, 2)]),
+                          {split_prime(make_algebra([-1]), 2)[0]: (1, ())})]
+    for spec in ([None], [2], [-1], [-7], [13], [5], [None, -7], [5, None], [2, -1]):
+        K = make_algebra(spec)
+        for k in (2, 3, rng.randint(4, 5)):
+            labels = [rng.randint(-6, 6) if rng.random() < 0.5 else tuple(rng.randint(-5, 5) for _ in range(K.degree))
+                      for _ in range(rng.randint(1, 2))]
+            exceptions = []
+            for q in rng.sample([q for p in (2, 3, 5, 7) for q in split_prime(K, p)], rng.randint(0, 3)):
+                mod = ideal_power(q, rng.choice([1, 2]))
+                exceptions.append(LocalSet(mod, tuple(sorted(rng.sample(list(mod.residues()), rng.randint(0, 2))))))
+            tail = TailRule.kfree(k) if rng.random() < 0.3 else TailRule.shifted_kfree(k, labels)
+            sieves.append(build_sieve(K, tail, exceptions))
+    return sieves
+
+
+def test_membership_matches_the_walk_over_candidate_primes():
+    rng = random.Random(2701)
+    seen = Counter()
+
+    def check(sv, x):
+        v = membership(sv, x)
+        assert (v.member, v.prime, v.class_rep, list(v.checked)) == _walked_membership(sv, x), (str(sv), x)
+        k = sv.tail.exponent
+        for i, spec in enumerate(sv.algebra.components):
+            if v.prime is not None and (v.prime.component != i or sv.exception_at(v.prime) is not None):
+                continue
+            norms = [abs(spec.norm(tuple(a - b for a, b in zip(x.coords[i], c)))) for c in sv.label_points[i]]
+            if 0 in norms:
+                continue
+            n = integer_nthroot(max(norms, default=0), k)[0]
+            candidates = sorted({p for nm in norms for p, e in factorint(nm).items() if e >= k and p <= n})
+            seen["exception rows"] += any(ls.prime.component == i and ls.prime.norm <= n for ls in sv.exceptions)
+            hit = v.prime.p if v.prime is not None else None
+            seen["decoys"] += len([p for p in candidates if hit is None or p < hit])
+            if hit is not None and len(candidates) >= 3:
+                place = candidates.index(hit)
+                seen[("first", "last")[place > 0] if place in (0, len(candidates) - 1) else "middle"] += 1
+            seen[("k = 1" if k == 1 else "k >= 2", v.member)] += 1
+
+    for sv in _parity_sieves(rng):
+        for x in _parity_elements(sv, rng):
+            check(sv, x)
+    sq, cube = kfree_sieve(QQ, 2), kfree_sieve(QQ, 3)
+    for x in (999_999_999_989, 999_999_999_988, 997**2 * 1_000_003, 7**2 * 142_841**2, -(999_983**2), 2**40 - 1,
+              rng.randint(10**11, 10**12), -rng.randint(10**11, 10**12)):
+        check(sq, QQ.from_int(x))
+    for x in (9_999_999_967 * 3, 101**3 * 9_973**3, rng.randint(10**11, 10**12)):
+        check(cube, QQ.from_int(x))
+    # primes p with p - 1 = 2^a 3^b: under tails {0, 1} with nothing at 2 and 3, p itself is the first catch
+    two, pair_r, pair_s = presets.two_class_sieve(), *presets.pair_sieves()
+    for p in (97, 769, 12289, 139969):
+        for sv in (two, pair_r, pair_s):
+            check(sv, QQ.from_int(p))
+    for sv in presets.exceptional_factor_sieves():
+        for _ in range(20):
+            check(sv, QQ.from_int(rng.randint(-10**6, 10**6)))
+    for d in (2, -1, -7, 13, 5):
+        K = make_algebra([d])
+        for k in (2, 3):
+            sv = kfree_sieve(K, k)
+            for _ in range(3):
+                check(sv, K.element([[rng.randint(-10**5, 10**5), rng.randint(-10**5, 10**5)]]))
+    assert all(seen[key] for key in ("first", "middle", "last", "decoys", "exception rows")), seen
+    assert all(seen[kind, member] for kind in ("k = 1", "k >= 2") for member in (True, False)), seen
+
+
+def test_a_second_membership_at_the_same_prime_builds_no_local_set(monkeypatch):
+    built = []
+    post_init = LocalSet.__post_init__
+    monkeypatch.setattr(LocalSet, "__post_init__", lambda ls: built.append(ls.prime) or post_init(ls))
+    K = make_algebra([-1])
+    sv = kfree_sieve(K, 2)
+    first = membership(sv, K.element([[10, 5]]))  # (2 + w)^2 (2 - w): both primes above 5 are tested
+    assert not first.member and len(built) == 2
+    built.clear()
+    again = membership(sv, K.element([[10, 5]]))
+    other = membership(sv, K.element([[15, 20]]))  # 5 (3 + 4w) = (2 + w)^3 (2 - w) * unit
+    assert again == first and not other.member and other.prime == first.prime and built == []
 
 
 def test_sieves_over_one_algebra_share_one_prime_table(monkeypatch):
