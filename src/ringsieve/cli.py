@@ -564,6 +564,16 @@ def _selftest_entropy(rep):
         )),
         # 1 + 1/(Nm^(10^6) - 1) rounds up by one grid step at each of the 1229 primes, then the tail's
         ("zeta s=10^6", _on_grid(entropy_mod.zeta_K(QQ, 10**6, 10**4)) == (2**192, 2**192 + 1230)),
+        # the density's factors 1 - c/p^2 take the kernel's a < 0 steps, c = 1 and c = 2
+        ("exact density", _on_grid(sieve_mod.density_interval(sieve_mod.kfree_sieve(QQ, 2), 1000)) == (
+            3812688387621342052654146874657842067422388605143927074954,
+            3816504892513855908562709584242084151573962567711638713835,
+        )),
+        ("exact two-label density", _on_grid(sieve_mod.density_interval(
+            sieve_mod.build_sieve(QQ, sieve_mod.TailRule.shifted_kfree(2, (0, 2))), 1000)) == (
+            2021670046124966472984938210336396025665378984971270610144,
+            2025721489103172818622182575487370767199778542055381373057,
+        )),
         ("cutoff past the prime limit", _raises(BudgetExceeded, entropy_mod.zeta_K, QQ, 2, 10**7 + 1)),
     ]
     return checks

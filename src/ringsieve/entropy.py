@@ -4,11 +4,12 @@ All analytic quantities are returned as rational enclosures: Euler products
 are truncated at a norm cutoff and widened by rigorous tail bounds.  The
 truncated products run in `intervals.directed_product`, integer directed
 rounding on the 2^-192 grid that is bit-identical to rounding each
-`Fraction` product.  Every factor is 1 + a/b, passed in runs that share
-one a, with the b read in chunks from the prime-norm columns of
-`rings.norms_upto`: one table per algebra, filled in bulk, with the
-splitting rule run once per residue class of p mod |disc| in each
-quadratic component.
+`Fraction` product: one big-integer chain for the lower end, with the upper
+end carried as a small offset from it, so a factor costs one big division.
+Every factor is 1 + a/b, passed in runs that share one a, with the b read
+in chunks from the prime-norm columns of `rings.norms_upto`: one table per
+algebra, filled in bulk, with the splitting rule run once per residue class
+of p mod |disc| in each quadratic component.
 """
 
 from __future__ import annotations

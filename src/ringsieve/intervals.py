@@ -4,9 +4,11 @@ Endpoints are exact fractions; every arithmetic step rounds the lower end
 down and the upper end up onto the dyadic grid 2^-192, so intervals stay
 small while provably enclosing the target value.  Long products of factors
 1 + a/b (the Euler products) run in `directed_product` over runs of factors
-that share one a: with each endpoint's numerator on that grid held in the
-sign whose rounding is a floor, a factor costs one floor division and one
-addition per endpoint (and a multiply when |a| > 1), bit-identical to
+that share one a.  The lower end's numerator on that grid is one big integer
+and the upper end rides along as the small offset e = hi - lo: with
+q, r = divmod(lo * a, b), the lower end moves by q and e by
+ceil((r + e*a)/b), usually 1 or 0.  So a factor costs one big division with
+remainder and one addition (and a multiply when |a| > 1), bit-identical to
 rounding each `Fraction` product.
 """
 
@@ -54,43 +56,68 @@ def directed_product(start: Fraction, runs: Iterable[tuple[int, Iterable[int]]])
     """(lo, hi): start times 1 + a/b for each run (a, bs) and each b > 0 in bs; lo rounded down, hi up.
 
     Each step rounds onto the grid exactly as `_round_down(lo * f)` and
-    `_round_up(hi * f)` would, but on integers: the endpoints are held as
-    numerators over d * 2^192, where d is start's denominator until the first
-    factor and 1 after it.  A step rests on floor(x(b + a)/b) = x + floor(xa/b)
-    for every integer x.  The endpoints are held as (lo, -hi) while a > 0 and
-    as (-lo, hi) while a < 0, so that both round by a floor: each step is
-    x += x*a//b or x -= x*|a|//b, with no multiply when |a| = 1.  The first
-    factor, which also divides by d, is one floor of x(b + a)/(bd) instead.
-    With no factors, start comes back unrounded.
+    `_round_up(hi * f)` would, but on integers: the endpoints are numerators
+    over d * 2^192, where d is start's denominator until the first factor and
+    1 after it.  They are held as one big integer x = lo * sign(a) (lo while
+    a > 0, -lo while a < 0, so that lo * a = x * |a| needs no negation, and
+    no multiply when |a| = 1) and the offset e = hi - lo.  With
+    q, r = divmod(lo * a, b), the steps floor(lo(b + a)/b) = lo + q and
+    ceil(hi(b + a)/b) = hi + q + ceil((r + e*a)/b) give lo' = lo + q and
+    e' = e + ceil((r + e*a)/b): one big division per factor, for both ends.
+    Since 0 <= r < b, that ceiling is 1 or 0 when 0 <= r + e <= b for a = 1
+    (0 only at r + e = 0) and when 0 <= e*|a| < b for a < 0 (1 exactly when
+    r > e*|a|), the common cases; otherwise it is computed.  e is 0 or more
+    while every factor is (1 + a/b >= 0 keeps hi >= lo); only a negative
+    factor makes it negative.  The first factor, which also divides by d, is
+    one divmod of lo(b + a) by bd, and before it lo = hi.  With no factors,
+    start comes back unrounded.
     """
     x = start.numerator * _GRID
-    y = -x
+    e = 0
     d = start.denominator
-    sign = 1  # (x, y) is (lo, -hi) while sign > 0, (-lo, hi) while sign < 0
+    sign = 1  # x is lo while sign > 0, -lo while sign < 0
     for a, bs in runs:
         if a * sign < 0:
-            x, y, sign = -x, -y, -sign
+            x, sign = -x, -sign
         m = abs(a)
         if d != 1:
             bs = iter(bs)
-            for b in bs:  # (sign * x, sign * y) is (lo, -hi) in either sign
-                num, den = b + a, b * d
-                x, y, d = sign * (sign * x * num // den), sign * (sign * y * num // den), 1
-                break
-        if m != 1:
             for b in bs:
-                x += sign * (x * m // b)
-                y += sign * (y * m // b)
+                q, r = divmod(sign * x * (b + a), b * d)
+                x, e, d = sign * q, int(r > 0), 1
+                break
+        if m == 1 and e >= 0 and sign > 0:
+            for b in bs:
+                q, r = divmod(x, b)
+                x += q
+                if r + e > b:
+                    e -= (-r - e) // b
+                elif r or e:
+                    e += 1
+        elif m == 1 and e >= 0:
+            for b in bs:
+                q, r = divmod(x, b)
+                x -= q
+                if r > e:
+                    e += 1
+                elif e >= b:
+                    e -= (e - r) // b
         elif sign > 0:
             for b in bs:
-                x += x // b
-                y += y // b
+                q, r = divmod(x * m, b)
+                x += q
+                e -= (-r - e * m) // b
         else:
             for b in bs:
-                x -= x // b
-                y -= y // b
-    lo, hi = sign * x, -sign * y
-    return Fraction(lo, d * _GRID), Fraction(hi, d * _GRID)
+                q, r = divmod(x * m, b)
+                x -= q
+                t = e * m
+                if r > t >= 0:
+                    e += 1
+                elif not 0 <= t < b:
+                    e -= (t - r) // b
+    lo = sign * x
+    return Fraction(lo, d * _GRID), Fraction(lo + e, d * _GRID)
 
 
 @dataclass(frozen=True)

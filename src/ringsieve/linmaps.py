@@ -16,7 +16,6 @@ from typing import Sequence
 from .errors import BudgetExceeded, NoWitness, PreconditionFailed, VerificationFailed
 from .lattices import (
     Hnf,
-    hnf_from_rows,
     identity_hnf,
     lat_contains,
     lat_scale,
@@ -248,7 +247,7 @@ def _check_local_condition_kfree(
     for q_prime in dst_primes:
         w = ideal_power(q_prime, l).hnf
         hnfs = [w if j == q_prime.component else None for j in range(len(a.target.components))]
-        target_lat = hnf_from_rows(a.target.lattice_rows(hnfs), a.target.degree)
+        target_lat = tuple(a.target.lattice_rows(hnfs))
         pre = preimage_lattice(mat, target_lat)
         if _inside_one(a.source, pre, src_lattices):
             continue

@@ -45,6 +45,7 @@ from .rings import (
     FieldSpec,
     PrimeIdeal,
     ideal_power,
+    make_algebra,
     split_prime,
 )
 from .sieve import (
@@ -252,7 +253,7 @@ def _surjectivity_field(spec: FieldSpec, k: int, p: int) -> tuple[int, int, int,
     are ranked in row-major order across bands; sampled re-verification picks
     every stride-th rank.
     """
-    algebra = EtaleAlgebra((spec,))
+    algebra = make_algebra([spec.d])
     P = p**k
     n = spec.degree
     _, W = grid_columns(n, 0, P)

@@ -55,7 +55,8 @@ class FieldSpec:
     """One component: the rationals (d is None) or Q(sqrt d).
 
     The hash is computed once, from ints alone (0, never a valid d, marks
-    Q), so it is the same in every process and survives pickling.
+    Q), so it is the same in every process and survives pickling.  Equality
+    tests identity first.
     """
 
     d: int | None = None
@@ -69,6 +70,13 @@ class FieldSpec:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.d == other.d
 
     @property
     def is_rational(self) -> bool:
@@ -130,7 +138,13 @@ class FieldSpec:
 
 @dataclass(frozen=True, slots=True)
 class EtaleAlgebra:
-    """Ordered product of field components; component order is part of identity."""
+    """Ordered product of field components; component order is part of identity.
+
+    `make_algebra` keeps one instance per parameter tuple, so equality tests
+    identity first.  Unequal cached hashes settle inequality; equal ones
+    settle nothing (hash(-1) == hash(-2) in CPython), so the components are
+    compared then.
+    """
 
     components: tuple[FieldSpec, ...]
     _hash: int = field(init=False, repr=False, compare=False)
@@ -142,6 +156,13 @@ class EtaleAlgebra:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not EtaleAlgebra:
+            return NotImplemented
+        return self._hash == other._hash and self.components == other.components
 
     @property
     def degree(self) -> int:
@@ -190,7 +211,10 @@ class EtaleAlgebra:
 
         hnfs[i] is a lattice in component i's coordinates, or None for the
         whole component.  Rows come component by component, each in its
-        lattice's row order.
+        lattice's row order.  Stacked block-diagonally, HNF blocks are already
+        the HNF of the product: lower-triangular, and every entry left of a
+        pivot is reduced in its own block or zero, so
+        `tuple(lattice_rows(hnfs))` needs no elimination.
         """
         if len(hnfs) != len(self.components):
             raise ComponentMismatch("one lattice per component expected")
@@ -283,9 +307,21 @@ class AlgebraicInt:
         return f"<{format_element(self)} in {self.algebra}>"
 
 
+_ALGEBRAS: dict[tuple[int | None, ...], EtaleAlgebra] = {}
+
+
 def make_algebra(spec: Iterable[int | None]) -> EtaleAlgebra:
-    """Build an algebra from a list of parameters: None for Q, d for Q(sqrt d)."""
-    return EtaleAlgebra(tuple(FieldSpec(d) for d in spec))
+    """The algebra of a list of parameters: None for Q, d for Q(sqrt d).
+
+    One instance per parameter tuple, built on first use, so algebras made
+    here compare (and find their tables) by identity.  `setdefault` keeps one
+    instance when two threads build the same algebra at once.
+    """
+    key = tuple(spec)
+    algebra = _ALGEBRAS.get(key)
+    if algebra is None:
+        algebra = _ALGEBRAS.setdefault(key, EtaleAlgebra(tuple(FieldSpec(d) for d in key)))
+    return algebra
 
 
 QQ = make_algebra([None])

@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 from ringsieve import QQ, make_algebra
 from ringsieve.entropy import _product_tail_upper, empirical_entropy, entropy_product, zeta_K
 from ringsieve.errors import PreconditionFailed, TailNotBoundable
-from ringsieve.intervals import RationalInterval, _round_down, _round_up, directed_product, log2_interval
+from ringsieve.intervals import _GRID, RationalInterval, _round_down, _round_up, cap_bits, directed_product, log2_interval
 from ringsieve.primes import primes_upto
-from ringsieve.rings import split_prime
-from ringsieve.sieve import TailRule, build_sieve, kfree_sieve
+from ringsieve.rings import norms_upto, split_prime
+from ringsieve.sieve import TailRule, _power_runs, _tail_factors, build_sieve, kfree_sieve
 
 PI2_OVER_6 = Fraction(16449340668482264, 10**16)  # pi^2/6 to 16 digits
 LOG2 = Fraction(6931471805599453, 10**16)
@@ -221,3 +223,90 @@ _RUNS = st.lists(
 def test_directed_product_equals_fraction_chain(start, runs):
     factors = [(b + a, b) for a, bs in runs for b in bs]
     assert directed_product(start, runs) == _fraction_chain(start, factors)
+
+
+_CAP_B = 1 << cap_bits(Fraction(1), 0, 9)
+
+
+def _two_chain_product(start, runs, seen):
+    """`directed_product` as two big-integer chains, each endpoint with its own floor division per factor.
+
+    The endpoints are held as (lo, -hi) while a > 0 and as (-lo, hi) while
+    a < 0, so that both round by a floor.  `seen` collects the cases the
+    offset e = hi - lo met on the way, by name.
+    """
+    x = start.numerator * _GRID
+    y = -x
+    d = start.denominator
+    sign = 1  # (sign * x, sign * y) is (lo, -hi)
+    for i, (a, bs) in enumerate(runs):
+        if a * sign < 0:
+            if -sign * (x + y):
+                seen.add("switch with e != 0")
+            x, y, sign = -x, -y, -sign
+        m = abs(a)
+        if m != 1:
+            seen.add("|a| > 1" if m else "a = 0")
+        for b in bs:
+            e = -sign * (x + y)
+            if e >= b:
+                seen.add("e >= b")
+            if e < 0:
+                seen.add("e < 0")
+            if b == _CAP_B:
+                seen.add("b = 2^cap")
+            if d != 1:
+                if i:
+                    seen.add("first factor in a later run")
+                num, den = b + a, b * d
+                x, y, d = sign * (sign * x * num // den), sign * (sign * y * num // den), 1
+            else:
+                x += sign * (x * m // b)
+                y += sign * (y * m // b)
+    lo, hi = sign * x, -sign * y
+    return Fraction(lo, d * _GRID), Fraction(hi, d * _GRID)
+
+
+def _random_runs(rng):
+    """Runs mixing long runs with small and huge b, zero and negative factors, and sign switches."""
+    runs = [(rng.choice((-1, 1)), [])] * rng.randint(0, 2)  # the start's denominator reaches a later run
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(("long", "small", "wide", "cap"))
+        if kind == "long":  # e grows about one per factor
+            a = rng.choice((1, -1, 1, -1, 2, -3, 0))
+            bs = [rng.randint(10**4, 10**6) for _ in range(rng.randint(1000, 3000))]
+        else:
+            a = rng.choice((1, -1, 0, rng.randint(2, 9), -rng.randint(2, 9), rng.randint(-(10**6), 10**6)))
+            top = 50 if kind == "small" else 10**12
+            bs = [rng.randint(1, top) for _ in range(rng.randint(1, 40))]
+            if kind == "cap":
+                bs[rng.randrange(len(bs))] = _CAP_B
+        runs.append((a, bs))
+    return runs
+
+
+def test_directed_product_matches_the_two_chain_kernel():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(120):
+        start = Fraction(rng.randint(-40, 40), rng.choice((1, rng.randint(2, 10**6))))
+        runs = _random_runs(rng)
+        expected = _two_chain_product(start, runs, seen)
+        # the kernel reads bs once, in order: a generator is enough
+        as_given = [(a, iter(bs) if i % 2 else (b for b in bs)) for i, (a, bs) in enumerate(runs)]
+        assert directed_product(start, as_given) == expected, (start, runs)
+    assert seen == {"switch with e != 0", "a = 0", "|a| > 1", "e >= b", "e < 0", "b = 2^cap",
+                    "first factor in a later run"}
+
+
+@pytest.mark.parametrize("params", [(None,), (13,), (-7,), (None, 2)])
+def test_directed_product_matches_the_two_chain_kernel_on_euler_factors(params):
+    K = make_algebra(params)
+    _, _, norms = norms_upto(K, 10**4)
+    norms = norms[norms <= 10**4]
+    zeta_cap = cap_bits(Fraction(1), K.degree, 1)
+    streams = [(Fraction(1), list(_power_runs(np.ones_like(norms), norms, s, -1, zeta_cap))) for s in (2, 3)]
+    for sieve in (kfree_sieve(K, 2), kfree_sieve(K, 3), build_sieve(K, TailRule.shifted_kfree(2, (0, 2, 30)))):
+        streams.append((Fraction(1), list(_tail_factors(sieve, 10**4, cap_bits(Fraction(1), 0, len(sieve.tail.labels))))))
+    for start, runs in streams:
+        assert directed_product(start, runs) == _two_chain_product(start, runs, set())

@@ -33,7 +33,8 @@ from ringsieve import primes, rings
 from ringsieve.entropy import zeta_K
 from ringsieve.errors import BudgetExceeded, ComponentMismatch, InvalidDiscriminant, PreconditionFailed
 from ringsieve.primes import is_prime, primes_upto
-from ringsieve.rings import _is_squarefree, format_algebra, format_element, norms_upto, valuation
+from ringsieve.lattices import hnf_from_rows
+from ringsieve.rings import EtaleAlgebra, FieldSpec, _is_squarefree, format_algebra, format_element, norms_upto, valuation
 from ringsieve.sieve import LocalSet, TailRule, _tail_primes, build_sieve, density_interval, kfree_sieve
 
 TEST_FIELDS = [2, 3, 5, 13, -1, -3, -5, 17]
@@ -636,3 +637,36 @@ def test_embed_and_lattice_rows_on_a_product():
     assert K.lattice_rows([((7,),), h]) == [(7, 0, 0), (0, *h[0]), (0, *h[1])]
     with pytest.raises(ComponentMismatch):
         K.lattice_rows([None])
+
+
+def test_lattice_rows_of_hnf_blocks_are_already_an_hnf():
+    # the linmaps kernel route takes the stacked rows as the target lattice's HNF without an elimination
+    rng = random.Random(29)
+    algebras = [[None], [2], [-1], [None, None], [None, 2], [2, -7], [None, 13, -3]]
+    cases = 0
+    for params in algebras:
+        K = make_algebra(params)
+        for p in primes_upto(11):
+            for l in (1, 2, 3):
+                above = [[ideal_power(q, l).hnf for q in split_prime(K, p) if q.component == i]
+                         for i in range(len(K.components))]
+                for _ in range(3):
+                    hnfs = [rng.choice([None, *lats]) for lats in above]
+                    rows = K.lattice_rows(hnfs)
+                    assert hnf_from_rows(rows, K.degree) == tuple(map(tuple, rows)), (params, p, l, hnfs)
+                    cases += 1
+    assert cases == 7 * 5 * 3 * 3
+
+
+def test_make_algebra_keeps_one_instance_per_parameter_tuple():
+    assert make_algebra([None]) is QQ
+    assert make_algebra((2, None)) is make_algebra([2, None])
+    # equal cached hashes do not make equal fields
+    assert hash(FieldSpec(-1)) == hash(FieldSpec(-2)) and FieldSpec(-1) != FieldSpec(-2)
+    assert hash(make_algebra([-1])) == hash(make_algebra([-2])) and make_algebra([-1]) != make_algebra([-2])
+    assert FieldSpec(2) != 2 and make_algebra([2]) != (FieldSpec(2),)
+    # built without make_algebra: equal, not the same object, and one prime-row table for both
+    built = EtaleAlgebra((FieldSpec(None), FieldSpec(2)))
+    made = make_algebra([None, 2])
+    assert built == made and built is not made and hash(built) == hash(made)
+    assert rings.prime_rows(built) is rings.prime_rows(made)
