@@ -31,6 +31,7 @@ from .rings import (
     parse_algebra,
     parse_element,
     prime_at,
+    prime_ideals,
     split_prime,
     units_up_to,
 )
@@ -379,10 +380,10 @@ def _cmd_entropy_product(args, rep):
 
 def _cmd_entropy_empirical(args, rep):
     sv = _load_sieve(args.spec)
-    val = entropy_mod.empirical_entropy(sv, args.box)
+    count = shiftspace.count_admissible(sv, args.box)  # `empirical_entropy` from this one count; --box is >= 1
     rep.add("box", args.box)
-    rep.add("count", shiftspace.count_admissible(sv, args.box))
-    rep.add("empirical_entropy", val)
+    rep.add("count", count)
+    rep.add("empirical_entropy", math.log(count) / args.box)
     return EXIT_OK
 
 
@@ -414,6 +415,7 @@ def _selftest_sieve(rep):
     nine = sieve_mod.membership(gauss, gauss.algebra.from_int(9))
     above_5 = sieve_mod.membership(gauss, gauss.algebra.element([(10, 5)]))
     big_prime = sieve_mod.membership(sq, QQ.from_int(9_999_999_967))
+    caught_at_7 = sieve_mod.membership(sq, QQ.from_int(7**2 * 999_983**2))
     checks = [
         ("degree add", make_algebra([None, 2]).degree == 3),
         ("omega basis", make_algebra([13]).components[0].omega_poly == (1, 3)),
@@ -453,6 +455,12 @@ def _selftest_sieve(rep):
         ("prefilter at a split prime", (str(above_5.prime), len(above_5.checked)) == ("(5, w-3)[split]", 4)),
         # a prime: no p^2 divides it, and every p <= 99,999 is checked (pi(99,999) = 9,592)
         ("member past 10^9", (big_prime.member, len(big_prime.checked)) == (True, 9592)),
+        # n = 6,999,881, but only the rows up to the catch are listed
+        ("caught far below the bound", (str(caught_at_7.prime), len(caught_at_7.checked)) == ("(7)[rational]", 4)),
+        # Q x Q(sqrt 13) x Q(sqrt -3): per p, the components' rows in component order
+        ("product prime order", " ".join(map(str, prime_ideals(make_algebra([None, 13, -3]), 7))) == "(2)#0[rational] "
+         "(2)#1[inert] (2)#2[inert] (3)#0[rational] (3, w-0)#1[split] (3, w-1)#1[split] (3, w-2)#2[ramified] "
+         "(5)#0[rational] (5)#1[inert] (5)#2[inert] (7)#0[rational] (7)#1[inert] (7, w-3)#2[split] (7, w-5)#2[split]"),
     ]
     return checks
 

@@ -35,8 +35,7 @@ def primes_upto(n: int) -> tuple[int, ...]:
     sieved.
     """
     global _sieved
-    if n > _MAX_PRIME_BOUND:
-        raise BudgetExceeded(f"listing the primes up to {n} is over the limit {_MAX_PRIME_BOUND}")
+    _check_prime_bound(n)
     limit, table = _sieved
     if n > limit:
         limit = min(n + n // 4, _MAX_PRIME_BOUND)
@@ -48,6 +47,12 @@ def primes_upto(n: int) -> tuple[int, ...]:
         table = tuple(compress(range(limit + 1), sieve))
         _sieved = limit, table
     return table[: bisect_right(table, n)]
+
+
+def _check_prime_bound(n: int) -> None:
+    """Refuse a scan of the primes up to n past _MAX_PRIME_BOUND, with BudgetExceeded."""
+    if n > _MAX_PRIME_BOUND:
+        raise BudgetExceeded(f"listing the primes up to {n} is over the limit {_MAX_PRIME_BOUND}")
 
 
 # Below 2^_FIRST_RANGE_BITS a range starts at 2: there one gcd costs less than

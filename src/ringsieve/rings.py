@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import threading
 from bisect import bisect_left, bisect_right
@@ -514,32 +515,28 @@ def _splitting(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
 
 
 class _PrimeRows:
-    """An algebra's primes q above every prime p <= limit, as rows p, q, Nm(q) in `prime_ideals` order.
+    """An algebra's primes q above every prime p <= limit, each row kept once, in its component's lists.
 
-    Per component i, the same rows are also kept as two pairs of lists
-    (p, q): `component_rows[i]`, all of component i's rows, and
-    `norm_p_rows[i]`, those of norm p.  On a Q component the two are one
-    pair, and on a field the first is the table's own, so a reader slices a
-    component's rows of norm <= n instead of walking them.  Only appended
-    to: the rows of p <= n a reader has counted stay valid while the lists
-    grow.  At most _MAX_KEPT_ROWS rows over all algebras outlive their
-    readers (`_forget_oldest_rows`).
+    Per component i, two pairs of lists (p, q) in `split_prime` order:
+    `component_rows[i]`, all of component i's rows, and `norm_p_rows[i]`,
+    those of norm p (on a Q component the same pair), so a reader slices a
+    component's rows of norm <= n instead of walking them; `merge_by_p`
+    reads several components as one.  Only appended to: the rows of
+    p <= limit stay valid while the lists grow.  At most _MAX_KEPT_ROWS
+    rows over all algebras outlive their readers (`_forget_oldest_rows`).
+    No `__len__`, which `prime_rows`' truth test would call every time.
     """
 
     def __init__(self, algebra: EtaleAlgebra):
         self.algebra = algebra
         self.limit = 0
-        self.ps: list[int] = []
-        self.primes: list[PrimeIdeal] = []
-        self.norms: list[int] = []
-        pairs = [(self.ps, self.primes)] if len(algebra.components) == 1 else [([], []) for _ in algebra.components]
-        self.component_rows = pairs
-        self.norm_p_rows = [pair if spec.is_rational else ([], []) for spec, pair in zip(algebra.components, pairs)]
+        self.component_rows: list[tuple[list[int], list[PrimeIdeal]]] = [([], []) for _ in algebra.components]
+        self.norm_p_rows = [pair if spec.is_rational else ([], []) for spec, pair in zip(algebra.components, self.component_rows)]
 
-    def upto(self, n: int) -> int:
-        """The number of rows with p <= n.
+    def upto(self, n: int) -> None:
+        """List the rows of every p <= n.
 
-        Past its end the list grows, under the norm tables' lock, by a
+        Past its end the table grows, under the norm tables' lock, by a
         stretch at least as long as what it holds, so a rising run of bounds
         lists each prime once.  A stretch stops at the prime limit unless n
         passes it, and then `primes_upto` refuses n.
@@ -549,21 +546,16 @@ class _PrimeRows:
                 if n > self.limit:
                     self._extend(max(n, min(2 * self.limit, _MAX_PRIME_BOUND)))
                     _forget_oldest_rows()
-        return bisect_right(self.ps, n)
 
     def _extend(self, n: int) -> None:
         listed = primes_upto(n)
         new = [q for p in listed[bisect_right(listed, self.limit) :] for q in _splitting(self.algebra, p)]
         # the rows before the limit: a reader that sees the new limit finds its rows
-        self.ps += [q.p for q in new]
-        self.primes += new
-        self.norms += [q.p if q.f == 1 else q.norm for q in new]  # p's own int where Nm(q) = p
-        for i, (pair, norm_p) in enumerate(zip(self.component_rows, self.norm_p_rows)):
-            mine = new if pair[0] is self.ps else [q for q in new if q.component == i]
-            if mine is not new:
-                pair[0].extend(q.p for q in mine)
-                pair[1].extend(mine)
-            if norm_p is not pair:
+        for i, ((ps, primes), norm_p) in enumerate(zip(self.component_rows, self.norm_p_rows)):
+            mine = new if len(self.component_rows) == 1 else [q for q in new if q.component == i]
+            ps.extend(q.p for q in mine)
+            primes.extend(mine)
+            if norm_p[0] is not ps:
                 mine = [q for q in mine if q.f == 1]
                 norm_p[0].extend(q.p for q in mine)
                 norm_p[1].extend(mine)
@@ -573,16 +565,15 @@ class _PrimeRows:
 def _row_index(rows: tuple[list[int], list[PrimeIdeal]], prime: PrimeIdeal) -> int | None:
     """The index of prime among the (p, q) rows of one component, or None if it is not there."""
     ps, primes = rows
-    j = bisect_left(ps, prime.p)
-    while j < len(ps) and ps[j] == prime.p:
+    # p's column may run ahead of its q column while another thread lists rows past the limit
+    for j in range(bisect_left(ps, prime.p), min(bisect_right(ps, prime.p), len(primes))):
         if primes[j].root == prime.root:
             return j
-        j += 1
     return None
 
 
 _PRIME_ROWS: dict[EtaleAlgebra, _PrimeRows] = {}
-_MAX_KEPT_ROWS = 1 << 18  # about 43 MB of rows at some 165 bytes each
+_MAX_KEPT_ROWS = 1 << 18  # about 30-38 MB of rows at some 112-145 bytes each
 
 
 def prime_rows(algebra: EtaleAlgebra) -> _PrimeRows:
@@ -597,31 +588,40 @@ def _forget_oldest_rows() -> None:
     `prime_rows` call starts a new one, so a scan far past the budget keeps
     its rows only while it runs.
     """
-    kept = sum(len(rows.ps) for rows in list(_PRIME_ROWS.values()))
+    kept = sum(len(primes) for rows in list(_PRIME_ROWS.values()) for _, primes in rows.component_rows)
     for algebra in list(_PRIME_ROWS):
         if kept <= _MAX_KEPT_ROWS:
             return
-        kept -= len(_PRIME_ROWS.pop(algebra).ps)
+        kept -= sum(len(primes) for _, primes in _PRIME_ROWS.pop(algebra).component_rows)
+
+
+def merge_by_p(lists: list[Iterable[PrimeIdeal]]) -> Iterable[PrimeIdeal]:
+    """Per-component lists of primes, each by ascending p, as one in `split_prime` order."""
+    # a stable sort keeps equal p in list order, as heapq.merge would, at about a third of its cost
+    return lists[0] if len(lists) == 1 else sorted(itertools.chain(*lists), key=operator.attrgetter("p"))
 
 
 def prime_ideals(algebra: EtaleAlgebra, upto: int | None = None) -> Iterator[PrimeIdeal]:
     """The primes above every rational prime p <= upto: ascending p, then split_prime order.
 
-    Read from the algebra's rows (`prime_rows`), in stretches that double in
-    length, 64, 128, ..., when upto=None: the last one ends at the prime
+    Read from the algebra's rows (`prime_rows`), each stretch as its
+    components' slices merged by p (`merge_by_p`), in stretches that double
+    in length, 64, 128, ..., when upto=None: the last one ends at the prime
     limit 10^7, and then the walk ends in BudgetExceeded (`primes_upto`).
     """
-    rows, start, bound = prime_rows(algebra), 0, 64 if upto is None else upto
+    rows, bound = prime_rows(algebra), 64 if upto is None else upto
+    starts = [0] * len(rows.component_rows)
     while True:
-        end = rows.upto(bound)
-        yield from itertools.islice(rows.primes, start, end)
+        rows.upto(bound)
+        ends = [bisect_right(ps, bound) for ps, _ in rows.component_rows]
+        stretches = [itertools.islice(primes, a, b) for (_, primes), a, b in zip(rows.component_rows, starts, ends)]
+        yield from merge_by_p(stretches)
         if upto is not None:
             return
         # once a stretch has reached the limit, the next bound is refused
-        start, bound = end, max(min(2 * bound, _MAX_PRIME_BOUND), bound + 1)
+        starts, bound = ends, max(min(2 * bound, _MAX_PRIME_BOUND), bound + 1)
 
 
-@lru_cache(maxsize=200_000)
 def _hensel_root(spec: FieldSpec, p: int, base_root: int, k: int) -> int:
     """Lift a simple root of the generator's minimal polynomial to mod p^k."""
     s, t = spec.omega_poly

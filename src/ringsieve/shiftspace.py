@@ -302,14 +302,11 @@ def apply_block_code(
 # ---------------------------------------------------------------------------
 # random admissible patterns (CRT placement of translated sub-patterns)
 
+# the gap `random_admissible` leaves between one copy's largest coordinate and the next copy
+_COPY_GAP = 40
 
-def random_admissible(
-    sieve: SieveSpec,
-    rng: random.Random,
-    base_patterns: Sequence[Pattern],
-    copies: int = 3,
-    spread: int = 40,
-) -> Pattern:
+
+def random_admissible(sieve: SieveSpec, rng: random.Random, base_patterns: Sequence[Pattern], copies: int = 3) -> Pattern:
     """Union of translated base patterns, placed by CRT to stay admissible.
 
     At the exceptions and the tail sets that can reject the union, every
@@ -352,7 +349,7 @@ def random_admissible(
             step = lam[0][0]
             shift = algebra.embed(0, base) + algebra.from_int((pos // step + 1) * step)
         pieces.append(t.translate(shift))
-        pos = max(abs(v) for e in pieces[-1].elements for v in e.flat()) + spread
+        pos = max(abs(v) for e in pieces[-1].elements for v in e.flat()) + _COPY_GAP
     out = pieces[0]
     for p in pieces[1:]:
         out = out.union(p)

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .intervals import _GRID_BITS, RationalInterval, _round_down, _round_up, cap_bits, directed_product, power_bits
 from .lattices import Hnf, Vec, coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
-from .primes import _FIRST_RANGE_BITS, _MAX_PRIME_BOUND, _iroot, prime_range, primes_upto, range_factors
+from .primes import _FIRST_RANGE_BITS, _MAX_PRIME_BOUND, _check_prime_bound, _iroot, prime_range, primes_upto, range_factors
 from .rings import (
     AlgebraicInt,
     Coords,
@@ -45,6 +45,7 @@ from .rings import (
     directives,
     format_algebra,
     ideal_power,
+    merge_by_p,
     norms_upto,
     parse_algebra,
     power_fits,
@@ -174,14 +175,13 @@ class SieveSpec:
     """A finitely specified sieve: tail rule plus finitely many exceptions.
 
     Its tail primes are its algebra's one shared row table (`rings.prime_rows`)
-    less its exception primes (`exception_keys`).
+    less its exception primes (`exception_sets`).  Whether it is non-large
+    and cofinite is derived from the tail and the exceptions.
     """
 
     algebra: EtaleAlgebra
     tail: TailRule
     exceptions: tuple[LocalSet, ...]
-    non_large: bool
-    cofinite: bool
 
     @cached_property
     def label_points(self) -> tuple[tuple[Coords, ...], ...]:
@@ -199,15 +199,21 @@ class SieveSpec:
         return {}
 
     @cached_property
-    def exception_keys(self) -> frozenset[tuple[int, int, int | None]]:
-        """(p, component, root) of each exception prime, the primes a tail scan skips; empty for a tail-only sieve."""
-        return frozenset((ls.prime.p, ls.prime.component, ls.prime.root) for ls in self.exceptions)
+    def exception_sets(self) -> dict[tuple[int, int, int | None], LocalSet]:
+        """The exceptions by (p, component, root) of their prime, the primes a tail scan skips; empty for a tail-only sieve."""
+        return {(ls.prime.p, ls.prime.component, ls.prime.root): ls for ls in self.exceptions}
 
     def exception_at(self, prime: PrimeIdeal) -> LocalSet | None:
-        for ls in self.exceptions:
-            if ls.prime == prime:
-                return ls
-        return None
+        return self.exception_sets.get((prime.p, prime.component, prime.root))
+
+    @cached_property
+    def non_large(self) -> bool:
+        """Whether no local set covers everything; a tail set can only where it rejects a single point."""
+        return not any(ls.is_everything() for ls in (*self.exceptions, *_tail_local_sets(self, 1)))
+
+    @property
+    def cofinite(self) -> bool:
+        return self.tail.kind != "empty"
 
     def __str__(self) -> str:
         parts = [f"sieve[{self.algebra}; tail {self.tail}"]
@@ -264,7 +270,7 @@ def build_sieve(
     tail: TailRule,
     exceptions: Mapping[PrimeIdeal, tuple[int, Iterable[Coords]]] | Iterable[LocalSet] = (),
 ) -> SieveSpec:
-    """Normalize and validate a sieve; derives the non-large/cofinite flags.
+    """Normalize and validate a sieve.
 
     Exceptions may be given as LocalSet objects or as a mapping
     prime -> (exponent, class list); class representatives must be canonical.
@@ -276,20 +282,13 @@ def build_sieve(
     else:
         locs.extend(exceptions)
     locs.sort(key=lambda ls: _prime_key(ls.prime))
-    seen = set()
-    for ls in locs:
+    # sorted, so a repeated prime follows its first set
+    for prev, ls in zip([None, *locs], locs):
         if ls.prime.algebra != algebra:
             raise ClassOutOfRange("exception prime belongs to a different algebra")
-        key = _prime_key(ls.prime)
-        if key in seen:
+        if prev is not None and _prime_key(prev.prime) == _prime_key(ls.prime):
             raise ClassOutOfRange(f"duplicate exception at {ls.prime}")
-        seen.add(key)
-
-    # a tail set covers everything only where it can reject a single point
-    probe = SieveSpec(algebra, tail, tuple(locs), True, True)
-    non_large = not any(ls.is_everything() for ls in locs + _tail_local_sets(probe, 1))
-    cofinite = tail.kind != "empty"
-    return SieveSpec(algebra, tail, tuple(locs), non_large, cofinite)
+    return SieveSpec(algebra, tail, tuple(locs))
 
 
 def kfree_sieve(algebra: EtaleAlgebra, k: int) -> SieveSpec:
@@ -301,26 +300,18 @@ def kfree_sieve(algebra: EtaleAlgebra, k: int) -> SieveSpec:
 _MAX_GRID_CLASSES = 1 << 28
 
 
-def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterator[PrimeIdeal]:
-    """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, ascending.
+def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) -> Iterable[PrimeIdeal]:
+    """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, in `prime_ideals` order.
 
-    Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so the rows
-    of the primes p <= n are read from the algebra's one row table
-    (`rings.prime_rows`, shared by every sieve over it) and no power is
-    formed.  One component's primes are sliced from its own rows
-    (`_checked_rows`); every component's are the flat rows of norm <= n,
-    less the sieve's exception primes (`exception_keys`).
+    Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so no power
+    is formed: each component's primes are sliced from the algebra's one
+    row table (`rings.prime_rows`, shared by every sieve over it), less the
+    sieve's exception primes (`_checked_rows`), and every component's are
+    those lists merged by p (`rings.merge_by_p`).
     """
-    n = _iroot(max_norm, sieve.tail.exponent)
-    rows = prime_rows(sieve.algebra)
-    end = rows.upto(n)
-    if component is not None:
-        yield from _checked_rows(sieve, rows, component, n)
-        return
-    skip = sieve.exception_keys
-    for p, prime, norm in itertools.islice(zip(rows.ps, rows.primes, rows.norms), end):
-        if norm <= n and not (skip and (p, prime.component, prime.root) in skip):
-            yield prime
+    n, rows = _iroot(max_norm, sieve.tail.exponent), prime_rows(sieve.algebra)
+    components = range(len(rows.component_rows)) if component is None else (component,)
+    return merge_by_p([_checked_rows(sieve, rows, i, n) for i in components])
 
 
 def _tail_local_sets(sieve: SieveSpec, n: int) -> list[LocalSet]:
@@ -370,12 +361,15 @@ def _candidate_primes(norms: list[int], k: int, n: int) -> Iterator[int]:
 def _checked_rows(sieve: SieveSpec, rows: _PrimeRows, i: int, n: int, last: int | None = None) -> list[PrimeIdeal]:
     """Component i's non-exception tail primes with Nm(q) <= n, ascending, through row `last` if given.
 
-    Slices of the row table's per-component lists: on a Q component its rows
-    up to n; on a field every row of p <= sqrt(n), then the rows of norm p
-    for sqrt(n) < p <= n (an inert Nm(q) = p^2 passes n there).  `last` is
-    an index into component i's rows.  The sieve's exception rows are then
+    Slices of the row table's per-component lists, listed up to n first
+    when `last` is not given: on a Q component its rows up to n; on a field
+    every row of p <= sqrt(n), then the rows of norm p for
+    sqrt(n) < p <= n (an inert Nm(q) = p^2 passes n there).  `last` is an
+    index into component i's rows.  The sieve's exception rows are then
     deleted by index, from the back.
     """
+    if last is None and n > rows.limit:
+        rows.upto(n)
     every, norm_p = rows.component_rows[i], rows.norm_p_rows[i]
     if every is norm_p:
         a = b = 0
@@ -406,16 +400,18 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     so q^k | x - c implies Nm(q)^k = Nm(q^k) | |N(x - c)|: a tail prime q can
     only catch x when Nm(q)^k divides the norm of x - c for one of the tail
     labels c.  Per component, the scan is bounded by n, the k-th root of the
-    largest of those norms: the rows up to n are listed first, so a bound
-    past the prime limit raises BudgetExceeded before anything else
-    (`primes_upto`).  The rational primes p <= n with p^k dividing a norm
-    are found by gcds with products of primes (`_candidate_primes`), in
-    ascending order, and only their rows are tested: the norm filter, then
-    the local set, until one catches x.  Every tail prime of norm <= n was
-    still examined, so `checked` holds all of them up to the catch, sliced
-    from the algebra's row table (`_checked_rows`).  When x equals a label
-    on some component, every tail prime of that component catches it, and
-    the first one whose q^k is built (`rings.power_fits`) is named.
+    largest of those norms, and a bound past the prime limit raises
+    BudgetExceeded before anything else (`primes._check_prime_bound`).  The
+    rational primes p <= n with p^k dividing a norm are found by gcds with
+    products of primes (`_candidate_primes`), in ascending order, and only
+    their rows are listed and tested, until one catches x: a row of norm p
+    goes straight to its local set, since p^k divides a label norm, and an
+    inert row first passes the norm filter.  Every tail prime of norm <= n
+    was still examined, so `checked` holds all of them up to the catch,
+    sliced from the algebra's row table (`_checked_rows`); only a member
+    lists the rows up to n.  When x equals a label on some component, every
+    tail prime of that component catches it, and the first one whose q^k is
+    built (`rings.power_fits`) is named.
     """
     if x.algebra is not sieve.algebra and x.algebra != sieve.algebra:
         raise PreconditionFailed("element of a different algebra")
@@ -425,8 +421,7 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
         hit = ls.hits(x)
         if hit is not None:
             return Verdict(False, ls.prime, hit, tuple(checked))
-    k, skip = sieve.tail.exponent, sieve.exception_keys
-    rows = prime_rows(sieve.algebra)
+    k, skip, rows = sieve.tail.exponent, sieve.exception_sets, prime_rows(sieve.algebra)
     for i, spec in enumerate(sieve.algebra.components):
         # |N(x - c)| per label (on Q the coordinate itself), the difference built per degree:
         # a zip over coordinates costs more than the norm
@@ -435,13 +430,9 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
                  else [abs(spec.norm((u[0] - c[0], u[1] - c[1]))) for c in points])
         if 0 in norms:
             # only split primes have the tighter limit, so none is built past a refused non-split one
-            prime = next(
-                q for q in prime_ideals(sieve.algebra)
-                if q.component == i and (q.p, q.component, q.root) not in skip
-                and (q.kind != "split" or power_fits(q, k))
-            )
-            ls = _tail_local_set(sieve, prime)
-            hit = ls.hits(x)
+            prime = next(q for q in prime_ideals(sieve.algebra) if q.component == i and (q.p, i, q.root) not in skip
+                         and (q.kind != "split" or power_fits(q, k)))
+            hit = _tail_local_set(sieve, prime).hits(x)
             if hit is None:
                 raise VerificationFailed(f"{x} equals a tail label on component {i} but escapes {prime}")
             return Verdict(False, prime, hit, tuple(checked))
@@ -449,26 +440,25 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
         if n < 2:
             continue  # no prime has norm <= n
         if n > rows.limit:
-            rows.upto(n)
+            _check_prime_bound(n)
         ps, every = rows.component_rows[i]
         for p in _candidate_primes(norms, k, n):
+            if p > rows.limit:
+                rows.upto(p)
             if skip and (p, i, None) in skip:
                 continue  # a rational or inert exception is p's one row here
             # p has one or two rows on a component
             for j in range(bisect_left(ps, p), min(bisect_right(ps, p), len(every))):
                 q = every[j]
-                nq = q.norm
-                if nq > n or (skip and (p, i, q.root) in skip):
+                if skip and (p, i, q.root) in skip:
                     continue
-                m = nq**k
-                # the norm filter: the local set can only hit x where Nm(q)^k divides some |N(x - c)|
-                for nm in norms:
-                    if nm % m == 0:
-                        hit = _tail_local_set(sieve, q).hits(x)
-                        if hit is not None:
-                            checked += _checked_rows(sieve, rows, i, n, j)
-                            return Verdict(False, q, hit, tuple(checked))
-                        break
+                # the norm filter, for an inert q: its local set can only hit x where p^2k divides some |N(x - c)|
+                if q.f == 2 and (q.norm > n or all(nm % q.norm**k for nm in norms)):
+                    continue
+                hit = _tail_local_set(sieve, q).hits(x)
+                if hit is not None:
+                    checked += _checked_rows(sieve, rows, i, n, j)
+                    return Verdict(False, q, hit, tuple(checked))
         checked += _checked_rows(sieve, rows, i, n)
     return Verdict(True, checked=tuple(checked))
 

@@ -599,7 +599,8 @@ def old_prime_walk(K, upto):
     return [q for p in primes_upto(upto) for q in split_prime(K, p)]
 
 
-PRIME_WALK_ALGEBRAS = [[None], [2], [-1], [5], [-3], [13], [-7], [17], [None, 2]]
+# the last two share primes between components: 3 is rational, split and ramified in Q x Q(sqrt 13) x Q(sqrt -3)
+PRIME_WALK_ALGEBRAS = [[None], [2], [-1], [5], [-3], [13], [-7], [17], [None, 2], [None, 13, -3]]
 
 
 @pytest.mark.parametrize("spec", PRIME_WALK_ALGEBRAS, ids=str)

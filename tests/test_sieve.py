@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -429,9 +430,9 @@ def test_membership_and_boxes_match_labels_projected_per_call():
 
 
 def _full_scan_tail_primes(sieve, max_norm, component=None):
-    """The scan the tail-prime rows replaced: the prime-ideal walk, each prime looked up among the exceptions."""
+    """The scan the tail-prime rows replaced: split_prime over every p, each prime looked up among the exceptions."""
     k = sieve.tail.exponent
-    return [q for q in prime_ideals(sieve.algebra, integer_nthroot(max_norm, k)[0])
+    return [q for p in primes_upto(integer_nthroot(max_norm, k)[0]) for q in split_prime(sieve.algebra, p)
             if q.norm**k <= max_norm and component in (None, q.component) and sieve.exception_at(q) is None]
 
 
@@ -494,6 +495,51 @@ def test_norm_prefilter_and_tail_rows_match_the_full_scan():
     assert {"split", "inert", "ramified"} <= kinds and exponents == {2, 3, 4, 5}
     # members with primes checked, and rejections by a tail prime
     assert (True, False, True) in verdicts and (False, True, True) in verdicts
+
+
+def test_three_component_tail_primes_and_verdicts_match_the_full_scan():
+    # Q x Q(sqrt 13) x Q(sqrt -3): at 3 a rational, two split and a ramified row, at 13 a rational, a ramified
+    # and two split rows, and 2 and 5 are inert in both fields, so each p's rows come from three components
+    K = make_algebra([None, 13, -3])
+    rng = random.Random(2902)
+    above = [q for p in (2, 3, 5, 7, 13) for q in split_prime(K, p)]
+    kinds = set()
+    for _ in range(12):
+        exceptions = []
+        for q in rng.sample(above, rng.randint(1, 4)):
+            kinds.add(q.kind)
+            mod = ideal_power(q, rng.choice([1, 2]))
+            exceptions.append(LocalSet(mod, tuple(sorted(rng.sample(list(mod.residues()), rng.randint(0, 2))))))
+        labels = [rng.randint(-6, 6) if rng.random() < 0.5 else tuple(rng.randint(-5, 5) for _ in range(K.degree))
+                  for _ in range(rng.randint(1, 3))]
+        sv = build_sieve(K, TailRule.shifted_kfree(rng.randint(2, 3), labels), exceptions)
+        for max_norm in (1, 40, 3000, 10**5, rng.randint(0, 10**4)):
+            for component in (None, 0, 1, 2):
+                assert list(sieve_mod._tail_primes(sv, max_norm, component)) == _full_scan_tail_primes(
+                    sv, max_norm, component), (str(sv), max_norm, component)
+        for x in _prefilter_elements(sv, rng):
+            v = membership(sv, x)
+            assert (v.member, v.prime, v.class_rep, list(v.checked)) == _walked_membership(sv, x), (str(sv), x)
+    assert kinds == {"rational", "split", "inert", "ramified"}
+
+
+def test_membership_lists_rows_only_as_far_as_its_catch(monkeypatch):
+    # n = 7 * 999,983, but 7^2 catches x after 2, 3 and 5: about 475,000 rows were listed, and
+    # dropped past the kept-row budget, on every call
+    monkeypatch.setattr(rings, "_PRIME_ROWS", {})
+    sq = kfree_sieve(QQ, 2)
+    for _ in range(2):
+        start = time.perf_counter()
+        v = membership(sq, QQ.from_int(7**2 * 999_983**2))
+        assert time.perf_counter() - start < 0.1
+        assert (v.member, v.prime, v.class_rep, v.checked) == (
+            False, split_prime(QQ, 7)[0], (0,), tuple(split_prime(QQ, p)[0] for p in (2, 3, 5, 7)))
+    assert rings._PRIME_ROWS[QQ].limit < 1000
+    # a bound past the prime limit is still refused before any row is listed, though 7 would catch x
+    monkeypatch.setattr(rings, "_PRIME_ROWS", {})
+    with pytest.raises(BudgetExceeded):
+        membership(sq, QQ.from_int(7**2 * 10**16))
+    assert rings._PRIME_ROWS[QQ].limit == 0
 
 
 def test_membership_builds_local_sets_only_where_the_norm_filter_passes(monkeypatch):
@@ -726,7 +772,7 @@ def test_prime_rows_kept_stay_within_their_budget(monkeypatch):
 
     def scan(sv, n):
         assert list(sieve_mod._tail_primes(sv, n * n)) == expected[sv, n], (str(sv), n)
-        assert sum(len(rows.ps) for rows in rings._PRIME_ROWS.values()) <= 300
+        assert sum(len(primes) for rows in rings._PRIME_ROWS.values() for _, primes in rows.component_rows) <= 300
 
     scan(small, 100)
     first = rings._PRIME_ROWS[K]
@@ -772,8 +818,9 @@ def test_prime_rows_grown_by_threads_match_one_thread(monkeypatch):
 
     def rows_upto(n):
         rows = rings.prime_rows(K)
-        end = rows.upto(n)
-        return rows.ps[:end], rows.primes[:end], rows.norms[:end]
+        rows.upto(n)
+        return [(ps[:end], primes[:end]) for ps, primes in (*rows.component_rows, *rows.norm_p_rows)
+                for end in [bisect_right(ps, n)]]
 
     sieves = [kfree_sieve(K, 2), build_sieve(K, TailRule.kfree(2), [exception])]
     monkeypatch.setattr(rings, "_PRIME_ROWS", {})
