@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .errors import BudgetExceeded, NoWitness, PreconditionFailed, VerificationFailed
@@ -22,9 +24,10 @@ from .lattices import (
     preimage_lattice,
     quotient_residues,
 )
-from .primes import primes_upto
+from .primes import _check_prime_bound, primes_upto
 from .rings import (
     _MAX_MODULUS_BITS,
+    _MAX_SPLIT_BITS,
     AlgebraHom,
     AlgebraicInt,
     EtaleAlgebra,
@@ -34,7 +37,7 @@ from .rings import (
     split_prime,
     units_up_to,
 )
-from .sieve import SieveSpec, local_set
+from .sieve import SieveSpec, _candidate_primes, local_set
 
 # classes of O_K/p^m an exhaustive local check walks, matrices a preserver scan walks
 _CLASS_BUDGET = 2_000_000
@@ -62,6 +65,20 @@ def _det(m: Sequence[Sequence[int]]) -> int:
     return total
 
 
+def _det_adjugate(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) of a square integer matrix, so that M adj M = det M * I.
+
+    Entry (i, j) of adj M is (-1)^(i+j) times the minor of M without row j
+    and column i; det M is row 0 of M times column 0 of adj M.
+    """
+    n = len(m)
+    adj = [
+        [(-1) ** (i + j) * _det([row[:i] + row[i + 1 :] for r, row in enumerate(m) if r != j]) for j in range(n)]
+        for i in range(n)
+    ]
+    return sum(m[0][j] * adj[j][0] for j in range(n)), adj
+
+
 @dataclass(frozen=True)
 class ZLinearMap:
     """Integer matrix acting on flat coordinates over the integral bases."""
@@ -77,7 +94,7 @@ class ZLinearMap:
             raise PreconditionFailed("matrix shape does not match algebra degrees")
 
     def apply(self, x: AlgebraicInt) -> AlgebraicInt:
-        if x.algebra != self.source:
+        if x.algebra is not self.source and x.algebra != self.source:
             raise PreconditionFailed("element not in the source algebra")
         v = x.flat()
         return self.target.from_flat(
@@ -211,14 +228,26 @@ def _kfree_fast_applicable(sieve: SieveSpec, p: int) -> bool:
     return all(ls.prime.p != p for ls in sieve.exceptions)
 
 
-def _inside_one(source: EtaleAlgebra, pre: Hnf, src_lattices: Sequence[tuple[int, Hnf]]) -> bool:
-    """True iff every HNF generator of `pre` lies in one and the same source lattice."""
-    gens = [source.from_flat(row).coords for row in pre]
-    return any(all(lat_contains(g[ci], h) for g in gens) for ci, h in src_lattices)
+def _inside_one(source: EtaleAlgebra, gens: Sequence[Sequence[int]], src_lattices: Sequence[tuple[int, Hnf]]) -> bool:
+    """True iff every generator (flat coordinates) lies in one and the same source lattice."""
+    comps = [source.from_flat(row).coords for row in gens]
+    return any(all(lat_contains(g[ci], h) for g in comps) for ci, h in src_lattices)
+
+
+@lru_cache(maxsize=1 << 16)
+def _target_rows(q: PrimeIdeal, l: int) -> Hnf:
+    """Flat HNF rows of q^l in its algebra (`lattice_rows`: the whole ring off q's component)."""
+    hnfs = [None] * len(q.algebra.components)
+    hnfs[q.component] = ideal_power(q, l).hnf
+    return tuple(q.algebra.lattice_rows(hnfs))
 
 
 def _check_local_condition_kfree(
-    a: ZLinearMap, r_sieve: SieveSpec, s_sieve: SieveSpec, p: int
+    a: ZLinearMap,
+    r_sieve: SieveSpec,
+    s_sieve: SieveSpec,
+    p: int,
+    inverse: tuple[int, list[list[int]]] | None = None,
 ) -> LocalCheck:
     """Kernel-lattice route for k-free sieves: test only A^{-1}(q^l).
 
@@ -228,13 +257,24 @@ def _check_local_condition_kfree(
     p-group is never the union of p or fewer proper subgroups (Cohn, "On
     n-sum groups", Math. Scand. 75, 1994).  `scan_primes` routes a map here
     only when at most p primes p_i lie above p, so P lies in the union iff
-    it lies in one p_i^k, iff all HNF generators of P lie in that one p_i^k.
+    it lies in one p_i^k, iff all generators of P lie in that one p_i^k.
+
+    With inverse = (det A, adj A) (`_det_adjugate`) and p not dividing
+    det A, A is invertible mod p^m with inverse inv = adj A * det A^-1 mod
+    p^m, and P = inv T + p^m Z^n for T the rows of q^l (q^l contains
+    p^m O_L): Ax lies in T iff x = inv Ax mod p^m.  Since p^m O_K lies in
+    every p_i^k, the generators tested are inv t for t in T, with no
+    elimination.  Otherwise (no inverse given, or p | det A, where A mod p^m
+    has a kernel) P is the HNF of `preimage_lattice`, one stacked
+    elimination, and its rows are tested.
+
     That containment test settles a passing q.  Otherwise the residues of
-    P mod p^m are walked lazily in `quotient_residues` order, and the first
-    one outside every p_i^k is reported; at most |P / p^m O_K| =
-    p^{nm} / Nm(q)^l of them, instead of p^{nm} classes.  The reported
-    x and A x are re-checked against the sieves' local sets, which do not
-    use the lattices; a failed re-check raises VerificationFailed.
+    P mod p^m are walked lazily in `quotient_residues` order over the HNF of
+    P, and the first one outside every p_i^k is reported; at most
+    |P / p^m O_K| = p^{nm} / Nm(q)^l of them, instead of p^{nm} classes.
+    The reported x and A x are re-checked against the sieves' local sets,
+    which do not use the lattices; a failed re-check raises
+    VerificationFailed.
     """
     k = r_sieve.tail.exponent
     l = s_sieve.tail.exponent
@@ -242,17 +282,24 @@ def _check_local_condition_kfree(
     src_primes = split_prime(a.source, p)
     dst_primes = split_prime(a.target, p)
     src_lattices = [(pr.component, ideal_power(pr, k).hnf) for pr in src_primes]
-
-    mat = [list(row) for row in a.matrix]
+    invertible = inverse is not None and inverse[0] % p != 0
+    inv = None
     for q_prime in dst_primes:
-        w = ideal_power(q_prime, l).hnf
-        hnfs = [w if j == q_prime.component else None for j in range(len(a.target.components))]
-        target_lat = tuple(a.target.lattice_rows(hnfs))
-        pre = preimage_lattice(mat, target_lat)
-        if _inside_one(a.source, pre, src_lattices):
-            continue
+        target_lat = _target_rows(q_prime, l)
         # p^m is formed only after ideal_power has passed both exponents
-        for rep in quotient_residues(pre, lat_scale(identity_hnf(a.source.degree), p**m)):
+        pm = p**m
+        pre = None
+        if invertible:
+            if inv is None:
+                dinv = pow(inverse[0], -1, pm)
+                inv = [[v * dinv % pm for v in row] for row in inverse[1]]
+            gens = [[sum(map(mul, row, t)) % pm for row in inv] for t in target_lat]
+        else:
+            gens = pre = preimage_lattice(a.matrix, target_lat)
+        if _inside_one(a.source, gens, src_lattices):
+            continue
+        pre = pre or preimage_lattice(a.matrix, target_lat)  # the witness walk reads P's HNF
+        for rep in quotient_residues(pre, lat_scale(identity_hnf(a.source.degree), pm)):
             x = a.source.from_flat(rep)
             if not any(lat_contains(x.coords[ci], h) for ci, h in src_lattices):
                 y = a.apply(x)
@@ -264,6 +311,38 @@ def _check_local_condition_kfree(
     return LocalCheck(True, p)
 
 
+def _open_primes(a: ZLinearMap, r_sieve: SieveSpec, s_sieve: SieveSpec, cutoff: int) -> list[int] | None:
+    """The primes <= cutoff the preserver theorem leaves open for A, ascending; None where it does not apply.
+
+    Let A = eps . tau with tau an isomorphism O_K -> O_L, both sieves pure
+    k-free (exponents k <= l), and p no exception prime of either sieve.
+    For x in V_p(K, k) and every prime q of L above p,
+    v_q(A x) = v_q(eps) + v_{tau^-1 q}(x) <= v_q(eps) + k - 1, which is below
+    l when p does not divide Nm(eps); so A x lies in V_p(L, l) and the
+    local condition holds at p.  Only the primes dividing Nm(eps) and the
+    exception primes can fail.  Refusals stay where the full scan has them:
+    the primes with more than p source primes above them stay open, so their
+    class enumeration meets its budget, and a q^l past the split modulus
+    limit keeps the full scan.
+    """
+    k, l = r_sieve.tail.exponent, s_sieve.tail.exponent
+    if not (
+        r_sieve.tail.is_kfree
+        and s_sieve.tail.is_kfree
+        and k <= l
+        and l * cutoff.bit_length() <= _MAX_SPLIT_BITS
+        and (r_sieve.algebra, s_sieve.algebra) == (a.source, a.target)
+    ):
+        return None
+    d = decompose_monomial(a)
+    if d is None or not d.tau.is_isomorphism() or not (norm := d.epsilon.norm()):
+        return None
+    open_primes = {ls.prime.p for sv in (r_sieve, s_sieve) for ls in sv.exceptions}
+    open_primes.update(_candidate_primes([norm], 1, min(cutoff, abs(norm))))
+    open_primes.update(p for p in primes_upto(a.source.degree) if len(split_prime(a.source, p)) > p)
+    return sorted(p for p in open_primes if p <= cutoff)
+
+
 def scan_primes(
     a: ZLinearMap,
     r_sieve: SieveSpec,
@@ -272,32 +351,46 @@ def scan_primes(
 ) -> LocalCheck | None:
     """First p <= cutoff violating the local condition, or None.
 
-    Pure k-free sieves use the kernel-lattice route at every p with at most p
-    source primes above it, whatever the degrees: a prime passes after one
-    containment test of the preimage generators per target prime, and a
-    failing prime walks preimage residues only up to its first violation.
-    Anything else (other sieves, or more than p source primes above p, as
-    at p = 2 over Q x Q(sqrt 17)) falls back to exhaustive class
-    enumeration.  A negative cutoff raises PreconditionFailed rather than
-    pass vacuously, and one past the prime limit 10^7 BudgetExceeded
-    (`primes_upto`).
+    Theorem first: when A = eps . tau (`decompose_monomial`) with tau an
+    isomorphism, both sieves pure k-free with source exponent k <= target
+    exponent l, the paper's preserver argument passes every prime that
+    neither divides Nm(eps) nor is an exception prime (`_open_primes`), so
+    only the open primes get the per-prime routine, in ascending order, and
+    no prime table is listed for the rest.  A unit monomial with no exceptions is
+    answered at once at any cutoff.  Every other map scans every prime.
 
-    The witness depends on the route.  The kernel-lattice route returns the
-    first violating preimage residue of the first failing target prime
-    (`quotient_residues` order); the exhaustive route returns the lex-first
-    violating class of O_K/p^m, as `check_local_condition` does.  On Q x Q
-    with A = ((-2, 0), (-2, -2)), k = l = 2 and p = 2, this gives x = (2, 1)
-    where `check_local_condition` gives x = (1, 1).
+    Per prime, pure k-free sieves use the kernel-lattice route at every p
+    with at most p source primes above it, whatever the degrees: a prime
+    passes after one containment test per target prime, of inv t for the
+    rows t of q^l with inv = A^-1 mod p^m when p does not divide det A
+    (computed once per scan), else of the preimage's HNF generators; a
+    failing prime walks the preimage's residues only up to its first
+    violation.  Anything else (other sieves, or more than p source primes
+    above p, as at p = 2 over Q x Q(sqrt 17)) falls back to exhaustive
+    class enumeration.  A negative cutoff raises PreconditionFailed rather
+    than pass vacuously, and one past the prime limit 10^7 BudgetExceeded
+    (`primes._check_prime_bound`), whichever route answers.
+
+    The witness depends on the route, never on the shortcuts.  The
+    kernel-lattice route returns the first violating preimage residue of
+    the first failing target prime (`quotient_residues` order); the
+    exhaustive route returns the lex-first violating class of O_K/p^m, as
+    `check_local_condition` does.  On Q x Q with A = ((-2, 0), (-2, -2)),
+    k = l = 2 and p = 2, this gives x = (2, 1) where
+    `check_local_condition` gives x = (1, 1).
     """
     if cutoff < 0:
         raise PreconditionFailed(f"prime cutoff must be >= 0, got {cutoff}")
-    for p in primes_upto(cutoff):
+    _check_prime_bound(cutoff)
+    open_primes = _open_primes(a, r_sieve, s_sieve, cutoff)
+    inverse = _det_adjugate(a.matrix) if a.is_square else None
+    for p in primes_upto(cutoff) if open_primes is None else open_primes:
         if (
             _kfree_fast_applicable(r_sieve, p)
             and _kfree_fast_applicable(s_sieve, p)
             and len(split_prime(a.source, p)) <= p
         ):
-            res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
+            res = _check_local_condition_kfree(a, r_sieve, s_sieve, p, inverse)
         else:
             res = check_local_condition(a, r_sieve, s_sieve, p)
         if not res.ok:
@@ -305,11 +398,23 @@ def scan_primes(
     return None
 
 
+@lru_cache(maxsize=1024)
+def _hom_images(source: EtaleAlgebra, target: EtaleAlgebra) -> tuple[tuple[AlgebraHom, tuple[AlgebraicInt, ...]], ...]:
+    """Each hom source -> target (`algebra_homs` order) with its images of the basis."""
+    basis = source.basis()
+    return tuple((tau, tuple(tau.apply(b) for b in basis)) for tau in algebra_homs(source, target))
+
+
 def decompose_monomial(a: ZLinearMap) -> MonomialDecomposition | None:
-    """Write A = M_eps . tau with eps = A(1), if any algebra hom tau fits."""
+    """Write A = M_eps . tau with eps = A(1), if any algebra hom tau fits.
+
+    Column j of A is the image of basis element j, so tau fits iff every
+    column equals eps * tau(b_j).
+    """
     eps = a.apply(a.source.one)
-    for tau in algebra_homs(a.source, a.target):
-        if all(a.apply(b) == eps * tau.apply(b) for b in a.source.basis()):
+    cols = tuple(zip(*a.matrix))
+    for tau, images in _hom_images(a.source, a.target):
+        if all((eps * img).flat() == col for img, col in zip(images, cols)):
             return MonomialDecomposition(tau, eps)
     return None
 

@@ -94,6 +94,37 @@ def _gate_tail(sieve: SieveSpec) -> None:
         )
 
 
+def _crt_fold(
+    algebra: EtaleAlgebra, constraints: Sequence[CongruenceConstraint]
+) -> tuple[list[Coords], list[Hnf]]:
+    """Per component, the CRT base point and modulus lattice of its constraints.
+
+    A component's first constraint is its own solution: its canonical target
+    modulo the HNF of q^k, which is what `crt_pair` returns for it from
+    (0, Z^n).  Only a second constraint on the component takes `crt_pair`'s
+    elimination.  A component with none is 0 modulo the whole component.
+    """
+    bases: list[Coords] = []
+    lattices: list[Hnf] = []
+    for i, spec in enumerate(algebra.components):
+        y: Coords = spec.zero()
+        lam = None
+        for c in constraints:
+            if c.prime.component != i:
+                continue
+            target, h = c.canonical_target(), ideal_power(c.prime, c.k).hnf
+            if lam is None:
+                y, lam = target, h
+                continue
+            res = crt_pair(y, lam, target, h)
+            if res is None:
+                raise InvalidConstraint("incompatible constraints")
+            y, lam = res
+        bases.append(y)
+        lattices.append(lam or identity_hnf(spec.degree))
+    return bases, lattices
+
+
 def solve(
     sieve: SieveSpec,
     constraints: Sequence[CongruenceConstraint],
@@ -112,7 +143,7 @@ def solve(
     algebra = sieve.algebra
     seen = set()
     for c in constraints:
-        if c.prime.algebra != algebra:
+        if c.prime.algebra is not algebra and c.prime.algebra != algebra:
             raise PreconditionFailed("constraint prime from a different algebra")
         key = (c.prime.p, c.prime.component, c.prime.root)
         if key in seen:
@@ -120,22 +151,7 @@ def solve(
         seen.add(key)
         _check_constraint_compatible(sieve, c)
 
-    # combine constraints per component
-    bases: list[Coords] = []
-    lattices: list[Hnf] = []
-    for i, spec in enumerate(algebra.components):
-        y: Coords = spec.zero()
-        lam = identity_hnf(spec.degree)
-        for c in constraints:
-            if c.prime.component != i:
-                continue
-            res = crt_pair(y, lam, c.canonical_target(), ideal_power(c.prime, c.k).hnf)
-            if res is None:
-                raise InvalidConstraint("incompatible constraints")
-            y, lam = res
-        bases.append(y)
-        lattices.append(lam)
-
+    bases, lattices = _crt_fold(algebra, constraints)
     gens = algebra.lattice_rows(lattices)
     base_flat = algebra.element(bases).flat()
 

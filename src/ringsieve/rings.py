@@ -246,7 +246,7 @@ class AlgebraicInt:
     coords: tuple[Coords, ...]
 
     def _check(self, other: "AlgebraicInt"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ComponentMismatch("elements of different algebras")
 
     def __add__(self, other: "AlgebraicInt") -> "AlgebraicInt":
@@ -656,7 +656,7 @@ class Modulus:
 
     def contains(self, x: AlgebraicInt) -> bool:
         """Membership in the ideal p^k of O_K (only the component matters)."""
-        if x.algebra != self.prime.algebra:
+        if x.algebra is not self.prime.algebra and x.algebra != self.prime.algebra:
             raise ComponentMismatch("element of a different algebra")
         return lat_contains(x.coords[self.component], self.hnf)
 
@@ -722,7 +722,7 @@ def reduce_mod(x: AlgebraicInt, m: Modulus) -> AlgebraicInt:
     Coordinates outside the modulus component are zeroed: the ideal contains
     the full ring on every other component.
     """
-    if x.algebra != m.prime.algebra:
+    if x.algebra is not m.prime.algebra and x.algebra != m.prime.algebra:
         raise ComponentMismatch("element of a different algebra")
     return x.algebra.embed(m.component, m.reduce_coords(x.coords[m.component]))
 
@@ -757,7 +757,7 @@ class AlgebraHom:
     assignments: tuple[tuple[int, Coords], ...]
 
     def apply(self, x: AlgebraicInt) -> AlgebraicInt:
-        if x.algebra != self.source:
+        if x.algebra is not self.source and x.algebra != self.source:
             raise ComponentMismatch("element not in the source algebra")
         blocks = []
         for j, spec in enumerate(self.target.components):

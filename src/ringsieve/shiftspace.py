@@ -152,7 +152,7 @@ def is_admissible(sieve: SieveSpec, pattern: Pattern) -> AdmissibilityResult:
     """
     if not sieve.non_large:
         raise PreconditionFailed("admissibility requires a non-large sieve")
-    if pattern.algebra != sieve.algebra:
+    if pattern.algebra is not sieve.algebra and pattern.algebra != sieve.algebra:
         raise PreconditionFailed("pattern algebra mismatch")
     witnesses: list[tuple[PrimeIdeal, Coords]] = []
     threshold = len(pattern) * len(sieve.tail.labels) if sieve.tail.kind == "classes" else 0

@@ -335,6 +335,8 @@ def _candidate_primes(norms: list[int], k: int, n: int) -> Iterator[int]:
     ascending order, so a reader that stops at the first catch takes no gcd
     past its range.
     """
+    if n < 2:
+        return
     if k == 1:
         norms = [math.prod(norms)]  # p divides one of them iff it divides their product
     b = n.bit_length()

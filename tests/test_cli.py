@@ -295,6 +295,16 @@ def test_scan_reports_violation_with_exit_1():
     assert code == 1 and "violating_prime: 2" in out
 
 
+def test_far_linmap_scan_answers_and_past_the_prime_limit_refuses():
+    # 1 + sqrt 2 times the identity: a unit monomial, so no prime is open at any cutoff
+    argv = ["linmap", "scan", "--source", "Q(sqrt 2)", "--matrix", "1,2,1,1", "--cutoff"]
+    t0 = time.perf_counter()
+    code, out = run(argv + ["9999999"])
+    assert code == 0 and "violating_prime: none" in out and time.perf_counter() - t0 < 1
+    code, out = run(argv + ["10000001"])
+    assert code == 4 and "BudgetExceeded" in out
+
+
 def test_scan_into_a_degree_three_target():
     # the target lattice of Q x Q(sqrt 2) has rank 3; the map fails at p = 2
     code, out = run(

@@ -1,18 +1,23 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ringsieve import QQ, algebra_homs, linmaps, make_algebra, split_prime, units_up_to
+from ringsieve import QQ, algebra_homs, ideal_power, linmaps, make_algebra, split_prime, units_up_to
 from ringsieve.errors import NoWitness, PreconditionFailed, VerificationFailed
 from ringsieve.linmaps import (
     MonomialDecomposition,
     ZLinearMap,
     _check_local_condition_kfree,
     _det,
+    _det_adjugate,
     check_local_condition,
     check_unit_preservation,
     cover_witness,
@@ -22,7 +27,8 @@ from ringsieve.linmaps import (
     preserver_scan,
     scan_primes,
 )
-from ringsieve.sieve import kfree_sieve, local_set
+from ringsieve.primes import primes_upto
+from ringsieve.sieve import TailRule, build_sieve, kfree_sieve, local_set
 
 QXQ = make_algebra([None, None])
 QXQ17 = make_algebra([None, 17])
@@ -144,6 +150,9 @@ def test_kfree_shortcut_matches_full_walk_and_exhaustive(a, kl, p):
         return
     res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
     assert res == _walk_every_residue(a, r_sieve, s_sieve, p)
+    if a.is_square:
+        # the inverse test (at p not dividing det A) decides as the preimage HNF does
+        assert _check_local_condition_kfree(a, r_sieve, s_sieve, p, _det_adjugate(a.matrix)) == res
     if not res.ok:
         x, y = res.counterexample, res.image
         assert y == a.apply(x)
@@ -196,6 +205,31 @@ def test_routes_report_their_own_witness():
     scanned = scan_primes(a, sq, sq, 2)
     assert (exhaustive.ok, exhaustive.counterexample.flat(), exhaustive.image.flat()) == (False, (1, 1), (-2, -4))
     assert (scanned.p, scanned.counterexample.flat(), scanned.image.flat()) == (2, (2, 1), (-4, -6))
+
+
+def test_monomial_scan_lists_no_prime_table():
+    # In a fresh interpreter: a unit monomial at the largest cutoff sieves no prime
+    # (the table stays at its empty start, limit 1 or 2), and 1 + 2 sqrt 2, of norm -7,
+    # opens only 7 and fails there, with the table sieved to 8.
+    src = str(Path(linmaps.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import time\n"
+        "from ringsieve import make_algebra, primes\n"
+        "from ringsieve.linmaps import ZLinearMap, scan_primes\n"
+        "from ringsieve.sieve import kfree_sieve\n"
+        "K = make_algebra([2]); sv = kfree_sieve(K, 2)\n"
+        "start = time.perf_counter()\n"
+        "unit = scan_primes(ZLinearMap(K, K, ((1, 2), (1, 1))), sv, sv, 9_999_999)\n"
+        "after_unit = primes._sieved[0]\n"
+        "seven = scan_primes(ZLinearMap(K, K, ((1, 4), (2, 1))), sv, sv, 9_999_999)\n"
+        "print(unit, after_unit, seven.p, primes._sieved[0], time.perf_counter() - start)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    unit, after_unit, p, limit, seconds = proc.stdout.split()
+    assert (unit, p) == ("None", "7") and int(after_unit) <= 2 and int(limit) <= 8, proc.stdout
+    assert float(seconds) < 1, proc.stdout
 
 
 def test_decompose_monomial_examples(k2, ki):
@@ -349,3 +383,108 @@ def test_unit_preservation_monomials_totally_real(k2, k5, k13):
 def test_unit_preservation_requires_totally_real(ki):
     with pytest.raises(PreconditionFailed):
         check_unit_preservation(ZLinearMap.identity(ki), 5)
+
+
+def _full_scan(a, r_sieve, s_sieve, cutoff, met):
+    """scan_primes with neither shortcut: every prime up to the cutoff, and a
+    preimage HNF at every target prime of the kernel route (no inverse given).
+    Records in `met` whether the kernel route ran at a prime dividing det A."""
+    det = _det(a.matrix) if a.is_square else None
+    for p in primes_upto(cutoff):
+        kfree = all(sv.tail.is_kfree and all(ls.prime.p != p for ls in sv.exceptions) for sv in (r_sieve, s_sieve))
+        if kfree and len(split_prime(a.source, p)) <= p:
+            if det is not None and det % p == 0:
+                met.add("kernel route at p | det")
+            res = _check_local_condition_kfree(a, r_sieve, s_sieve, p)
+        else:
+            res = check_local_condition(a, r_sieve, s_sieve, p)
+        if not res.ok:
+            return res
+    return None
+
+
+def _scan_key(res):
+    return None if res is None else (res.ok, res.p, res.counterexample.flat(), res.image.flat())
+
+
+_EXCEPTION_PRIMES = (2, 3, 5, 7, 17)
+
+
+def _random_sieve(rng, algebra, k, m, met):
+    """A k-free sieve with 0-2 exceptions at primes above 2-17, each forbidding 1-2 classes.
+
+    An exception of exponent e is kept only where the exhaustive route at its
+    prime walks few classes, (p^max(e, m))^n, m the larger tail exponent."""
+    primes = [q for p in _EXCEPTION_PRIMES for q in split_prime(algebra, p)]
+    exceptions = {}
+    for q in rng.sample(primes, rng.choice((0, 0, 1, 2))):
+        e = rng.randint(1, 3)
+        if q.p ** (max(e, m) * algebra.degree) > 20_000:
+            continue
+        classes = sorted(rng.sample(list(ideal_power(q, e).residues()), rng.randint(1, 2)))
+        exceptions[q] = (e, classes)
+        met.add(f"{q.kind} exception")
+    return build_sieve(algebra, TailRule.kfree(k), exceptions)
+
+
+def _random_element(rng, algebra, unit):
+    if unit:
+        return rng.choice(units_up_to(algebra, 3))
+    while True:
+        x = algebra.from_flat([rng.randint(-4, 4) for _ in range(algebra.degree)])
+        if x.norm() and not x.is_unit():
+            return x
+
+
+def test_scan_primes_matches_the_full_scan():
+    # Theorem-first scan (open primes of a monomial map, inverse test at p not
+    # dividing det A) against the scan of every prime with preimage HNFs.
+    rng = random.Random(30)
+    k2, ki = make_algebra([2]), make_algebra([-1])
+    algebras = (QQ, k2, ki, QXQ, make_algebra([None, 2]))
+    met = set()
+    big = 0
+    for case in range(260):
+        alg = algebras[case % len(algebras)]
+        kind = rng.choice(("monomial", "monomial", "near", "random"))
+        isos = [t for t in algebra_homs(alg, alg) if t.is_isomorphism()]
+        tau = rng.choice(isos)
+        unit = rng.random() < 0.5
+        mat = [list(row) for row in ZLinearMap.monomial(tau, _random_element(rng, alg, unit)).matrix]
+        n = alg.degree
+        if kind == "near":
+            i, j = rng.randrange(n), rng.randrange(n)
+            mat[i][j] += rng.choice((-1, 1, 2, 3, 7))
+        elif kind == "random":
+            mat = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        a = ZLinearMap(alg, alg, tuple(map(tuple, mat)))
+        k, l = rng.choice(((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)))
+        r_sieve, s_sieve = _random_sieve(rng, alg, k, max(k, l), met), _random_sieve(rng, alg, l, max(k, l), met)
+        cutoff = rng.choice((0, 2, 7, 30, 100, 300, 1000))
+        if kind == "monomial" and big < 12:
+            cutoff, big = 10_000, big + 1
+            met.add("cutoff 10^4")
+        want = _full_scan(a, r_sieve, s_sieve, cutoff, met)
+        got = scan_primes(a, r_sieve, s_sieve, cutoff)
+        assert _scan_key(got) == _scan_key(want), (case, mat, k, l, cutoff)
+
+        met.add({-1: "k < l", 0: "k = l", 1: "k > l"}[(k > l) - (k < l)])
+        met.add(kind)
+        mono = decompose_monomial(a)
+        if mono is None:
+            continue
+        met.add("unit eps" if mono.epsilon.is_unit() else "non-unit eps")
+        met.add("identity" if mono.tau.is_identity() else f"{alg} automorphism")
+        open_primes = linmaps._open_primes(a, r_sieve, s_sieve, cutoff)
+        if open_primes is not None and want is not None:
+            exception_primes = {ls.prime.p for sv in (r_sieve, s_sieve) for ls in sv.exceptions}
+            met.add("fails at an exception prime" if want.p in exception_primes else "fails at a prime of Nm(eps)")
+        if open_primes is not None and want is None:
+            met.add("theorem passes the whole cutoff")
+    assert met >= {
+        "monomial", "near", "random", "unit eps", "non-unit eps", "identity",
+        f"{ki} automorphism", f"{QXQ} automorphism", f"{make_algebra([None, 2])} automorphism",
+        "kernel route at p | det", "split exception", "inert exception", "ramified exception",
+        "rational exception", "k < l", "k = l", "k > l", "cutoff 10^4",
+        "fails at an exception prime", "fails at a prime of Nm(eps)", "theorem passes the whole cutoff",
+    }, met

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsieve import QQ, ideal_power, lattices, localglobal, make_algebra, reduce_mod, rings, split_prime
+from ringsieve import QQ, ideal_power, lattices, localglobal, make_algebra, reduce_mod, rings, shiftspace, split_prime
 from ringsieve import sieve as sieve_mod
 from ringsieve.errors import (
     BudgetExceeded,
@@ -84,6 +84,85 @@ def test_solve_quadratic(k13):
     mod = ideal_power(p1, 2)
     assert reduce_mod(y, mod) == reduce_mod(target, mod)
     assert membership(sieve, y).member
+
+
+def _fold_from_zn(algebra, constraints):
+    """Every constraint folded in by crt_pair, starting from (0, Z^n) on each component."""
+    bases, moduli = [], []
+    for i, spec in enumerate(algebra.components):
+        y, lam = spec.zero(), lattices.identity_hnf(spec.degree)
+        for c in constraints:
+            if c.prime.component == i:
+                res = lattices.crt_pair(y, lam, c.canonical_target(), ideal_power(c.prime, c.k).hnf)
+                if res is None:
+                    raise InvalidConstraint("incompatible constraints")
+                y, lam = res
+        bases.append(y)
+        moduli.append(lam)
+    return bases, moduli
+
+
+def _answer(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs).flat()
+    except (InvalidConstraint, NotFoundWithinBound) as e:
+        return type(e).__name__
+
+
+def test_solve_matches_the_fold_from_zn(monkeypatch):
+    # A component's first constraint is taken as its own CRT solution; the
+    # witnesses must be those of the fold that runs crt_pair from Z^n.
+    rng = random.Random(30)
+    algebras = [make_algebra(d) for d in ([None], [2], [-1], [-3], [5], [13], [None, None], [None, 2], [2, -7])]
+    met, cases = set(), []
+    for case in range(270):
+        alg = algebras[case % len(algebras)]
+        k = rng.choice((2, 3))
+        primes = [q for p in (2, 3, 5, 7) for q in split_prime(alg, p)]
+        cons = [
+            CongruenceConstraint(q, 2, alg.from_int(q.p**2))  # inside q^k: refused at k = 2
+            if rng.random() < 0.04
+            else CongruenceConstraint(q, rng.randint(1, 2), alg.from_flat([rng.randint(-60, 60) for _ in range(alg.degree)]))
+            for q in rng.sample(primes, rng.randint(1, 3))
+        ]
+        assert localglobal._crt_fold(alg, cons) == _fold_from_zn(alg, cons)
+        # a bound past every base point's height (moduli below 10^5 a coordinate), so the
+        # walk meets members at once; the walk up to a bound below the base point is
+        # (2L + 1)^n multiplier tuples, L = base height / least pivot, and only Q cases take it
+        cases.append((kfree_sieve(alg, k), cons, 10**6 if alg.degree > 1 else rng.choice((3, 10**6))))
+        per_component = [sum(c.prime.component == i for c in cons) for i in range(len(alg.components))]
+        met.update(f"{n} constraints on a component" for n in per_component)
+        met.add("product" if len(alg.components) > 1 else "Q" if alg is QQ else "quadratic")
+    windows = []
+    while len(windows) < 12:
+        window = shiftspace.int_pattern(sorted(rng.sample(range(-6, 9), rng.randint(2, 5))))
+        pattern = shiftspace.int_pattern([e.coords[0][0] for e in window.elements if rng.random() < 0.5])
+        if shiftspace.is_admissible(kfree_sieve(QQ, 2), pattern).admissible:
+            windows.append((pattern, window))
+    new = [_answer(solve, *case[:2], bound=case[2]) for case in cases]
+    new_orbits = [_answer(shiftspace.orbit_approximation, QQ, 2, pat, win) for pat, win in windows]
+    monkeypatch.setattr(localglobal, "_crt_fold", _fold_from_zn)
+    assert new == [_answer(solve, *case[:2], bound=case[2]) for case in cases]
+    assert new_orbits == [_answer(shiftspace.orbit_approximation, QQ, 2, pat, win) for pat, win in windows]
+    met.update(y if isinstance(y, str) else "witness" for y in new)
+    assert met >= {"Q", "quadratic", "product", "witness", "InvalidConstraint", "NotFoundWithinBound"} | {
+        f"{n} constraints on a component" for n in range(4)
+    }, met
+
+
+def test_one_constraint_solve_makes_no_elimination(monkeypatch, squarefree_q):
+    # one constraint, or one on each component, is its own CRT solution
+    eliminations = []
+    real = lattices.hnf_from_rows
+    monkeypatch.setattr(lattices, "hnf_from_rows", lambda rows, n: eliminations.append(n) or real(rows, n))
+    qx2 = make_algebra([None, 2])
+    q7 = split_prime(qx2, 7)
+    one_each = [CongruenceConstraint(q7[0], 2, qx2.from_flat((3, 1, 1))), CongruenceConstraint(q7[1], 2, qx2.from_flat((0, 2, 1)))]
+    assert solve(squarefree_q, [con(q_prime(5), 2, 7)]).coords[0][0] == 7
+    assert membership(kfree_sieve(qx2, 2), solve(kfree_sieve(qx2, 2), one_each)).member
+    assert eliminations == []
+    solve(squarefree_q, [con(q_prime(2), 2, 3), con(q_prime(3), 2, 2)])
+    assert len(eliminations) == 1
 
 
 def test_solve_not_found_within_tiny_bound():
