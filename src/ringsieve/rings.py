@@ -55,9 +55,9 @@ def _is_squarefree(n: int) -> bool:
 class FieldSpec:
     """One component: the rationals (d is None) or Q(sqrt d).
 
-    The hash is computed once, from ints alone (0, never a valid d, marks
-    Q), so it is the same in every process and survives pickling.  Equality
-    tests identity first.
+    The hash is computed once, from ints alone (2d, or 0 for Q, never -1,
+    which hashes like -2), so it is the same in every process and survives
+    pickling, and Q(sqrt -1) and Q(sqrt -2) hash apart.  Equality tests identity first.
     """
 
     d: int | None = None
@@ -67,7 +67,7 @@ class FieldSpec:
         d = self.d
         if d is not None and (d in (0, 1) or not _is_squarefree(d)):
             raise InvalidDiscriminant(d)
-        object.__setattr__(self, "_hash", hash(0 if d is None else d))
+        object.__setattr__(self, "_hash", hash(0 if d is None else 2 * d))
 
     def __hash__(self) -> int:
         return self._hash
@@ -143,7 +143,7 @@ class EtaleAlgebra:
 
     `make_algebra` keeps one instance per parameter tuple, so equality tests
     identity first.  Unequal cached hashes settle inequality; equal ones
-    settle nothing (hash(-1) == hash(-2) in CPython), so the components are
+    settle nothing (d and d + 2^61 - 1 hash alike), so the components are
     compared then.
     """
 
@@ -462,12 +462,11 @@ class _NormTable:
         f = np.empty((len(ps), 2 * len(algebra.components)), np.int8)
         for i, spec in enumerate(algebra.components):
             f[:, 2 * i : 2 * i + 2] = self._degrees(i, spec, ps)
-        # boolean indexing reads row-major: by p, then component, then slot, as split_prime lists them
-        rows = f > 0
-        p = np.broadcast_to(ps[:, None], f.shape)[rows]
-        components = np.broadcast_to(np.arange(f.shape[1], dtype=np.int64) // 2, f.shape)[rows]
+        # nonzero reads row-major: by p, then component, then slot, as split_prime lists them
+        rows, slots = np.nonzero(f)
+        p = ps[rows]
         # a new read-only array, so a slice handed out earlier stays valid
-        columns = np.concatenate((self.columns, np.stack((p, components, p ** f[rows]))), axis=1)
+        columns = np.concatenate((self.columns, np.stack((p, slots // 2, p ** f[rows, slots]))), axis=1)
         columns.flags.writeable = False
         self.columns = columns
         self.limit = n

@@ -28,7 +28,7 @@ from .errors import (
     VerificationFailed,
 )
 from .intervals import _GRID_BITS, RationalInterval, _round_down, _round_up, cap_bits, directed_product, power_bits
-from .lattices import Hnf, Vec, coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
+from .lattices import _CHUNK_POINTS, Hnf, Vec, coset_points, grid_columns, grid_coords, grid_hnf, grid_point, quotient_residues, row_bands
 from .primes import _FIRST_RANGE_BITS, _MAX_PRIME_BOUND, _check_prime_bound, _iroot, prime_range, primes_upto, range_factors
 from .rings import (
     AlgebraicInt,
@@ -41,6 +41,7 @@ from .rings import (
     _format_component,
     _parse_component,
     _row_index,
+    _splitting,
     at_line,
     directives,
     format_algebra,
@@ -514,26 +515,46 @@ def _forbidden_cosets(sieve: SieveSpec, i: int, max_norm: int) -> tuple[list[tup
     return cosets, points
 
 
-def _lone_points(sieve: SieveSpec, i: int, labels: list[Vec], max_norm: int, lo: int, hi: int) -> set[Vec]:
-    """Grid points (x, 0) with lo <= x <= hi and x = c (mod p^k) for a label (c, 0)
-    and a non-exception tail prime p of Q component i with hi - lo < p^k <= max_norm.
+def _grid_rows(sieve: SieveSpec, i: int, max_norm: int, dtype) -> np.ndarray:
+    """Columns (alpha, beta, gamma), q^k = ((alpha, 0), (beta, gamma)) on the grid, of component i's
+    non-exception tail primes q with Nm(q)^k <= max_norm, from the norm table (`rings.norms_upto`): rational
+    (p^k, 0, 1), inert (p^k, 0, p^k), and a split or ramified q from `rings._splitting`, which proves no
+    table prime again: (p, -root mod p, 1) at k = 1, else `ideal_power`'s."""
+    algebra, k = sieve.algebra, sieve.tail.exponent
+    n = _iroot(max_norm, k) if sieve.label_points[i] else 0
+    if n < 2:
+        return np.empty((3, 0), dtype)  # no prime, and no power p^k formed for a k past int64
+    ps, components, norms = norms_upto(algebra, n)
+    rows = np.flatnonzero((components == i) & (norms <= n))
+    p, norm_p = ps[rows].astype(dtype, copy=False), norms[rows] == ps[rows]
+    alpha = p**k
+    grid = np.stack((alpha, 0 * p, np.where(norm_p, 1, alpha)))
+    skip = [ep for ep, ec, root in sieve.exception_sets if ec == i and root is None]
+    keep = ~np.isin(p, skip) if skip else np.ones(len(p), bool)
+    if algebra.components[i].degree == 2 and (at := np.flatnonzero(norm_p)).size:
+        primes = [q for x in dict.fromkeys(p[at].tolist()) for q in _splitting(algebra, x) if q.component == i]
+        keep[at] = [sieve.exception_at(q) is None for q in primes]
+        hnfs = (((q.p, 0), (-q.root % q.p, 1)) if k == 1 else ideal_power(q, k).hnf for q in primes)
+        grid[:, at] = np.array([(h[0][0], *h[1]) for h in hnfs], dtype).T
+    return grid[:, keep]
 
-    Each such p^k holds at most one x per label, x = lo + (c - lo) mod p^k, so
-    the primes are walked as one array, not one prime at a time.
-    """
-    k = sieve.tail.exponent
-    if not labels or max_norm <= hi - lo or _iroot(max_norm, k) < 2:
-        return set()  # no such p^k; a k past int64 would not fit ps**k
-    skip = [ls.prime.p for ls in sieve.exceptions if ls.modulus.component == i]
-    fits = max_norm + max((abs(c - lo) for c, _ in labels), default=0) < 1 << 63
-    ps = np.array(primes_upto(_iroot(max_norm, k)), dtype=np.int64 if fits else object)
-    mods = ps**k
-    mods = mods[(mods > hi - lo) & ~np.isin(ps, skip)]
-    found = set()
-    for c, _ in labels:
-        x = (c - lo) % mods + lo
-        found.update((a, 0) for a in x[x <= hi].tolist())
-    return found
+
+def _lone_points(rows: np.ndarray, labels: list[Vec], a0: int, H: int, b0: int, W: int) -> np.ndarray:
+    """Flat row-major indices in the box [a0, a0+H) x [b0, b0+W) of the cosets c + L, c a label and
+    L = ((alpha, 0), (beta, gamma)) a column of rows with alpha >= H: c + L meets column b only when
+    gamma | b - c1, and then at a = c0 + ((b - c1)/gamma)*beta (mod alpha), at most once in the box (over
+    Q, a = c0 mod p^k).  Each label is one (rows x columns) array per chunk of _CHUNK_POINTS entries."""
+    b, out, step = np.arange(b0, b0 + W, dtype=rows.dtype), [np.empty(0, np.int64)], max(1, _CHUNK_POINTS // W)
+    for s in range(0, rows.shape[1], step):
+        alpha, beta, gamma = rows[:, s : s + step, None]
+        for c0, c1 in labels:
+            y = b - c1
+            j = y // gamma
+            a = (j * beta + (c0 - a0)) % alpha  # the row's offset from a0
+            r, col = np.nonzero(a < H)
+            hit = j[r, col] * gamma[r, 0] == y[col]  # gamma | b - c1
+            out.append((a[r, col][hit] * W + col[hit]).astype(np.int64))
+    return np.concatenate(out)
 
 
 def _member_mask(forbidden, a0: int, b0: int, H: int, W: int, buf: np.ndarray) -> np.ndarray:
@@ -553,22 +574,22 @@ def _member_mask(forbidden, a0: int, b0: int, H: int, W: int, buf: np.ndarray) -
 def _member_bands(sieve: SieveSpec, i: int, bound: int, max_norm: int) -> Iterator[tuple[int, int, np.ndarray]]:
     """Row bands (a0, b0, `_member_mask` shaped (rows, W)) of component i's box [-bound, bound]^degree.
 
-    A Q component is the one-column grid b = 0: only tail primes with
-    p^k <= 2*bound mark cosets there, and the others meet the box at most once
-    per label (`_lone_points`).  Bands share one buffer, so each is read
-    before the next is made.
-    """
-    spec = sieve.algebra.components[i]
-    if spec.is_rational:
-        cosets, labels = _forbidden_cosets(sieve, i, min(max_norm, 2 * bound))
-        forbidden = cosets, sorted(_lone_points(sieve, i, labels, max_norm, -bound, bound).union(labels))
-    else:
-        forbidden = _forbidden_cosets(sieve, i, max_norm)
-    b0, W = grid_columns(spec.degree, -bound, 2 * bound + 1)
+    One body for every component: tail rows (`_grid_rows`) with alpha <= 2*bound stay cosets for
+    `_member_mask`, as do the exception classes; the others meet the box at most once per column and
+    are marked by `_lone_points`.  Bands share one buffer, so each is read before the next is made."""
+    cosets, labels = _forbidden_cosets(sieve, i, 0)  # the exception classes and the label points
+    reach = bound + max((abs(v) for c in labels for v in c), default=0)
+    # bounds |c0 + ((b - c1)/gamma)*beta| in `_lone_points`: beta < alpha <= max_norm
+    rows = _grid_rows(sieve, i, max_norm, np.int64 if (max_norm + 1) * (reach + 1) < 1 << 63 else object)
+    far = rows[0] > 2 * bound
+    cosets += [(((a, 0), (b, g)), c) for a, b, g in rows[:, ~far].T.tolist() for c in labels]
+    b0, W = grid_columns(sieve.algebra.components[i].degree, -bound, 2 * bound + 1)
     bands = row_bands(-bound, 2 * bound + 1, W)
     buf = np.empty(bands[0][1] * W, dtype=bool)
     for a0, h in bands:
-        yield a0, b0, _member_mask(forbidden, a0, b0, h, W, buf).reshape(h, W)
+        mask = _member_mask((cosets, labels), a0, b0, h, W, buf)
+        mask[_lone_points(rows[:, far], labels, a0, h, b0, W)] = False
+        yield a0, b0, mask.reshape(h, W)
 
 
 def count_members(sieve: SieveSpec, bound: int) -> int:

@@ -162,6 +162,10 @@ def test_coset_points_exact_past_int64_products():
         assert mask.tolist() == truth
 
 
+# a tail label 300 away from a 25-point box over Q(sqrt 2), every class of 2, 3, 5 and 7 left free
+FAR_QUADRATIC = ("algebra Q(sqrt 2)\ntail classes 1,300\nexception 2 0 1 : -\nexception 3 0 1 : -\n"
+                 "exception 5 0 1 : -\nexception 7 0 1 : -\nexception 7 1 1 : -\n")
+
 def test_tail_labels_far_past_the_box_enumerate_at_once(tmp_path):
     # a label 10^6 away from a 5-point box: its primes below 10^6 are not walked one coset at a time
     f = write(tmp_path, "far.sv", "algebra Q\ntail classes 1000000,1\nexception 2 1 : -\nexception 3 1 : -\n")
@@ -170,6 +174,11 @@ def test_tail_labels_far_past_the_box_enumerate_at_once(tmp_path):
     f = write(tmp_path, "far10.sv", "algebra Q\ntail classes 10,1\nexception 2 1 : -\nexception 3 1 : -\n")
     code, out, err, seconds = run(["sieve", "enumerate", "--spec", f, "--bound", "2"])
     assert code == 0 and "count: 2\nmembers: -2, 2\n" in out and seconds < 1, (out, err, seconds)
+    # over Q(sqrt 2) too: a split, inert or ramified q^k far past the box's height meets it at most once
+    # per column, so no prime ideal of norm up to about 2.7 * 10^5 is walked as its own coset
+    f = write(tmp_path, "far2.sv", FAR_QUADRATIC)
+    code, out, err, seconds = run(["sieve", "enumerate", "--spec", f, "--bound", "2"])
+    assert code == 0 and err == "" and "count: 1\nmembers: 0\n" in out and seconds < 1, (out, err, seconds)
 
 
 def test_refusals_answer_before_they_work(tmp_path):
@@ -212,6 +221,7 @@ SIEVES = [
     "algebra Q\ntail kfree 3\nexception 2 3 : 0,4\n",
     "algebra Q x Q(sqrt -1)\ntail kfree 2\nexception 5 1 1 : 0\n",
     "algebra Q\ntail classes 0,1\nexception 2 1 : -\nexception 3 1 : -\n",
+    FAR_QUADRATIC,
 ]
 PATTERNS = [("Q", "1, 2,\n# a comment\n3, 5\n"), ("Q(sqrt 2)", "0, 1+w,\n2-3*w\n")]
 CODES = [

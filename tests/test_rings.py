@@ -662,9 +662,13 @@ def test_lattice_rows_of_hnf_blocks_are_already_an_hnf():
 def test_make_algebra_keeps_one_instance_per_parameter_tuple():
     assert make_algebra([None]) is QQ
     assert make_algebra((2, None)) is make_algebra([2, None])
-    # equal cached hashes do not make equal fields
-    assert hash(FieldSpec(-1)) == hash(FieldSpec(-2)) and FieldSpec(-1) != FieldSpec(-2)
-    assert hash(make_algebra([-1])) == hash(make_algebra([-2])) and make_algebra([-1]) != make_algebra([-2])
+    # equal cached hashes do not make equal fields: 2 and 2 + 2^61 - 1 are both squarefree, and
+    # the hash of an int is its residue mod 2^61 - 1
+    far = 2 + (1 << 61) - 1
+    assert hash(FieldSpec(2)) == hash(FieldSpec(far)) and FieldSpec(2) != FieldSpec(far)
+    assert hash(make_algebra([2])) == hash(make_algebra([far])) and make_algebra([2]) != make_algebra([far])
+    # hash(-1) == hash(-2) in CPython, but Q(sqrt -1) and Q(sqrt -2) hash apart, so their tables do not collide
+    assert hash(FieldSpec(-1)) != hash(FieldSpec(-2)) and hash(make_algebra([-1])) != hash(make_algebra([-2]))
     assert FieldSpec(2) != 2 and make_algebra([2]) != (FieldSpec(2),)
     # built without make_algebra: equal, not the same object, and one prime-row table for both
     built = EtaleAlgebra((FieldSpec(None), FieldSpec(2)))

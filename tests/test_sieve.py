@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -962,6 +964,112 @@ def test_member_mask_matches_membership_off_origin(which, comp, a0, b0, H, W):
     mask = sieve_mod._member_mask(forbidden, a0, b0, H, W, np.zeros(H * W + 7, dtype=bool))
     assert mask.tolist() == _box_oracle(sv, i, a0, b0, H, W)
 
+
+def _all_cosets_members(sv, bound):
+    """Per component, (mask, b0, W, max norm): the box members, every coset of `_forbidden_cosets` up to the
+    box's norm bound marked with `coset_points`, each tail prime's label classes one coset however far
+    past the box.
+    """
+    out = []
+    for i, (spec, max_norm) in enumerate(zip(sv.algebra.components, sieve_mod._box_norm_bounds(sv, bound))):
+        H = 2 * bound + 1
+        b0, W = lattices.grid_columns(spec.degree, -bound, H)
+        forbidden = sieve_mod._forbidden_cosets(sv, i, max_norm)
+        mask = sieve_mod._member_mask(forbidden, -bound, b0, H, W, np.empty(H * W, bool)).reshape(H, W)
+        out.append((mask, b0, W, max_norm))
+    return out
+
+
+def _far_label_case(rng, params):
+    """A seeded sieve over make_algebra(params) with near and far tail labels and exceptions, and its bound.
+
+    Far labels are x + p^k * t for a box point x and a prime p of a drawn kind, so every prime above
+    p catches x however far the label lies; exceptions sit at such primes and at drawn ones, with
+    and without classes.
+    """
+    K, k, bound = make_algebra(params), rng.choice((1, 1, 2, 3)), rng.randint(1, 3)
+    # the reach that keeps the k-th root of the box's norm bound, and so the oracle's prime scan, near 5 * 10^3
+    reach = min(integer_nthroot((5 * 10**3) ** k // (1 if d is None else 1 + abs(d)), 1 if d is None else 2)[0]
+                for d in params)
+    rows = [q for p in primes_upto(60) for q in split_prime(K, p)]
+    labels, primes = [], []
+    for _ in range(rng.randint(1, 3)):
+        q = rng.choice(rows)
+        pk = q.p**k
+        x = [rng.randint(-bound, bound) for _ in range(K.degree)]
+        t = [rng.choice((-1, 1)) * rng.randint(0, max(0, reach - bound) // pk) for _ in range(K.degree)]
+        if rng.random() < 0.3:  # an int label: the same point on every component
+            labels.append(x[0] + pk * t[0])
+        else:
+            labels.append(tuple(a + pk * b for a, b in zip(x, t)))
+        primes.append(q)
+    if rng.random() < 0.5:  # a near label
+        labels.append(rng.randint(-bound, bound) if rng.random() < 0.5
+                      else tuple(rng.randint(-bound, bound) for _ in range(K.degree)))
+    exceptions = {}
+    for q in rng.sample(primes, rng.randint(0, len(primes))) + rng.sample(rows, rng.randint(0, 2)):
+        for r in split_prime(K, q.p) if rng.random() < 0.5 else (q,):
+            if r.component == q.component:
+                mod = ideal_power(r, rng.randint(1, 2))
+                c = mod.reduce_coords(tuple(rng.randint(-9, 9) for _ in range(r.spec.degree)))
+                exceptions[r] = (mod.k, [] if rng.random() < 0.5 else [c])
+    sv = build_sieve(K, TailRule.shifted_kfree(k, labels), exceptions)
+    return (sv, bound) if sv.non_large else None
+
+
+PARITY_FIELDS = [[None], [2], [-1], [-7], [5], [None, -7], [5, -1]]
+
+
+def test_box_readers_match_every_coset_on_far_labels():
+    # count_members and enumerate_V read far tail rows as columns (`_lone_points`); the oracle marks
+    # every tail prime up to the box's norm bound as its own coset
+    rng = random.Random(31)
+    met, skipped, exceptions = set(), 0, set()
+    for n in range(70):
+        if (case := _far_label_case(rng, PARITY_FIELDS[n % len(PARITY_FIELDS)])) is None:
+            continue
+        sv, bound = case
+        exceptions |= {(ls.prime.kind, bool(ls.classes)) for ls in sv.exceptions}
+        comps, k = _all_cosets_members(sv, bound), sv.tail.exponent
+        blocks = [[lattices.grid_coords(-bound + r, b0 + c, spec.degree) for r, c in np.argwhere(mask).tolist()]
+                  for spec, (mask, b0, W, _) in zip(sv.algebra.components, comps)]
+        assert count_members(sv, bound) == math.prod(map(len, blocks)), format_sieve(sv)
+        if (2 * bound + 1) ** sv.algebra.degree <= 400:
+            assert [x.coords for x in enumerate_V(sv, bound)] == list(itertools.product(*blocks)), format_sieve(sv)
+        # which far rows met the box, by kind
+        for i, (spec, (mask, b0, W, max_norm)) in enumerate(zip(sv.algebra.components, comps)):
+            H, labels = 2 * bound + 1, sieve_mod._forbidden_cosets(sv, i, 0)[1]
+            for q in prime_ideals(sv.algebra, sieve_mod._iroot(max_norm, k)):
+                h = lattices.grid_hnf(ideal_power(q, k).hnf)
+                if q.component != i or h[0][0] <= 2 * bound or q.norm**k > max_norm:
+                    continue
+                hit = ~sieve_mod._member_mask(([(h, c) for c in labels], []), -bound, b0, H, W, np.empty(H * W, bool))
+                if sv.exception_at(q) is not None:
+                    skipped += bool((hit & mask.ravel()).any())  # a member the tail classes at q would reject
+                elif hit.any():
+                    met.add(q.kind)
+    assert met == {"rational", "split", "inert", "ramified"} and skipped, (met, skipped)
+    assert exceptions == {(kind, c) for kind in ("rational", "split", "inert", "ramified") for c in (False, True)}
+
+
+def test_far_rows_leave_int64_where_their_products_could_wrap():
+    # `_member_bands` reads far rows in int64 only while (max norm + 1) * (reach + 1) < 2^63, which bounds
+    # |c0 + ((b - c1)/gamma) * beta|; past it, Python ints.  Over Q(sqrt 2) with k = 6, each label is
+    # caught at x, far past the box: 7^6 * t + x by both primes above 7, and the last one by
+    # q = (47, w - 7) alone, with a box norm bound below 2^63 but (b - c1) * beta past it at q's row
+    K, bound, x = make_algebra([2]), 2, (1, -1)
+    q = split_prime(K, 47)[0]
+    for label, fits in (((1 + 7**6 * 11, -1 + 7**6 * 12), True), ((1 + 7**6 * 12, -1 + 7**6 * 13), False),
+                        ((139498, 1700007456), False)):
+        sv = build_sieve(K, TailRule.shifted_kfree(6, [label]))
+        max_norm, reach = sieve_mod._box_norm_bounds(sv, bound)[0], bound + max(map(abs, label))
+        assert ((max_norm + 1) * (reach + 1) < 2**63) == fits, label
+        members = [y.coords for y in K.box(bound) if membership(sv, y).member]
+        assert sorted(y.coords for y in enumerate_V(sv, bound)) == sorted(members) and ((x,) not in members)
+        assert count_members(sv, bound) == len(members)
+    (alpha, _), (beta, _) = ideal_power(q, 6).hnf
+    assert ideal_power(q, 6).contains(K.element([label]) - K.element([x])) and 2 * bound < alpha <= max_norm
+    assert max_norm < 2**63 <= label[1] * beta
 
 def test_enumerate_spot_check_catches_a_wrong_mask(squarefree_q, monkeypatch):
     # a marker that drops every exception and tail class lists 4, which membership rejects
