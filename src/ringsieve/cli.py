@@ -416,6 +416,8 @@ def _selftest_sieve(rep):
     above_5 = sieve_mod.membership(gauss, gauss.algebra.element([(10, 5)]))
     big_prime = sieve_mod.membership(sq, QQ.from_int(9_999_999_967))
     caught_at_7 = sieve_mod.membership(sq, QQ.from_int(7**2 * 999_983**2))
+    one_exception = sieve_mod.parse_sieve_file("algebra Q(sqrt 2)\ntail kfree 2\nexception 17 0 1 : -\n")
+    sliced = sieve_mod.membership(one_exception, one_exception.algebra.element([(49, 1)]))
     checks = [
         ("degree add", make_algebra([None, 2]).degree == 3),
         ("omega basis", make_algebra([13]).components[0].omega_poly == (1, 3)),
@@ -457,6 +459,10 @@ def _selftest_sieve(rep):
         ("member past 10^9", (big_prime.member, len(big_prime.checked)) == (True, 9592)),
         # n = 6,999,881, but only the rows up to the catch are listed
         ("caught far below the bound", (str(caught_at_7.prime), len(caught_at_7.checked)) == ("(7)[rational]", 4)),
+        # N(49 + w) = 2399, n = 48: past isqrt(n) = 6 only split rows, and the exception (17, w-6) once, first
+        ("checked slice", sliced.member and " ".join(map(str, sliced.checked)) == "(17, w-6)[split] (2, w-0)[ramified] "
+         "(3)[inert] (5)[inert] (7, w-3)[split] (7, w-4)[split] (17, w-11)[split] (23, w-5)[split] (23, w-18)[split] "
+         "(31, w-8)[split] (31, w-23)[split] (41, w-17)[split] (41, w-24)[split] (47, w-7)[split] (47, w-40)[split]"),
         # Q x Q(sqrt 13) x Q(sqrt -3): per p, the components' rows in component order
         ("product prime order", " ".join(map(str, prime_ideals(make_algebra([None, 13, -3]), 7))) == "(2)#0[rational] "
          "(2)#1[inert] (2)#2[inert] (3)#0[rational] (3, w-0)#1[split] (3, w-1)#1[split] (3, w-2)#2[ramified] "

@@ -13,9 +13,11 @@ those primes.  Every witness is (a + t*p^k, b) for its class (a, b), so it
 is congruent to the class mod p^k O_K by construction; a class with no
 witness in the first 64 strips raises NotFoundWithinBound.  The grid is
 walked in row bands of about 2^21 classes (`lattices.row_bands`), so memory
-is bounded by the band, not by the grid.  Witnesses are re-checked on a
-prime list of their own, every prime included, through their norms and then
-their coordinates.  A product algebra is assembled from its components.
+is bounded by the band, not by the grid.  The strips read their tail
+cosets as the box readers' grid columns (`sieve._grid_rows`), and witnesses
+are re-checked on a prime list of their own (`sieve._tail_primes`), every
+prime included, through their norms and then their coordinates.  A product
+algebra is assembled from its components.
 """
 
 from __future__ import annotations
@@ -342,7 +344,7 @@ def _surjectivity_field(spec: FieldSpec, k: int, p: int) -> tuple[int, int, int,
         # independent re-verification of the sampled witnesses, through their
         # norms and then their coordinates (`_non_kfree_witnesses`); it reads
         # its own prime list, the primes above p included, not the finder's
-        # cosets.  Witnesses are congruent to their class by construction:
+        # grid columns.  Witnesses are congruent to their class by construction:
         # a = class + t*P
         ranks = np.arange((-rank0) % stride, pos.size, stride)
         sel = pos[ranks]

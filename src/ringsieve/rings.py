@@ -17,7 +17,7 @@ import math
 import operator
 import re
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -516,21 +516,20 @@ def _splitting(algebra: EtaleAlgebra, p: int) -> tuple[PrimeIdeal, ...]:
 class _PrimeRows:
     """An algebra's primes q above every prime p <= limit, each row kept once, in its component's lists.
 
-    Per component i, two pairs of lists (p, q) in `split_prime` order:
-    `component_rows[i]`, all of component i's rows, and `norm_p_rows[i]`,
-    those of norm p (on a Q component the same pair), so a reader slices a
-    component's rows of norm <= n instead of walking them; `merge_by_p`
-    reads several components as one.  Only appended to: the rows of
-    p <= limit stay valid while the lists grow.  At most _MAX_KEPT_ROWS
-    rows over all algebras outlive their readers (`_forget_oldest_rows`).
-    No `__len__`, which `prime_rows`' truth test would call every time.
+    Per component i, one pair of lists (p, q) in `split_prime` order,
+    `component_rows[i]`, so a reader slices a component's rows of p <= n
+    instead of walking them; `merge_by_p` reads several components as one.
+    Only appended to: the rows of p <= limit stay valid while the lists
+    grow.  Past _MAX_KEPT_ROWS rows over all algebras, the oldest other
+    algebras' tables are dropped each time a table grows
+    (`_forget_oldest_rows`).  No `__len__`, which `prime_rows`' truth test
+    would call every time.
     """
 
     def __init__(self, algebra: EtaleAlgebra):
         self.algebra = algebra
         self.limit = 0
         self.component_rows: list[tuple[list[int], list[PrimeIdeal]]] = [([], []) for _ in algebra.components]
-        self.norm_p_rows = [pair if spec.is_rational else ([], []) for spec, pair in zip(algebra.components, self.component_rows)]
 
     def upto(self, n: int) -> None:
         """List the rows of every p <= n.
@@ -544,31 +543,17 @@ class _PrimeRows:
             with _NORM_TABLES_GROWING:
                 if n > self.limit:
                     self._extend(max(n, min(2 * self.limit, _MAX_PRIME_BOUND)))
-                    _forget_oldest_rows()
+                    _forget_oldest_rows(self.algebra)
 
     def _extend(self, n: int) -> None:
         listed = primes_upto(n)
         new = [q for p in listed[bisect_right(listed, self.limit) :] for q in _splitting(self.algebra, p)]
         # the rows before the limit: a reader that sees the new limit finds its rows
-        for i, ((ps, primes), norm_p) in enumerate(zip(self.component_rows, self.norm_p_rows)):
+        for i, (ps, primes) in enumerate(self.component_rows):
             mine = new if len(self.component_rows) == 1 else [q for q in new if q.component == i]
             ps.extend(q.p for q in mine)
             primes.extend(mine)
-            if norm_p[0] is not ps:
-                mine = [q for q in mine if q.f == 1]
-                norm_p[0].extend(q.p for q in mine)
-                norm_p[1].extend(mine)
         self.limit = n
-
-
-def _row_index(rows: tuple[list[int], list[PrimeIdeal]], prime: PrimeIdeal) -> int | None:
-    """The index of prime among the (p, q) rows of one component, or None if it is not there."""
-    ps, primes = rows
-    # p's column may run ahead of its q column while another thread lists rows past the limit
-    for j in range(bisect_left(ps, prime.p), min(bisect_right(ps, prime.p), len(primes))):
-        if primes[j].root == prime.root:
-            return j
-    return None
 
 
 _PRIME_ROWS: dict[EtaleAlgebra, _PrimeRows] = {}
@@ -580,18 +565,19 @@ def prime_rows(algebra: EtaleAlgebra) -> _PrimeRows:
     return _PRIME_ROWS.get(algebra) or _PRIME_ROWS.setdefault(algebra, _PrimeRows(algebra))
 
 
-def _forget_oldest_rows() -> None:
-    """Drop the oldest algebras' tables until at most _MAX_KEPT_ROWS rows are kept.
+def _forget_oldest_rows(grown: EtaleAlgebra) -> None:
+    """Drop the oldest other algebras' tables until at most _MAX_KEPT_ROWS rows are kept.
 
-    A scan that holds a dropped table reads it to its end, and the next
-    `prime_rows` call starts a new one, so a scan far past the budget keeps
-    its rows only while it runs.
+    The table of `grown`, just grown, is never dropped, so a scan past the
+    budget lists its rows once; a scan that holds another, dropped table
+    reads it to its end, and the next `prime_rows` call starts a new one.
     """
     kept = sum(len(primes) for rows in list(_PRIME_ROWS.values()) for _, primes in rows.component_rows)
     for algebra in list(_PRIME_ROWS):
         if kept <= _MAX_KEPT_ROWS:
             return
-        kept -= sum(len(primes) for _, primes in _PRIME_ROWS.pop(algebra).component_rows)
+        if algebra != grown:
+            kept -= sum(len(primes) for _, primes in _PRIME_ROWS.pop(algebra).component_rows)
 
 
 def merge_by_p(lists: list[Iterable[PrimeIdeal]]) -> Iterable[PrimeIdeal]:

@@ -40,7 +40,6 @@ from .rings import (
     _PrimeRows,
     _format_component,
     _parse_component,
-    _row_index,
     _splitting,
     at_line,
     directives,
@@ -305,10 +304,12 @@ def _tail_primes(sieve: SieveSpec, max_norm: int, component: int | None = None) 
     """Non-exception primes q (of one component, if given) with Nm(q)^k <= max_norm, in `prime_ideals` order.
 
     Nm(q)^k <= max_norm iff Nm(q) <= n = floor(max_norm^(1/k)), so no power
-    is formed: each component's primes are sliced from the algebra's one
-    row table (`rings.prime_rows`, shared by every sieve over it), less the
-    sieve's exception primes (`_checked_rows`), and every component's are
-    those lists merged by p (`rings.merge_by_p`).
+    is formed: each component's primes are one slice of its rows in the
+    algebra's one row table (`rings.prime_rows`, shared by every sieve over
+    it), filtered by norm and by the sieve's exception keys
+    (`_checked_rows`), and every component's are those lists merged by p
+    (`rings.merge_by_p`).  The grid readers take their tail rows as columns
+    instead (`_grid_rows`).
     """
     n, rows = _iroot(max_norm, sieve.tail.exponent), prime_rows(sieve.algebra)
     components = range(len(rows.component_rows)) if component is None else (component,)
@@ -364,35 +365,23 @@ def _candidate_primes(norms: list[int], k: int, n: int) -> Iterator[int]:
 def _checked_rows(sieve: SieveSpec, rows: _PrimeRows, i: int, n: int, last: int | None = None) -> list[PrimeIdeal]:
     """Component i's non-exception tail primes with Nm(q) <= n, ascending, through row `last` if given.
 
-    Slices of the row table's per-component lists, listed up to n first
-    when `last` is not given: on a Q component its rows up to n; on a field
-    every row of p <= sqrt(n), then the rows of norm p for
-    sqrt(n) < p <= n (an inert Nm(q) = p^2 passes n there).  `last` is an
-    index into component i's rows.  The sieve's exception rows are then
-    deleted by index, from the back.
+    One slice of component i's rows in the row table, up to n (listed up to
+    n first) or through its index `last`.  On a field it is filtered by
+    norm: an inert row stays only while p <= isqrt(n), since its Nm(q) = p^2
+    passes n past it.  The sieve's exception rows are dropped by their
+    `SieveSpec.exception_sets` keys.
     """
     if last is None and n > rows.limit:
         rows.upto(n)
-    every, norm_p = rows.component_rows[i], rows.norm_p_rows[i]
-    if every is norm_p:
-        a = b = 0
-        c = bisect_right(norm_p[0], n) if last is None else last + 1
+    ps, primes = rows.component_rows[i]
+    end = bisect_right(ps, n) if last is None else last + 1
+    if sieve.algebra.components[i].degree == 1:
+        out = primes[:end]
     else:
-        r = math.isqrt(n)
-        if last is not None and every[0][last] <= r:
-            a, b, c = last + 1, 0, 0
-        else:
-            a, b = bisect_right(every[0], r), bisect_right(norm_p[0], r)
-            c = bisect_right(norm_p[0], n) if last is None else _row_index(norm_p, every[1][last]) + 1
-    out = every[1][:a] + norm_p[1][b:c]
-    for ls in reversed(sieve.exceptions):
-        q = ls.prime
-        if q.component != i or q.p > n:
-            continue
-        if a and (j := _row_index(every, q)) is not None and j < a:
-            del out[j]
-        elif c > b and (j := _row_index(norm_p, q)) is not None and b <= j < c:
-            del out[a + j - b]
+        a = bisect_right(ps, math.isqrt(n), 0, end)
+        out = primes[:a] + [q for q in primes[a:end] if q.f == 1]
+    if (skip := sieve.exception_sets) and (excepted := {p for p, c, _ in skip if c == i}):
+        out = [q for q in out if q.p not in excepted or (q.p, i, q.root) not in skip]
     return out
 
 
@@ -410,8 +399,8 @@ def membership(sieve: SieveSpec, x: AlgebraicInt) -> Verdict:
     their rows are listed and tested, until one catches x: a row of norm p
     goes straight to its local set, since p^k divides a label norm, and an
     inert row first passes the norm filter.  Every tail prime of norm <= n
-    was still examined, so `checked` holds all of them up to the catch,
-    sliced from the algebra's row table (`_checked_rows`); only a member
+    was still examined, so `checked` holds all of them up to the catch, one
+    filtered slice of the component's rows (`_checked_rows`); only a member
     lists the rows up to n.  When x equals a label on some component, every
     tail prime of that component catches it, and the first one whose q^k is
     built (`rings.power_fits`) is named.
@@ -502,17 +491,21 @@ def _forbidden_cosets(sieve: SieveSpec, i: int, max_norm: int) -> tuple[list[tup
     """(cosets, points) of component i's non-members, on the grid.
 
     The cosets are the exception classes and each tail label's class mod q^k
-    for the non-exception tail primes q with Nm(q)^k <= max_norm; the points
-    are the labels, which every tail prime catches.  Off the labels, that is
-    exact in any box where max_norm bounds |N(x - label)|.
+    for the non-exception tail primes q with Nm(q)^k <= max_norm, read as
+    grid columns (`_grid_rows`); the points are the labels, which every tail
+    prime catches.  Off the labels, that is exact in any box where max_norm
+    bounds |N(x - label)|.
     """
     cosets = [(grid_hnf(ls.modulus.hnf), grid_point(c))
               for ls in sieve.exceptions if ls.modulus.component == i for c in ls.classes]
     points = [grid_point(c) for c in sieve.label_points[i]]
-    if points:
-        k = sieve.tail.exponent
-        cosets += [(grid_hnf(ideal_power(q, k).hnf), c) for q in _tail_primes(sieve, max_norm, i) for c in points]
-    return cosets, points
+    rows = _grid_rows(sieve, i, max_norm, np.int64 if max_norm < 1 << 63 else object)
+    return cosets + _row_cosets(rows, points), points
+
+
+def _row_cosets(rows: np.ndarray, points: list[Vec]) -> list[tuple[Hnf, Vec]]:
+    """The cosets c + q^k, q^k = ((alpha, 0), (beta, gamma)) a column of `_grid_rows`, c a label point."""
+    return [(((a, 0), (b, g)), c) for a, b, g in rows.T.tolist() for c in points]
 
 
 def _grid_rows(sieve: SieveSpec, i: int, max_norm: int, dtype) -> np.ndarray:
@@ -530,7 +523,7 @@ def _grid_rows(sieve: SieveSpec, i: int, max_norm: int, dtype) -> np.ndarray:
     alpha = p**k
     grid = np.stack((alpha, 0 * p, np.where(norm_p, 1, alpha)))
     skip = [ep for ep, ec, root in sieve.exception_sets if ec == i and root is None]
-    keep = ~np.isin(p, skip) if skip else np.ones(len(p), bool)
+    keep = (p != np.array(skip, dtype)[:, None]).all(0)
     if algebra.components[i].degree == 2 and (at := np.flatnonzero(norm_p)).size:
         primes = [q for x in dict.fromkeys(p[at].tolist()) for q in _splitting(algebra, x) if q.component == i]
         keep[at] = [sieve.exception_at(q) is None for q in primes]
@@ -575,14 +568,15 @@ def _member_bands(sieve: SieveSpec, i: int, bound: int, max_norm: int) -> Iterat
     """Row bands (a0, b0, `_member_mask` shaped (rows, W)) of component i's box [-bound, bound]^degree.
 
     One body for every component: tail rows (`_grid_rows`) with alpha <= 2*bound stay cosets for
-    `_member_mask`, as do the exception classes; the others meet the box at most once per column and
-    are marked by `_lone_points`.  Bands share one buffer, so each is read before the next is made."""
+    `_member_mask` (`_row_cosets`, as in the strip sieve's `_forbidden_cosets`), as do the exception
+    classes; the others meet the box at most once per column and are marked by `_lone_points`.
+    Bands share one buffer, so each is read before the next is made."""
     cosets, labels = _forbidden_cosets(sieve, i, 0)  # the exception classes and the label points
     reach = bound + max((abs(v) for c in labels for v in c), default=0)
     # bounds |c0 + ((b - c1)/gamma)*beta| in `_lone_points`: beta < alpha <= max_norm
     rows = _grid_rows(sieve, i, max_norm, np.int64 if (max_norm + 1) * (reach + 1) < 1 << 63 else object)
     far = rows[0] > 2 * bound
-    cosets += [(((a, 0), (b, g)), c) for a, b, g in rows[:, ~far].T.tolist() for c in labels]
+    cosets += _row_cosets(rows[:, ~far], labels)
     b0, W = grid_columns(sieve.algebra.components[i].degree, -bound, 2 * bound + 1)
     bands = row_bands(-bound, 2 * bound + 1, W)
     buf = np.empty(bands[0][1] * W, dtype=bool)

@@ -362,6 +362,19 @@ def test_broken_finder_is_caught_by_the_recheck(monkeypatch, drop):
         check_local_surjectivity(make_algebra([13]), 3, 13)
 
 
+def test_strip_finder_and_recheck_list_their_tail_primes_apart(monkeypatch):
+    # the finder's tail cosets are `sieve._grid_rows` columns and the re-check's primes come from
+    # `sieve._tail_primes`, so a finder short of one tail row, here (1 + w) over Q(sqrt -1), hands
+    # over witnesses in (1 + w)^2 = (2) that the re-check of every witness rejects
+    K = make_algebra([-1])
+    whole = check_local_surjectivity(K, 2, 13)
+    assert whole.reverified == whole.v_classes
+    grid_rows = sieve_mod._grid_rows
+    monkeypatch.setattr(sieve_mod, "_grid_rows", lambda *args: grid_rows(*args)[:, 1:])
+    with pytest.raises(VerificationFailed, match="non-k-free witness"):
+        check_local_surjectivity(K, 2, 13)
+
+
 def _flagged_by_each_ideal(spec, sieve, sa, sb):
     """The re-check `_non_kfree_witnesses` replaced: every tail prime's q^k against every witness."""
     good = np.ones(sa.size, dtype=bool)

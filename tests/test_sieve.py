@@ -490,6 +490,12 @@ def test_norm_prefilter_and_tail_rows_match_the_full_scan():
             for component in (None, *range(len(sv.algebra.components))):
                 assert list(sieve_mod._tail_primes(sv, max_norm, component)) == _full_scan_tail_primes(
                     sv, max_norm, component), (str(sv), max_norm, component)
+            # the strip sieve's tail cosets, read as grid columns, are each scanned prime's q^k HNF
+            for i in range(len(sv.algebra.components)):
+                excepted, points = sieve_mod._forbidden_cosets(sv, i, 0)
+                assert sieve_mod._forbidden_cosets(sv, i, max_norm)[0] == excepted + [
+                    (lattices.grid_hnf(ideal_power(q, sv.tail.exponent).hnf), c)
+                    for q in _full_scan_tail_primes(sv, max_norm, i) for c in points], (str(sv), max_norm, i)
         for x in _prefilter_elements(sv, rng):
             v = membership(sv, x)
             assert (v.member, v.prime, v.class_rep, list(v.checked)) == _membership_projecting_labels(sv, x), (str(sv), x)
@@ -765,7 +771,8 @@ def test_sieves_over_one_algebra_share_one_prime_table(monkeypatch):
 
 
 def test_prime_rows_kept_stay_within_their_budget(monkeypatch):
-    # the oldest algebras' tables are dropped past the budget, and every scan still reads whole rows
+    # past the budget the oldest other algebras' tables are dropped, the table a scan has just grown
+    # is kept, and every scan still reads whole rows
     K, L = make_algebra([-7]), make_algebra([None, 2])
     small, big = kfree_sieve(K, 2), kfree_sieve(L, 2)
     expected = {(sv, n): _full_scan_tail_primes(sv, n * n) for sv in (small, big) for n in (100, 1000)}
@@ -774,17 +781,25 @@ def test_prime_rows_kept_stay_within_their_budget(monkeypatch):
 
     def scan(sv, n):
         assert list(sieve_mod._tail_primes(sv, n * n)) == expected[sv, n], (str(sv), n)
-        assert sum(len(primes) for rows in rings._PRIME_ROWS.values() for _, primes in rows.component_rows) <= 300
+        kept = sum(len(primes) for rows in rings._PRIME_ROWS.values() for _, primes in rows.component_rows)
+        assert kept <= 300 or list(rings._PRIME_ROWS) == [sv.algebra], (str(sv), n, kept)
 
     scan(small, 100)
     first = rings._PRIME_ROWS[K]
     scan(big, 100)
     assert list(rings._PRIME_ROWS) == [K, L] and rings._PRIME_ROWS[K] is first
-    # over 300 rows above p <= 1000 in Q x Q(sqrt 2): K's table goes first, then L's own
+    # over 300 rows above p <= 1000 in Q x Q(sqrt 2): K's table goes, and L's, just grown, stays
     scan(big, 1000)
-    assert rings._PRIME_ROWS == {}
+    grown = rings._PRIME_ROWS[L]
+    assert list(rings._PRIME_ROWS) == [L]
+    # a repeat scan reads the kept rows and splits no prime again
+    splits, splitting = [], rings._splitting
+    monkeypatch.setattr(rings, "_splitting", lambda algebra, p: splits.append(p) or splitting(algebra, p))
+    scan(big, 1000)
+    assert splits == [] and rings._PRIME_ROWS[L] is grown
+    # K's new table grows past the budget beside L's: L's is now the oldest other, and goes
     scan(small, 100)
-    assert rings._PRIME_ROWS[K] is not first
+    assert list(rings._PRIME_ROWS) == [K] and rings._PRIME_ROWS[K] is not first
     for sv, n in expected:
         scan(sv, n)
     assert membership(big, L.from_int(15)).member and not membership(big, L.from_int(12)).member
@@ -821,8 +836,7 @@ def test_prime_rows_grown_by_threads_match_one_thread(monkeypatch):
     def rows_upto(n):
         rows = rings.prime_rows(K)
         rows.upto(n)
-        return [(ps[:end], primes[:end]) for ps, primes in (*rows.component_rows, *rows.norm_p_rows)
-                for end in [bisect_right(ps, n)]]
+        return [(ps[:end], primes[:end]) for ps, primes in rows.component_rows for end in [bisect_right(ps, n)]]
 
     sieves = [kfree_sieve(K, 2), build_sieve(K, TailRule.kfree(2), [exception])]
     monkeypatch.setattr(rings, "_PRIME_ROWS", {})
@@ -966,16 +980,18 @@ def test_member_mask_matches_membership_off_origin(which, comp, a0, b0, H, W):
 
 
 def _all_cosets_members(sv, bound):
-    """Per component, (mask, b0, W, max norm): the box members, every coset of `_forbidden_cosets` up to the
-    box's norm bound marked with `coset_points`, each tail prime's label classes one coset however far
-    past the box.
+    """Per component, (mask, b0, W, max norm): the box members, the exception classes and each tail prime's
+    label classes up to the box's norm bound marked with `coset_points`, every q^k one coset however far
+    past the box, its HNF from `ideal_power`.
     """
-    out = []
+    out, k = [], sv.tail.exponent
     for i, (spec, max_norm) in enumerate(zip(sv.algebra.components, sieve_mod._box_norm_bounds(sv, bound))):
         H = 2 * bound + 1
         b0, W = lattices.grid_columns(spec.degree, -bound, H)
-        forbidden = sieve_mod._forbidden_cosets(sv, i, max_norm)
-        mask = sieve_mod._member_mask(forbidden, -bound, b0, H, W, np.empty(H * W, bool)).reshape(H, W)
+        cosets, labels = sieve_mod._forbidden_cosets(sv, i, 0)
+        cosets += [(lattices.grid_hnf(ideal_power(q, k).hnf), c) for q in sieve_mod._tail_primes(sv, max_norm, i)
+                   for c in labels]
+        mask = sieve_mod._member_mask((cosets, labels), -bound, b0, H, W, np.empty(H * W, bool)).reshape(H, W)
         out.append((mask, b0, W, max_norm))
     return out
 
